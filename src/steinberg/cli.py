@@ -202,8 +202,11 @@ def _cmd_apartments(args) -> int:
 
 
 def _parse_matrices(text):
+    """Generator list from json:<list>; group_action checks each matrix."""
     data = json.loads(text[len("json:"):] if text.startswith("json:") else text)
-    return [tuple(tuple(int(x) for x in row) for row in g) for g in data]
+    if not isinstance(data, list):
+        raise ValueError("--group json: must be a list of matrices")
+    return data
 
 
 def _cmd_coinv(args) -> int:

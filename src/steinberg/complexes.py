@@ -219,11 +219,16 @@ def group_action(X: SemisimplicialSet, q: int, generators) -> ComplexAction:
 
     Each generator must be invertible; vertex labels must be RREF subspace
     keys (as produced by tits_building or the finite-field line complexes).
-    Raises ValueError if a generator is singular or fails to permute the
+    Raises ValueError if a generator is not an n x n integer matrix (n the
+    ambient dimension of the labels), is singular, or fails to permute the
     simplices.
     """
     field = ff.finite_field(q)
-    gens = tuple(tuple(tuple(int(x) % q for x in row) for row in g) for g in generators)
+    n = len(X.labels[0][0])
+    for g in generators:
+        if not _is_square_int_matrix(g, n):
+            raise ValueError(f"generator must be an {n} x {n} integer matrix")
+    gens = tuple(tuple(tuple(x % q for x in row) for row in g) for g in generators)
     perms = []
     for g in gens:
         if not ff.is_invertible(field, g):
@@ -260,6 +265,16 @@ def group_action(X: SemisimplicialSet, q: int, generators) -> ComplexAction:
                     if levels[k - 1][f] != X.faces[k][timg][i]:
                         raise ValueError("action does not commute with faces")
     return action
+
+
+def _is_square_int_matrix(g, n) -> bool:
+    def is_seq(v):
+        return isinstance(v, (list, tuple)) and len(v) == n
+
+    return is_seq(g) and all(
+        is_seq(row) and all(isinstance(x, int) and not isinstance(x, bool) for x in row)
+        for row in g
+    )
 
 
 def complex_to_json(cc: ChainComplex) -> str:

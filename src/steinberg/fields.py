@@ -1,9 +1,10 @@
 """Finite field arithmetic for small q, with subspace canonicalization.
 
-Prime fields use machine modular arithmetic.  The prime-power fields with
-q <= 9 (4, 8, 9) use explicit multiplication tables generated from a fixed
-irreducible polynomial; elements are integers 0..q-1 whose base-p digits
-are the polynomial coefficients, so 0 and 1 are the field's 0 and 1.
+Elements are integers 0..q-1 whose base-p digits are the coefficients of
+a polynomial over F_p, reduced modulo a fixed irreducible polynomial (x for
+a prime field), so 0 and 1 are the field's 0 and 1.  Addition, negation,
+subtraction and multiplication are explicit q x q tables built from that
+digit arithmetic, the same path for prime and prime-power q <= 9.
 
 Subspaces of F_q^n are canonicalized by reduced row echelon form: the RREF
 basis of a subspace is unique, so equal subspaces get equal keys.
@@ -38,34 +39,37 @@ def _undigits(ds, p):
 
 
 class FiniteField:
-    """F_q for q prime in {2,3,5,7} or q in {4,8,9}."""
+    """F_q for q prime in {2,3,5,7} or q in {4,8,9}.
+
+    Every operation is a lookup in a table built once from the base-p
+    digit arithmetic; a prime field is the degree-1 case F_p[x]/(x).
+    """
 
     def __init__(self, q: int):
         if q in _PRIMES:
-            self.q = q
-            self.p = q
-            self.degree = 1
-            self._mul = None
-            self._inv = [0] * q
-            for a in range(1, q):
-                self._inv[a] = pow(a, q - 2, q)
+            p, poly = q, (0, 1)
         elif q in _IRREDUCIBLE:
             p, poly = _IRREDUCIBLE[q]
-            self.q = q
-            self.p = p
-            self.degree = len(poly) - 1
-            self._build_tables(p, poly)
         else:
             raise ValueError(f"unsupported field size {q} (need a prime power <= 9)")
+        self.q = q
+        self.p = p
+        self.degree = len(poly) - 1
+        self._build_tables(p, poly)
 
     def _build_tables(self, p, poly):
         deg = self.degree
         q = self.q
+        digits = [_digits(a, p, deg) for a in range(q)]
+        self._add = [
+            [_undigits([(x + y) % p for x, y in zip(da, db)], p) for db in digits]
+            for da in digits
+        ]
+        self._neg = [_undigits([(-x) % p for x in da], p) for da in digits]
+        self._sub = [[self._add[a][self._neg[b]] for b in range(q)] for a in range(q)]
         mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            da = _digits(a, p, deg)
-            for b in range(q):
-                db = _digits(b, p, deg)
+        for a, da in enumerate(digits):
+            for b, db in enumerate(digits):
                 conv = [0] * (2 * deg - 1)
                 for i, x in enumerate(da):
                     if x:
@@ -91,25 +95,15 @@ class FiniteField:
         self._inv = inv
 
     def add(self, a, b):
-        if self.degree == 1:
-            return (a + b) % self.p
-        p = self.p
-        da = _digits(a, p, self.degree)
-        db = _digits(b, p, self.degree)
-        return _undigits([(x + y) % p for x, y in zip(da, db)], p)
+        return self._add[a][b]
 
     def neg(self, a):
-        if self.degree == 1:
-            return (-a) % self.p
-        p = self.p
-        return _undigits([(-x) % p for x in _digits(a, p, self.degree)], p)
+        return self._neg[a]
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self._sub[a][b]
 
     def mul(self, a, b):
-        if self.degree == 1:
-            return (a * b) % self.p
         return self._mul[a][b]
 
     def inv(self, a):

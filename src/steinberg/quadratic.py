@@ -471,8 +471,10 @@ def log_embedding(order: QuadraticOrder, u: RingElement):
 
     Real orders: (log|u|, log|u'|) for the two real embeddings.  Imaginary
     orders: (2 log|u|,) with the doubled complex coordinate.  Computed at
-    50 decimal digits and returned as floats; the coordinates of a unit
-    sum to 0 up to that precision.
+    50 decimal digits and returned as floats.  For a real unit |u u'| = 1,
+    so only L = log((|a| + |b| sqrt d)/denom), the larger of the two, is
+    computed (no cancellation); the other coordinate is -L exactly, and the
+    pair sums to exactly 0.
     """
     if not isinstance(u, RingElement) or u.d != order.d:
         raise ValueError("element does not belong to the order")
@@ -484,9 +486,8 @@ def log_embedding(order: QuadraticOrder, u: RingElement):
         rt = mp.sqrt(abs(order.d))
         den = mpf(u.denom)
         if order.d > 0:
-            s1 = (mpf(u.a) + mpf(u.b) * rt) / den
-            s2 = (mpf(u.a) - mpf(u.b) * rt) / den
-            out = (float(_mplog(abs(s1))), float(_mplog(abs(s2))))
+            big = float(_mplog((mpf(abs(u.a)) + mpf(abs(u.b)) * rt) / den))
+            out = (big, -big) if u.a * u.b >= 0 else (-big, big)
         else:
             modulus_sq = (mpf(u.a) ** 2 + mpf(u.b) ** 2 * abs(order.d)) / den**2
             out = (float(_mplog(modulus_sq)),)

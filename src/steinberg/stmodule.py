@@ -4,7 +4,7 @@ The Steinberg module of GL_n(F_q) is realized concretely as the cycle
 space in the top degree (n-2) of the reduced chain complex of the
 building: every top chain with zero boundary.  Its canonical basis comes
 from the reduced echelon kernel construction, whose vectors are supported
-so that coordinates in the basis can be read off at the free columns.
+so that coordinates in the basis can be read off at one column each.
 
 Apartment classes: a frame of n independent lines L_1..L_n spans one
 apartment, the barycentric (n-2)-sphere on the proper nonempty index
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import combinations, permutations
 
 from . import fields as ff
@@ -48,7 +47,13 @@ class CharacterTwist:
 
 
 class SteinbergModule:
-    """Top cycle space of the reduced building chain complex."""
+    """Top cycle space of the reduced building chain complex.
+
+    supports[j] lists the nonzero (column, value) pairs of basis cycle j,
+    in column order.  The coordinate column of basis cycle j is the
+    smallest column where it is 1 and every other basis cycle is 0, so a
+    cycle's coordinates are its values at those columns.
+    """
 
     def __init__(self, n, q, budget=DEFAULT_SIMPLEX_BUDGET):
         self.n = n
@@ -57,33 +62,48 @@ class SteinbergModule:
         self.chain = chain_complex(self.building, reduced=True)
         self.top = n - 2
         boundary = self.chain.boundaries[self.top]
-        basis = kernel_basis(boundary)
-        self.basis = basis
-        self.dim = len(basis)
-        # Free-column structure of the canonical kernel basis: column f_j
-        # carries 1 in basis vector j and 0 in all others.
-        free_cols = []
-        for j, vec in enumerate(basis):
-            col = next(
-                i
-                for i, v in enumerate(vec)
-                if v == 1 and all(basis[k][i] == 0 for k in range(len(basis)) if k != j)
-            )
-            free_cols.append(col)
-        self._free_cols = tuple(free_cols)
+        self.supports = tuple(
+            tuple((c, _exact(v)) for c, v in enumerate(vec) if v)
+            for vec in kernel_basis(boundary)
+        )
+        self.dim = len(self.supports)
+        # The top boundary by column: (row, value) pairs.
+        self._boundary_cols = [[] for _ in range(boundary.cols)]
+        for i, j, v in boundary.entries:
+            self._boundary_cols[j].append((i, _exact(v)))
+        # owner[c]: the one basis cycle nonzero at column c when its value
+        # there is 1, else -1.
+        owner = {}
+        for j, support in enumerate(self.supports):
+            for c, v in support:
+                owner[c] = j if c not in owner and v == 1 else -1
+        self._coord_index = {}
+        for j, support in enumerate(self.supports):
+            c = next((c for c, _ in support if owner[c] == j), None)
+            if c is None:
+                raise AssertionError("kernel basis lacks a coordinate column")
+            self._coord_index[c] = j
 
-    def _coords(self, chain_vec):
-        """Coordinates of a cycle in the canonical basis (exact, verified)."""
-        coords = tuple(chain_vec[f] for f in self._free_cols)
-        recon = [Fraction(0)] * len(chain_vec)
-        for c, bvec in zip(coords, self.basis):
-            if c:
-                for i, v in enumerate(bvec):
-                    if v:
-                        recon[i] += c * v
-        if tuple(recon) != tuple(Fraction(x) for x in chain_vec):
+    def _is_cycle(self, chain) -> bool:
+        """Whether a top chain {column: value} has zero boundary, over Z."""
+        acc = {}
+        for s, v in chain.items():
+            for r, b in self._boundary_cols[s]:
+                acc[r] = acc.get(r, 0) + b * v
+        return not any(acc.values())
+
+    def coordinates(self, chain):
+        """Coordinates {basis index: value} of a top cycle {column: value}.
+
+        Raises ValueError unless the chain's boundary is zero.  That check
+        is exact and complete: a cycle vanishing at every coordinate column
+        is zero, so the cycle equals the combination of basis cycles with
+        the coordinates read off.
+        """
+        if not self._is_cycle(chain):
             raise ValueError("chain is not in the cycle space")
-        return coords
+        index = self._coord_index
+        return {index[s]: v for s, v in chain.items() if s in index}
 
     def action(self, generators) -> LinearAction:
         """Exact matrices of the generators acting on the cycle space.
@@ -94,17 +114,19 @@ class SteinbergModule:
         """
         act = group_action(self.building, self.q, generators)
         mats = []
-        for g in range(len(act.generators)):
-            perm = act.perms[g][self.top]
-            cols = []
-            for bvec in self.basis:
-                image = [Fraction(0)] * len(bvec)
-                for s, v in enumerate(bvec):
-                    if v:
-                        image[perm[s]] = v
-                cols.append(self._coords(image))
-            mats.append(ExactMatrix.from_columns(cols, rows=self.dim))
+        for levels in act.perms:
+            perm = levels[self.top]
+            items = []
+            for j, support in enumerate(self.supports):
+                coords = self.coordinates({perm[s]: v for s, v in support})
+                items.extend((i, j, c) for i, c in coords.items())
+            mats.append(ExactMatrix.from_entries(self.dim, self.dim, items))
         return LinearAction(self.dim, tuple(mats))
+
+
+def _exact(v):
+    """A Fraction as an int when it is integral, so integer sums stay ints."""
+    return int(v) if v.denominator == 1 else v
 
 
 def steinberg_module(n, q, budget=DEFAULT_SIMPLEX_BUDGET) -> SteinbergModule:
@@ -156,7 +178,7 @@ def apartment_class(module: SteinbergModule, frame_lines):
             if vi is None:
                 raise ValueError("apartment vertex missing from building")
             subset_vertex[idxs] = vi
-    coeffs = [0] * module.chain.dims[module.top]
+    support = {}
     for perm in permutations(range(n)):
         flag = []
         acc = []
@@ -167,10 +189,12 @@ def apartment_class(module: SteinbergModule, frame_lines):
         si = X.index[module.top].get(simplex)
         if si is None:
             raise ValueError("apartment flag missing from building")
-        coeffs[si] += _perm_sign(perm)
-    boundary = module.chain.boundaries[module.top]
-    if any(boundary.mul_vector(coeffs)):
+        support[si] = support.get(si, 0) + _perm_sign(perm)
+    if not module._is_cycle(support):
         raise AssertionError("apartment class has nonzero boundary")
+    coeffs = [0] * module.chain.dims[module.top]
+    for si, c in support.items():
+        coeffs[si] = c
     return tuple(coeffs)
 
 
@@ -205,21 +229,24 @@ def coinvariants_dim(action: LinearAction, twist: CharacterTwist | None = None) 
     dim = action.dim
     if dim == 0:
         return 0
-    cols = []
-    ident = ExactMatrix.identity(dim)
+    # One relation row per nonzero column of eps(g) g - 1, generator by
+    # generator, read straight from the sparse entries.
+    rows = []
     for gi, mat in enumerate(action.matrices):
         if (mat.rows, mat.cols) != (dim, dim):
             raise ValueError("action matrix shape mismatch")
         eps = twist.signs[gi] if twist is not None else 1
-        diff = mat.scale(eps) + ident.scale(-1)
-        dense = diff.to_dense()
-        for j in range(dim):
-            col = tuple(dense[i][j] for i in range(dim))
-            if any(col):
-                cols.append(col)
-    if not cols:
+        columns = [{} for _ in range(dim)]
+        for i, j, v in mat.entries:
+            columns[j][i] = eps * v
+        for j, col in enumerate(columns):
+            col[j] = col.get(j, 0) - 1
+            if any(col.values()):
+                rows.append(col)
+    if not rows:
         return dim
-    return dim - rank(ExactMatrix.from_rows(cols, cols=dim))
+    items = [(r, i, v) for r, col in enumerate(rows) for i, v in col.items()]
+    return dim - rank(ExactMatrix.from_entries(len(rows), dim, items))
 
 
 class DualizingType(Enum):

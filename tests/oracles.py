@@ -6,7 +6,10 @@ divisor Smith forms, Leibniz determinants, a vectorized brute-force
 search for the smallest unit of a real quadratic order, and class
 numbers via Minkowski-bounded ideal enumeration (continued-fraction
 cycle tags for real orders, bounded principality searches for imaginary
-ones).
+ones).  The one exception is dense_action_matrices, which takes the
+permutation of top simplices from the package's group_action (that
+permutation is checked against the face maps there) and does everything
+else densely here.
 """
 
 from __future__ import annotations
@@ -343,3 +346,52 @@ def mulclose(gens, p, cap=100_000):
                         raise AssertionError("closure exceeded cap")
         frontier = nxt
     return seen
+
+
+def dense_action_matrices(module, gens):
+    """Steinberg action matrices by dense Fraction reconstruction.
+
+    The canonical RREF kernel basis of the dense top boundary, its
+    coordinate columns found by scanning every column of every basis
+    vector, and each permuted basis cycle rebuilt densely from its
+    coordinates and compared entry by entry with itself.  Returns one dense
+    matrix (list of Fraction rows, basis-coordinate columns) per generator.
+    """
+    from steinberg.complexes import group_action
+
+    top = module.top
+    boundary = module.chain.boundaries[top]
+    dense = [[Fraction(0)] * boundary.cols for _ in range(boundary.rows)]
+    for i, j, v in boundary.entries:
+        dense[i][j] = Fraction(v)
+    basis = nullspace_fraction(dense, boundary.cols)
+    free_cols = [
+        next(
+            i
+            for i, v in enumerate(vec)
+            if v == 1 and all(basis[k][i] == 0 for k in range(len(basis)) if k != j)
+        )
+        for j, vec in enumerate(basis)
+    ]
+    act = group_action(module.building, module.q, gens)
+    mats = []
+    for levels in act.perms:
+        perm = levels[top]
+        cols = []
+        for bvec in basis:
+            image = [Fraction(0)] * len(bvec)
+            for s, v in enumerate(bvec):
+                if v:
+                    image[perm[s]] = v
+            coords = [image[f] for f in free_cols]
+            recon = [Fraction(0)] * len(image)
+            for c, vec in zip(coords, basis):
+                if c:
+                    for i, v in enumerate(vec):
+                        if v:
+                            recon[i] += c * v
+            if recon != image:
+                raise ValueError("chain is not in the cycle space")
+            cols.append(coords)
+        mats.append([list(row) for row in zip(*cols)])
+    return mats

@@ -135,6 +135,16 @@ def test_bad_inputs_exit_two(capsys):
     assert main(["bounds", "--d", "10", "--n", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "group", ["json:[[1,2]]", "json:[[[1,0]]]", "json:[[[1,0],[0,1],[1,1]]]", "json:5"]
+)
+def test_coinv_rejects_malformed_generators(capsys, group):
+    code = main(["steinberg", "coinv", "--n", "2", "--q", "3", "--group", group])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
 def test_budget_exhaustion_exit_two(capsys):
     assert main(["building", "homology", "--n", "3", "--q", "3", "--budget", "10"]) == 2
 

@@ -45,6 +45,25 @@ def test_field_axioms_exhaustive(q):
         assert f.add(a, f.add(b, c)) == f.add(f.add(a, b), c)
 
 
+@pytest.mark.parametrize("q,p,deg", [(4, 2, 2), (8, 2, 3), (9, 3, 2)])
+def test_additive_tables_are_digitwise_mod_p(q, p, deg):
+    # elements are base-p digit strings; addition ignores the modulus
+    # polynomial, so it is digit-wise addition mod p
+    def digitwise(a, b, sign):
+        out, place = 0, 1
+        for _ in range(deg):
+            out += ((a % p + sign * (b % p)) % p) * place
+            a, b, place = a // p, b // p, place * p
+        return out
+
+    f = finite_field(q)
+    for a in range(q):
+        assert f.neg(a) == digitwise(0, a, -1)
+        for b in range(q):
+            assert f.add(a, b) == digitwise(a, b, 1)
+            assert f.sub(a, b) == digitwise(a, b, -1)
+
+
 def test_nonprime_fields_have_no_zero_divisors():
     for q in (4, 8, 9):
         f = finite_field(q)

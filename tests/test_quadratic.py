@@ -135,6 +135,37 @@ def test_log_embedding_unit_coordinates_sum_to_zero():
         log_embedding(order, order.integer(2))
 
 
+def test_log_embedding_sums_to_zero_exhaustively():
+    # every squarefree 2 <= d < 10^4: finite coordinates summing to exactly
+    # 0 for the fundamental unit and its negative
+    for d in range(2, 10**4):
+        if not is_squarefree(d):
+            continue
+        order = make_order(d)
+        u = fundamental_unit(order)
+        for v in (u, -u):
+            coords = log_embedding(order, v)
+            assert all(math.isfinite(x) for x in coords), (d, coords)
+            assert coords[0] + coords[1] == 0, (d, coords)
+
+
+@pytest.mark.parametrize("d", [631, 751, 1000003])
+def test_log_embedding_of_large_units(d):
+    # regressions: the conjugate coordinate once lost all its digits to
+    # cancellation (d = 751 gave (57.942, -57.819), d = 1000003 gave -inf).
+    # u = (a + b sqrt d)/denom with a, b > 0 and a^2 - d b^2 = +-denom^2, so
+    # log u = log(2a/denom) up to a relative error of about (denom/a)^2.
+    order = make_order(d)
+    u = fundamental_unit(order)
+    assert u.a > 0 and u.b > 0 and u.a > 10**20
+    big = math.log(2 * u.a) - math.log(u.denom)
+    coords = log_embedding(order, u)
+    assert coords[0] == pytest.approx(big, rel=1e-12)
+    assert coords[1] == -coords[0]
+    # the conjugate unit swaps the two real places
+    assert log_embedding(order, u.conjugate()) == (coords[1], coords[0])
+
+
 def test_order_descriptor_shapes():
     desc = order_descriptor(make_order(34))
     assert desc["norm_minus_one"] is False

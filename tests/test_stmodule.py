@@ -139,6 +139,40 @@ def test_action_matrices_are_invertible_homomorphism_images():
     ]
 
 
+GENERATOR_SETS = {
+    "gl": gl_generators,
+    "sl": sl_generators,
+    "trivial": lambda n, q: trivial_generators(n),
+}
+
+
+@pytest.mark.parametrize("group", sorted(GENERATOR_SETS))
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (3, 2), (3, 3), (2, 9)])
+def test_action_matches_dense_oracle(n, q, group):
+    m = steinberg_module(n, q)
+    gens = GENERATOR_SETS[group](n, q)
+    act = m.action(gens)
+    want = o.dense_action_matrices(m, gens)
+    assert [mat.to_dense() for mat in act.matrices] == want
+    # coinvariants against the dense rank of the eps(g) g - 1 relations
+    for eps in (1, -1):
+        rows = [
+            [eps * mat[i][j] - (i == j) for i in range(m.dim)]
+            for mat in want
+            for j in range(m.dim)
+        ]
+        twist = CharacterTwist((eps,) * len(gens)) if eps == -1 else None
+        assert coinvariants_dim(act, twist) == m.dim - o.rank_fraction(rows)
+
+
+def test_coordinates_reject_a_non_cycle():
+    m = steinberg_module(3, 2)
+    with pytest.raises(ValueError, match="not in the cycle space"):
+        m.coordinates({0: 1})
+    # a basis cycle itself reads back as its own coordinate vector
+    assert m.coordinates(dict(m.supports[3])) == {3: 1}
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_orientation_character_alternates(n):
     assert orientation_character_det(n) == (-1) ** (n - 1)
