@@ -28,7 +28,6 @@ from .linalg.lattices import (
     complete_to_basis,
     in_row_lattice,
     is_saturated,
-    snf_transform,
     solve_row_combination,
 )
 
@@ -108,8 +107,7 @@ def projective_splitting(flag: IntegerFlag):
         raise AssertionError("adapted basis failed to complete")
     parts.append(tuple(tuple(r) for r in tail))
     stacked = [list(r) for part in parts for r in part]
-    st = snf_transform(stacked)
-    if len(stacked) != n or st.rank != n or any(f != 1 for f in st.factors):
+    if not (len(stacked) == n and is_saturated(stacked)):
         raise AssertionError("splitting is not a direct sum decomposition")
     prefix = []
     for i, step in enumerate(flag.steps):
@@ -177,11 +175,11 @@ def completion_witness(vectors, n, m, unique=True):
     t = sum(1 for c in lasts if c == 1)
     if unique and t >= 2:
         return None
-    if not is_saturated(rows):
+    comp = complete_to_basis(rows, n)
+    if comp is None:
         return None
     if k == n:
         return () if (t == 1 or (not unique and t >= 1)) else None
-    comp = [list(r) for r in complete_to_basis(rows, n)]
     if t >= 1:
         # Subtract multiples of a 1-vertex to zero every completion value.
         base = rows[lasts.index(1)]
@@ -226,8 +224,7 @@ def completion_witness(vectors, n, m, unique=True):
             w2 = [a - g * b for a, b in zip(comp[0], w1)]
             witness = [w1, w2] + comp[2:]
     full = rows + witness
-    st = snf_transform([list(r) for r in full])
-    if st.rank != n or any(f != 1 for f in st.factors):
+    if not (len(full) == n and is_saturated(full)):
         raise AssertionError("constructed completion is not unimodular")
     wl = [_last_mod(w, m) for w in witness]
     if any(c not in (0, 1) for c in wl):
@@ -268,8 +265,7 @@ class TruncatedBComplex:
                 full = vecs + [list(w) for w in wit]
                 if len(full) != self.n:
                     raise AssertionError("witness has wrong size")
-                st = snf_transform(full)
-                if st.rank != self.n or any(f != 1 for f in st.factors):
+                if not is_saturated(full):
                     raise AssertionError("witness fails unimodularity")
                 lasts = [_last_mod(r, self.m) for r in full]
                 if any(c not in (0, 1) for c in lasts):

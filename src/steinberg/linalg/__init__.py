@@ -1,11 +1,10 @@
 """Exact sparse linear algebra over the rationals and integers.
 
 Matrices are immutable sparse triplet collections with Fraction entries.
-Elimination is delegated to an integer kernel backend: a compiled extension
-when available, otherwise a pure-Python twin of the same algorithm
-(STEINBERG_PURE=1 forces the fallback).  Both backends produce identical
-results, so everything downstream is deterministic: same inputs, same
-outputs, bit for bit, on every run and backend.
+Elimination runs in one integer kernel (_core_py.echelon) with a fixed
+pivot rule, so everything downstream is deterministic: same inputs, same
+outputs, bit for bit, on every run.  Smith forms come from the one Smith
+reduction in lattices.snf_transform.
 
 Rational rows are scaled to integers before elimination.  Scaling a row by
 a nonzero constant changes neither the rank nor the right null space, and
@@ -16,18 +15,12 @@ from the integer echelon rows afterwards.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-if os.environ.get("STEINBERG_PURE"):
-    from . import _core_py as _impl
-else:
-    try:
-        from . import _core as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _core_py as _impl
+from . import _core_py as _impl
+from .lattices import snf_transform
 
 __all__ = [
     "ExactMatrix",
@@ -43,7 +36,10 @@ __all__ = [
 
 
 def backend() -> str:
-    """Name of the elimination backend in use: 'compiled' or 'python'."""
+    """Name of the elimination kernel: always 'python'.
+
+    Kept so that benchmark records can stamp which kernel produced them.
+    """
     return _impl.BACKEND_NAME
 
 
@@ -282,7 +278,7 @@ def smith_normal_form(matrix: ExactMatrix):
     rows = [[0] * matrix.cols for _ in range(matrix.rows)]
     for i, j, v in matrix.entries:
         rows[i][j] = int(v)
-    return tuple(_impl.snf(matrix.rows, matrix.cols, rows))
+    return snf_transform(rows).factors
 
 
 def quotient_dim(span_vectors, sub_vectors) -> int:

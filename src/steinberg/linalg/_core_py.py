@@ -1,15 +1,10 @@
-"""Pure-Python exact elimination kernels.
+"""The exact integer elimination kernel behind steinberg.linalg.
 
-This is the reference backend for steinberg.linalg.  A compiled twin of the
-same routines lives in _core.pyx; the two must stay in algorithmic lockstep
-so that results are identical entry for entry regardless of which backend an
-installation picked up.
+The kernel works over arbitrary-precision integers.  Rational input is
+scaled row-wise to integers by the caller (row scaling does not change
+ranks, row spaces up to scale, or null spaces).
 
-All kernels work over arbitrary-precision integers.  Rational input is scaled
-row-wise to integers by the caller (row scaling does not change ranks, row
-spaces up to scale, or null spaces).
-
-Conventions shared by both backends:
+Conventions:
 
 * A sparse row is a dict mapping column index to a nonzero int.
 * `echelon` processes columns left to right.  The pivot row for a column is
@@ -105,10 +100,7 @@ def echelon(nrows, ncols, rows):
         prow = active.pop(best)
         pn = nnzs.pop(best)
         total -= pn
-        if dense:
-            pv = prow[col]
-        else:
-            pv = prow[col]
+        pv = prow[col]
         pivot_cols.append(col)
         if dense:
             pivot_rows.append({j: prow[j] for j in range(col, ncols) if prow[j]})
@@ -169,101 +161,3 @@ def echelon(nrows, ncols, rows):
                 active = conv
     return pivot_cols, pivot_rows
 
-
-def snf(nrows, ncols, rows):
-    """Invariant factors of an integer matrix by gcd pivoting.
-
-    Args:
-        nrows, ncols: matrix shape.
-        rows: dense rows (list of int lists); consumed by copy.
-
-    Returns:
-        List of positive invariant factors d_1 | d_2 | ... (zeros omitted).
-
-    Pivot choice is the minimal-|value| nonzero entry of the remaining
-    block, ties by lowest (row, col).  Row/column elimination by integer
-    division; a nonzero remainder becomes the new, strictly smaller pivot,
-    so the loop terminates.  A final divisibility sweep folds any entry not
-    divisible by the pivot into the pivot row and retries.
-    """
-    m = [list(r) for r in rows]
-    factors = []
-    t = 0
-    while t < nrows and t < ncols:
-        # Locate the minimal nonzero entry of the trailing block.
-        bi = -1
-        bj = -1
-        bv = 0
-        for i in range(t, nrows):
-            ri = m[i]
-            for j in range(t, ncols):
-                v = ri[j]
-                if v:
-                    a = -v if v < 0 else v
-                    if bi < 0 or a < bv:
-                        bi, bj, bv = i, j, a
-        if bi < 0:
-            break
-        if bi != t:
-            m[bi], m[t] = m[t], m[bi]
-        if bj != t:
-            for i in range(t, nrows):
-                ri = m[i]
-                ri[bj], ri[t] = ri[t], ri[bj]
-        if m[t][t] < 0:
-            m[t] = [-v for v in m[t]]
-        while True:
-            p = m[t][t]
-            # Clear column t.
-            restart = False
-            for i in range(t + 1, nrows):
-                v = m[i][t]
-                if v:
-                    q = v // p
-                    if q:
-                        mi = m[i]
-                        mt = m[t]
-                        for j in range(t, ncols):
-                            mi[j] -= q * mt[j]
-                    if m[i][t]:
-                        # Remainder smaller than p: promote it to pivot.
-                        m[i], m[t] = m[t], m[i]
-                        restart = True
-                        break
-            if restart:
-                continue
-            # Clear row t.
-            for j in range(t + 1, ncols):
-                v = m[t][j]
-                if v:
-                    q = v // p
-                    if q:
-                        for i in range(t, nrows):
-                            m[i][j] -= q * m[i][t]
-                    if m[t][j]:
-                        for i in range(t, nrows):
-                            ri = m[i]
-                            ri[j], ri[t] = ri[t], ri[j]
-                        restart = True
-                        break
-            if restart:
-                continue
-            # Divisibility sweep over the trailing block.
-            p = m[t][t]
-            fixed = True
-            for i in range(t + 1, nrows):
-                ri = m[i]
-                for j in range(t + 1, ncols):
-                    if ri[j] % p:
-                        mt = m[t]
-                        for k in range(t, ncols):
-                            mt[k] += ri[k]
-                        fixed = False
-                        break
-                if not fixed:
-                    break
-            if fixed:
-                break
-        factors.append(m[t][t])
-        t += 1
-    return factors

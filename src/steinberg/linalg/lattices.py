@@ -53,8 +53,13 @@ def snf_transform(rows) -> SmithTransform:
     Args:
         rows: dense integer rows (list of lists); not modified.
 
-    Same pivoting as the factor-only kernel: minimal |value|, ties by
-    lowest (row, col).
+    This is the library's only Smith reduction.  Pivot choice is the
+    minimal-|value| nonzero entry of the remaining block, ties by lowest
+    (row, col).  Row/column elimination by integer division; a nonzero
+    remainder becomes the new, strictly smaller pivot, so the loop
+    terminates.  A final divisibility sweep folds any entry not divisible
+    by the pivot into the pivot row and retries.  The diagonal entries are
+    nonnegative and each nonzero one divides the next.
     """
     m = [list(r) for r in rows]
     nrows = len(m)

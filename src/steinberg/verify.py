@@ -234,26 +234,55 @@ def _cell_key(d, n):
     return f"{d}:{n}"
 
 
+_VERDICT_KEYS = {"vanishing_applies", "vanishing_reasons", "lower_bound", "dualizing_type"}
+
+
+def _cached_row(line):
+    """The clean survey row stored on one cache line, or None if damaged.
+
+    Rows are written as ASCII JSON, so a line that is not ASCII, does not
+    parse, or lacks the fields of a clean row is a cache miss.
+    """
+    if not line.isascii():
+        return None
+    try:
+        row = json.loads(line)
+    except ValueError:
+        return None
+    if not isinstance(row, dict) or row.get("status") != "ok":
+        return None
+    if type(row.get("d")) is not int or type(row.get("n")) is not int:
+        return None
+    report = row.get("report")
+    if not isinstance(report, dict):
+        return None
+    verdicts = report.get("verdicts")
+    if not isinstance(verdicts, dict) or not _VERDICT_KEYS <= set(verdicts):
+        return None
+    return row
+
+
 def survey(d_values, n_values, cache_path=None, budget=DEFAULT_SIMPLEX_BUDGET):
     """One verdict row per (d, n), cached across runs when a path is given.
 
     Rows are returned in the given (d-major) order.  A failing cell yields
     {"d", "n", "status": "error", "error"} and the survey continues; only
-    clean rows are cached.
+    clean rows are cached.  A damaged cache line (truncated, unparsable,
+    or missing fields) is a miss: its cell is recomputed and appended.
     """
     rows = []
     cache = {}
     handle = None
+    unterminated = False
     if cache_path is not None:
-        handle = open(cache_path, "a+", encoding="utf-8")
+        handle = open(cache_path, "a+", encoding="utf-8", errors="replace")
         fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
         handle.seek(0)
         for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            cache[_cell_key(row["d"], row["n"])] = row
+            unterminated = not line.endswith("\n")
+            row = _cached_row(line.strip())
+            if row is not None:
+                cache[_cell_key(row["d"], row["n"])] = row
     try:
         for d in d_values:
             for n in n_values:
@@ -278,6 +307,10 @@ def survey(d_values, n_values, cache_path=None, budget=DEFAULT_SIMPLEX_BUDGET):
                     }
                 rows.append(row)
                 if handle is not None and row["status"] == "ok":
+                    if unterminated:
+                        # Keep the fresh row off the damaged last line.
+                        handle.write("\n")
+                        unterminated = False
                     handle.write(json.dumps(row, sort_keys=True) + "\n")
                     handle.flush()
                     cache[key] = row

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import steinberg.verify as verify
 from steinberg.cli import main
 
 
@@ -120,6 +121,38 @@ def test_survey_ranges_and_error_exit(capsys):
     code, payload = run_json(capsys, "--json", "survey", "--d", "4,5", "--n", "2")
     assert code == 2 and payload["errors"] == 1
     assert [r["status"] for r in payload["rows"]] == ["error", "ok"]
+
+
+def _drop_first_report(text):
+    first, rest = text.split("\n", 1)
+    row = json.loads(first)
+    del row["report"]
+    return json.dumps(row) + "\n" + rest
+
+
+def _truncate_last_line(text):
+    return text[: len(text) - 40]
+
+
+@pytest.mark.parametrize("damage", [_drop_first_report, _truncate_last_line])
+def test_survey_recovers_from_damaged_cache(capsys, tmp_path, monkeypatch, damage):
+    args = ["survey", "--d", "2,5", "--n", "2"]
+    code, fresh = run(capsys, *args)
+    assert code == 0
+    cache = tmp_path / "c.jsonl"
+    assert run(capsys, *args, "--cache", str(cache)) == (0, fresh)
+    cache.write_text(damage(cache.read_text()))
+
+    calls = []
+    real = verify.bounds_report
+    monkeypatch.setattr(
+        verify, "bounds_report", lambda d, n: calls.append((d, n)) or real(d, n)
+    )
+    assert run(capsys, *args, "--cache", str(cache)) == (0, fresh)
+    assert len(calls) == 1
+    calls.clear()
+    assert run(capsys, *args, "--cache", str(cache)) == (0, fresh)
+    assert calls == []
 
 
 def test_global_flags_after_subcommand(capsys):

@@ -4,6 +4,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles as o
 from steinberg.complexes import (
@@ -54,6 +55,60 @@ def test_unreduced_chain_has_empty_augmentation():
     cc = chain_complex(interval(), reduced=False)
     assert cc.boundary(0).rows == 0
     assert euler_characteristic(interval(), reduced=False) == 1
+
+
+def closed_tuple_sets(max_vertices=5, max_arity=4):
+    """Random semisimplicial sets: ordered tuples of distinct vertices.
+
+    Every vertex is a 0-simplex, and each drawn tuple brings along every
+    tuple obtained from it by deleting positions, so faces are closed.
+    """
+
+    def build(nv):
+        tuple_sets = st.lists(
+            st.lists(
+                st.integers(min_value=0, max_value=nv - 1),
+                min_size=1,
+                max_size=min(nv, max_arity),
+                unique=True,
+            ),
+            max_size=6,
+        )
+
+        def close(tops):
+            cells = {(v,) for v in range(nv)}
+            for top in tops:
+                for size in range(2, len(top) + 1):
+                    cells.update(itertools.combinations(top, size))
+            return nv, cells
+
+        return tuple_sets.map(close)
+
+    return st.integers(min_value=1, max_value=max_vertices).flatmap(build)
+
+
+@given(closed_tuple_sets())
+@settings(max_examples=80, deadline=None)
+def test_reduced_homology_matches_dense_oracle(drawn):
+    nv, cells = drawn
+    by_dim = [
+        sorted(c for c in cells if len(c) == k + 1)
+        for k in range(max(len(c) for c in cells))
+    ]
+    X = SemisimplicialSet(range(nv), by_dim)
+    # Dense reduced boundaries, built straight from the tuples: the
+    # augmentation row, then the alternating face sums.
+    bnd = [[[1] * len(by_dim[0])]]
+    for k in range(1, len(by_dim)):
+        row_of = {f: i for i, f in enumerate(by_dim[k - 1])}
+        m = [[0] * len(by_dim[k]) for _ in by_dim[k - 1]]
+        for j, s in enumerate(by_dim[k]):
+            for i in range(k + 1):
+                m[row_of[s[:i] + s[i + 1 :]]][j] += (-1) ** i
+        bnd.append(m)
+    ranks = [o.rank_fraction(m) for m in bnd] + [0]
+    expected = {k: len(by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(len(by_dim))}
+    assert reduced_homology_ranks(X) == expected
 
 
 @pytest.mark.parametrize(

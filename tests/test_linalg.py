@@ -17,7 +17,6 @@ from steinberg.linalg import (
     rank,
     smith_normal_form,
 )
-from steinberg.linalg import _core_py
 from steinberg.linalg.lattices import (
     complete_to_basis,
     in_row_lattice,
@@ -83,24 +82,13 @@ def test_determinant_rejects_rectangles():
         determinant(ExactMatrix.from_dense([[1, 2]]))
 
 
-@given(dense_matrices(ints, max_dim=5))
-@settings(max_examples=80, deadline=None)
-def test_backends_agree(dense):
-    # the compiled kernel and the pure kernel must be interchangeable
-    nrows, ncols = len(dense), len(dense[0])
-    rows = [
-        {j: v for j, v in enumerate(r) if v} for r in dense
-    ]
-    rows = [r for r in rows if r]
-    pure_cols, _ = _core_py.echelon(nrows, ncols, [dict(r) for r in rows])
-    pure_snf = _core_py.snf(nrows, ncols, dense)
-    m = ExactMatrix.from_dense(dense)
-    assert len(pure_cols) == rank(m)
-    assert tuple(pure_snf) == smith_normal_form(m)
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0), (1, 1), (3, 2)])
+def test_smith_of_empty_or_zero_matrix_has_no_factors(rows, cols):
+    assert smith_normal_form(ExactMatrix.zero(rows, cols)) == ()
 
 
 def test_active_backend_reports_name():
-    assert backend() in ("compiled", "python")
+    assert backend() == "python"
 
 
 def test_matrix_validation():

@@ -96,6 +96,44 @@ def test_survey_error_rows_do_not_abort_or_cache(tmp_path):
     assert [c["d"] for c in cached] == [10]
 
 
+_DAMAGES = {
+    "truncated": lambda row: json.dumps(row)[:-40],
+    "not a dict": lambda row: json.dumps([row]),
+    "no report": lambda row: json.dumps({k: v for k, v in row.items() if k != "report"}),
+    "string d": lambda row: json.dumps({**row, "d": str(row["d"])}),
+    "bool n": lambda row: json.dumps({**row, "n": True}),
+    "error status": lambda row: json.dumps({**row, "status": "error"}),
+    "report not a dict": lambda row: json.dumps({**row, "report": []}),
+    "empty verdicts": lambda row: json.dumps({**row, "report": {**row["report"], "verdicts": {}}}),
+    # a valid row but for one non-ASCII letter, which json.dumps never writes
+    "not ascii": lambda row: json.dumps(
+        {
+            **row,
+            "report": {
+                **row["report"],
+                "verdicts": {**row["report"]["verdicts"], "dualizing_type": "St\u00e9inberg"},
+            },
+        },
+        ensure_ascii=False,
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", list(_DAMAGES.values()), ids=list(_DAMAGES))
+def test_survey_treats_damaged_cache_lines_as_misses(tmp_path, damage):
+    fresh = survey([5], [2])
+    damaged = damage(fresh[0])
+    cache = tmp_path / "cells.jsonl"
+    cache.write_text(damaged, encoding="utf-8")
+    assert survey([5], [2], cache_path=str(cache)) == fresh
+    lines = cache.read_text(encoding="utf-8").splitlines()
+    # the recomputed row starts its own line after the unterminated one
+    assert lines[0] == damaged
+    assert json.loads(lines[1]) == fresh[0]
+    assert survey([5], [2], cache_path=str(cache)) == fresh
+    assert len(cache.read_text(encoding="utf-8").splitlines()) == 2
+
+
 def test_survey_empty_ranges():
     assert survey([], [2]) == []
     assert survey([5], []) == []
