@@ -175,11 +175,13 @@ def completion_witness(vectors, n, m, unique=True):
     t = sum(1 for c in lasts if c == 1)
     if unique and t >= 2:
         return None
+    if k == n:
+        # The rows are the whole basis: nothing to complete.  t >= 2 with
+        # unique=True was rejected above.
+        return () if t and is_saturated(rows) else None
     comp = complete_to_basis(rows, n)
     if comp is None:
         return None
-    if k == n:
-        return () if (t == 1 or (not unique and t >= 1)) else None
     if t >= 1:
         # Subtract multiples of a 1-vertex to zero every completion value.
         base = rows[lasts.index(1)]
@@ -254,6 +256,38 @@ class TruncatedBComplex:
     complex: SemisimplicialSet
     witnesses: dict
     witness_failures: int = 0
+
+    def restrict(self, height) -> "TruncatedBComplex":
+        """The truncation at a height h <= self.height, read off this one.
+
+        Certification ignores the height bound and both builds enumerate
+        labels and cells in the same order, so the h-truncation is exactly
+        the full subcomplex on the vertices of sup-norm <= h.  The result
+        equals b_complex_truncated(n, m, h): the same labels, cells and
+        witnesses, in the same order.  Its certificates are the stored ones
+        and are not checked again.
+        """
+        if not 1 <= height <= self.height:
+            raise ValueError("restriction height must lie in 1..height")
+        X = self.complex
+        keep = {}
+        for i, v in enumerate(X.labels):
+            if max(abs(a) for a in v) <= height:
+                keep[i] = len(keep)
+        cells = []
+        witnesses = {}
+        for k, cell in enumerate(X.cells):
+            sub = []
+            for s, simplex in enumerate(cell):
+                if all(i in keep for i in simplex):
+                    witnesses[(k, len(sub))] = self.witnesses[(k, s)]
+                    sub.append(tuple(keep[i] for i in simplex))
+            if not sub:
+                break
+            cells.append(sub)
+        labels = [X.labels[i] for i in keep]
+        sub_x = SemisimplicialSet(labels, cells, budget=None)
+        return TruncatedBComplex(self.n, self.m, height, sub_x, witnesses)
 
     def verify_witnesses(self):
         """Recheck every stored certificate: unimodular and mod-m sound."""
@@ -344,19 +378,25 @@ def probe_report(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET):
 
     Reports the reduced ranks at the final height and the smallest height
     at which the truncation became connected (reduced rank 0 in degree 0),
-    if that happened.  Evidence only: a truncation can never prove
-    connectivity of the untruncated complex.
+    if that happened.  The complex is built and certified once, at the
+    final height; each smaller truncation is its restriction.  Evidence
+    only: a truncation can never prove connectivity of the untruncated
+    complex.
     """
     if height < 1:
         raise ValueError("height must be positive")
+    bx = b_complex_truncated(n, m, height, budget=budget)
     ranks = []
     minimal_connected = None
-    for h in range(1, height + 1):
-        bx = b_complex_truncated(n, m, h, budget=budget)
-        probe = connectivity_probe(bx.complex, max(n - 2, 0)) if n >= 2 else {}
+    if n >= 2:
+        for h in range(1, height):
+            if connectivity_probe(bx.restrict(h).complex, 0)[0] == 0:
+                minimal_connected = h
+                break
+        probe = connectivity_probe(bx.complex, n - 2)
         ranks = [probe[k] for k in sorted(probe)]
-        if n >= 2 and minimal_connected is None and probe.get(0) == 0:
-            minimal_connected = h
+        if minimal_connected is None and probe[0] == 0:
+            minimal_connected = height
     return {
         "n": n,
         "m": m,

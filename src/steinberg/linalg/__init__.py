@@ -4,7 +4,8 @@ Matrices are immutable sparse triplet collections with Fraction entries.
 Elimination runs in one integer kernel (_core_py.echelon) with a fixed
 pivot rule, so everything downstream is deterministic: same inputs, same
 outputs, bit for bit, on every run.  Smith forms come from the one Smith
-reduction in lattices.snf_transform.
+reduction in lattices.snf_transform, determinants from its Bareiss
+elimination lattices.integer_determinant.
 
 Rational rows are scaled to integers before elimination.  Scaling a row by
 a nonzero constant changes neither the rank nor the right null space, and
@@ -20,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import _core_py as _impl
-from .lattices import snf_transform
+from .lattices import integer_determinant, snf_transform
 
 __all__ = [
     "ExactMatrix",
@@ -304,14 +305,15 @@ def quotient_dim(span_vectors, sub_vectors) -> int:
 
 
 def determinant(matrix: ExactMatrix) -> Fraction:
-    """Exact determinant (square matrices), via fraction-free elimination."""
+    """Exact determinant (square matrices).
+
+    Each row is scaled to integers and lattices.integer_determinant
+    (fraction-free Bareiss elimination) runs on the result.
+    """
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = matrix.rows
-    if n == 0:
-        return Fraction(1)
     dense = matrix.to_dense()
-    scale = Fraction(1)
+    scale = 1
     m = []
     for row in dense:
         s = 1
@@ -319,22 +321,7 @@ def determinant(matrix: ExactMatrix) -> Fraction:
             s = _lcm(s, v.denominator)
         scale *= s
         m.append([int(v * s) for v in row])
-    # Bareiss: exact division by the previous pivot.
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return Fraction(0)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1]) / scale
+    return Fraction(integer_determinant(m), scale)
 
 
 def matrix_to_json(matrix: ExactMatrix) -> str:

@@ -3,10 +3,12 @@
 Everything here is exact integer arithmetic.  The workhorse is
 snf_transform, which reduces an integer matrix M to diagonal Smith form S
 while maintaining unimodular U, V (and V^-1) with U @ M @ V == S.  From the
-tracked inverse we get canonical answers to three lattice questions used by
-the flag machinery: membership of a vector in a row lattice, saturation
-(primitivity) of a spanning set, and completion of a saturated set to a
-basis of Z^n.
+tracked inverse we get canonical answers to two lattice questions used by
+the flag machinery: membership of a vector in a row lattice, and
+completion of a saturated set to a basis of Z^n.  Saturation (primitivity)
+of a spanning set reads only the invariant factors, and a square input
+needs none of the Smith data: it is a basis of Z^n exactly when
+integer_determinant, a fraction-free Bareiss elimination, gives +-1.
 """
 
 from __future__ import annotations
@@ -155,6 +157,40 @@ def snf_transform(rows) -> SmithTransform:
     )
 
 
+def integer_determinant(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Args:
+        rows: dense integer rows (list of lists); not modified.
+
+    Fraction-free (Bareiss, Math. Comp. 22, 1968): each step divides
+    exactly by the previous pivot, so every intermediate entry is a minor
+    of the input and stays an integer.  The empty matrix has determinant 1.
+    """
+    m = [list(r) for r in rows]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k]
+        p = pivot[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - a * pivot[j]) // prev
+        prev = p
+    return sign * m[n - 1][n - 1]
+
+
 def solve_row_combination(basis_rows, target):
     """Integer x with x @ B == target, or None if no integer solution.
 
@@ -196,10 +232,14 @@ def is_saturated(rows) -> bool:
     """True when the rows span a direct summand of Z^n of rank len(rows).
 
     Equivalent to: full row rank and all Smith invariant factors equal 1.
+    A square input is decided by |det| == 1 (integer_determinant), with no
+    transforms; any other shape reads the factors from snf_transform.
     """
     rows = [list(r) for r in rows]
     if not rows:
         return True
+    if len(rows) == len(rows[0]):
+        return abs(integer_determinant(rows)) == 1
     st = snf_transform(rows)
     return st.rank == len(rows) and all(f == 1 for f in st.factors)
 

@@ -9,16 +9,21 @@ cycle tags for real orders, bounded principality searches for imaginary
 ones).  The one exception is dense_action_matrices, which takes the
 permutation of top simplices from the package's group_action (that
 permutation is checked against the face maps there) and does everything
-else densely here.
+else densely here; and probe_report_per_height, which rebuilds the
+package's truncated B complex at every height, as probe_report once did,
+to check the single build against.  unimodular_matrices is a Hypothesis
+strategy of matrices with determinant +-1 by construction.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
+from hypothesis import strategies as st
 
 
 def rank_fraction(rows) -> int:
@@ -106,6 +111,28 @@ def invariant_factors_minors(rows):
     return tuple(
         divisors[k] // divisors[k - 1] for k in range(1, len(divisors))
     )
+
+
+def unimodular_matrices(n, seed_ints):
+    """n x n integer matrices with determinant +-1, one per drawn seed.
+
+    Each is a permuted identity with six random shears applied, so the
+    determinant is +-1 by construction.
+    """
+
+    def build(seed):
+        rng = random.Random(seed)
+        m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        rng.shuffle(m)
+        for _ in range(6):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i == j:
+                continue
+            c = rng.randint(-3, 3)
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        return m
+
+    return st.builds(build, seed_ints)
 
 
 def gaussian_binomial(n, k, q) -> int:
@@ -395,3 +422,29 @@ def dense_action_matrices(module, gens):
             cols.append(coords)
         mats.append([list(row) for row in zip(*cols)])
     return mats
+
+
+def probe_report_per_height(n, m, height):
+    """probe_report by building and certifying every truncation 1..height.
+
+    Each height gets its own b_complex_truncated and a full connectivity
+    probe; the ranks are those of the last height.
+    """
+    from steinberg.flags import b_complex_truncated, connectivity_probe
+
+    ranks = []
+    minimal_connected = None
+    for h in range(1, height + 1):
+        bx = b_complex_truncated(n, m, h)
+        probe = connectivity_probe(bx.complex, max(n - 2, 0)) if n >= 2 else {}
+        ranks = [probe[k] for k in sorted(probe)]
+        if n >= 2 and minimal_connected is None and probe.get(0) == 0:
+            minimal_connected = h
+    return {
+        "n": n,
+        "m": m,
+        "H": height,
+        "ranks": ranks,
+        "witnesses_failed": 0,
+        "minimal_connected_H": minimal_connected,
+    }

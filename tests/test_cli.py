@@ -168,6 +168,12 @@ def test_bad_inputs_exit_two(capsys):
     assert main(["bounds", "--d", "10", "--n", "1"]) == 2
 
 
+def test_flags_probe_over_budget_exits_two(capsys):
+    code = main(["flags", "probe", "--n", "2", "--m", "2", "--height", "3", "--budget", "5"])
+    assert code == 2
+    assert "budget error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "group", ["json:[[1,2]]", "json:[[[1,0]]]", "json:[[[1,0],[0,1],[1,1]]]", "json:5"]
 )

@@ -1,10 +1,9 @@
 """Integer flags, line complexes, and truncated basis complexes."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles as o
 from steinberg.errors import BudgetExceededError
 from steinberg.flags import (
     b_complex_truncated,
@@ -45,26 +44,8 @@ def test_splitting_of_empty_flag():
     assert st_.rank == 3 and all(f == 1 for f in st_.factors)
 
 
-def unimodular_matrices(n, seed_ints):
-    # build unimodular matrices as products of shears applied to a permuted
-    # identity; determinant stays +-1 by construction
-    def build(seed):
-        rng = random.Random(seed)
-        m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        rng.shuffle(m)
-        for _ in range(6):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if i == j:
-                continue
-            c = rng.randint(-3, 3)
-            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
-        return m
-
-    return st.builds(build, seed_ints)
-
-
 @given(
-    unimodular_matrices(4, st.integers(0, 10**6)),
+    o.unimodular_matrices(4, st.integers(0, 10**6)),
     st.sets(st.integers(1, 3), min_size=1, max_size=3),
 )
 @settings(max_examples=60, deadline=None)
@@ -117,6 +98,27 @@ def test_completion_witness_decisions():
     assert completion_witness([(1, 2), (0, 3)], 2, 3) is None
     # a bad last coordinate disqualifies immediately
     assert completion_witness([(1, 2)], 2, 5) is None
+
+
+@pytest.mark.parametrize(
+    "rows,m,unique,expected",
+    [
+        ([(2, 0), (0, 1)], 3, True, None),  # det 2
+        ([(1, 3), (1, 1)], 3, True, None),  # det -2
+        ([(2, 0, 0), (0, 1, 0), (0, 0, 1)], 2, False, None),  # det 2, relaxed
+        ([(1, 0), (0, 1)], 3, True, ()),  # det 1, one 1-vertex
+        ([(3, 1), (1, 0)], 5, True, ()),  # det -1, one 1-vertex
+        ([(0, 1, 0), (1, 0, 3), (0, 0, 1)], 3, True, ()),  # det -1
+        ([(1, 1), (0, 1)], 2, True, None),  # det 1, two 1-vertices
+        ([(1, 1), (0, 1)], 2, False, ()),
+        ([(1, 0, 1), (0, 1, 1), (0, 0, 1)], 2, True, None),
+        ([(1, 0, 1), (0, 1, 1), (0, 0, 1)], 2, False, ()),
+        ([(1, 0), (0, 3)], 3, False, None),  # det 3, no 1-vertex either way
+        ([(1, 0), (0, 3)], 3, True, None),
+    ],
+)
+def test_completion_witness_on_square_input(rows, m, unique, expected):
+    assert completion_witness(rows, len(rows), m, unique=unique) == expected
 
 
 def certify_unique(vectors, n, m):
@@ -177,6 +179,36 @@ def test_b_complex_vertices_height_one():
         if (x, y) != (0, 0)
     }
     assert set(bx.complex.labels) == expected
+
+
+@pytest.mark.parametrize("n,m,height", [(2, 2, 5), (2, 3, 4), (3, 2, 2), (3, 3, 2)])
+def test_restriction_is_the_smaller_truncation(n, m, height):
+    # probe_report reads every smaller truncation, certificates included,
+    # off the one build at the largest height
+    bx = b_complex_truncated(n, m, height)
+    for h in range(1, height):
+        sub = bx.restrict(h)
+        ref = b_complex_truncated(n, m, h)
+        assert sub.height == h
+        assert sub.complex.labels == ref.complex.labels
+        assert sub.complex.cells == ref.complex.cells
+        assert list(sub.witnesses.items()) == list(ref.witnesses.items())
+    assert bx.restrict(height).complex.cells == bx.complex.cells
+    with pytest.raises(ValueError):
+        bx.restrict(0)
+    with pytest.raises(ValueError):
+        bx.restrict(height + 1)
+
+
+@pytest.mark.parametrize(
+    "n,m,height,ranks,minimal",
+    [(1, 2, 3, [], None), (2, 3, 6, [4], 1), (3, 3, 2, [0, 320], 1)],
+)
+def test_probe_report_matches_per_height_builds(n, m, height, ranks, minimal):
+    report = probe_report(n, m, height)
+    assert report == o.probe_report_per_height(n, m, height)
+    assert report["ranks"] == ranks
+    assert report["minimal_connected_H"] == minimal
 
 
 def test_connectivity_probe_and_report():

@@ -20,6 +20,7 @@ from steinberg.linalg import (
 from steinberg.linalg.lattices import (
     complete_to_basis,
     in_row_lattice,
+    integer_determinant,
     is_saturated,
     snf_transform,
     solve_row_combination,
@@ -167,6 +168,66 @@ def test_saturation_and_completion():
     assert complete_to_basis([[2, 0]], 2) is None
     ident = complete_to_basis([], 2)
     assert [list(r) for r in ident] == [[1, 0], [0, 1]]
+
+
+def square_matrices(entry, max_dim=5):
+    return st.integers(min_value=1, max_value=max_dim).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+def check_square_saturation(rows):
+    # a square matrix is a basis of Z^n exactly when |det| = 1, exactly when
+    # it has full rank and every invariant factor is 1
+    det = int(o.det_leibniz(rows))
+    factors = o.invariant_factors_minors(rows)
+    assert integer_determinant(rows) == det
+    assert is_saturated(rows) == (abs(det) == 1)
+    assert is_saturated(rows) == (len(factors) == len(rows) and set(factors) <= {1})
+
+
+@given(square_matrices(st.integers(min_value=-(10**6), max_value=10**6)))
+@settings(max_examples=100, deadline=None)
+def test_square_saturation_matches_oracles(rows):
+    check_square_saturation(rows)
+
+
+@pytest.mark.parametrize(
+    "rows,saturated",
+    [
+        ([[0]], False),
+        ([[-1]], True),
+        ([[2]], False),
+        ([[1, 2, 3], [0, 1, 4], [1, 2, 3]], False),  # repeated row
+        ([[1, 1], [1, -1]], False),  # det -2
+        ([[2, 0, 0], [0, 1, 0], [5, 7, 1]], False),  # det 2
+        ([[0, 1], [1, 0]], True),  # det -1, zero leading pivot
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], True),
+    ],
+)
+def test_square_saturation_cases(rows, saturated):
+    check_square_saturation(rows)
+    assert is_saturated(rows) is saturated
+
+
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(
+            o.unimodular_matrices(n, st.integers(0, 10**6)),
+            o.unimodular_matrices(n, st.integers(0, 10**6)),
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_unimodular_products_are_saturated(pair):
+    a, b = pair
+    n = len(a)
+    prod = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    check_square_saturation(prod)
+    assert is_saturated(prod)
+    doubled = [[2 * v for v in prod[0]]] + prod[1:]
+    check_square_saturation(doubled)
+    assert not is_saturated(doubled)
 
 
 @given(st.lists(st.lists(ints, min_size=3, max_size=3), min_size=1, max_size=2))
