@@ -201,12 +201,26 @@ def _cmd_apartments(args) -> int:
     return 0 if ok else 1
 
 
+def _load_json_arg(text):
+    return json.loads(text[len("json:"):] if text.startswith("json:") else text)
+
+
 def _parse_matrices(text):
     """Generator list from json:<list>; group_action checks each matrix."""
-    data = json.loads(text[len("json:"):] if text.startswith("json:") else text)
+    data = _load_json_arg(text)
     if not isinstance(data, list):
         raise ValueError("--group json: must be a list of matrices")
     return data
+
+
+def _parse_twist(text):
+    """Sign twist from json:<list>; every entry must be the int 1 or -1."""
+    signs = _load_json_arg(text)
+    if not isinstance(signs, list) or any(
+        type(s) is not int or s not in (1, -1) for s in signs
+    ):
+        raise ValueError("--twist must be a list of the integers 1 and -1")
+    return CharacterTwist(tuple(signs))
 
 
 def _cmd_coinv(args) -> int:
@@ -220,12 +234,7 @@ def _cmd_coinv(args) -> int:
         gens = _parse_matrices(args.group)
     module = steinberg_module(args.n, args.q, budget=_budget(args))
     action = module.action(gens)
-    twist = None
-    if args.twist is not None:
-        signs = json.loads(
-            args.twist[len("json:"):] if args.twist.startswith("json:") else args.twist
-        )
-        twist = CharacterTwist(tuple(int(s) for s in signs))
+    twist = None if args.twist is None else _parse_twist(args.twist)
     dim = coinvariants_dim(action, twist)
     payload = {
         "n": args.n,

@@ -108,10 +108,31 @@ class ChainComplex:
         return self.boundaries[k]
 
     def validate(self):
+        """Check d∘d = 0 exactly, multiplying the boundaries over Z.
+
+        Raises ValueError when a boundary entry is not an integer, when
+        consecutive shapes do not match, or naming the first degree k
+        whose composite boundaries[k-1] @ boundaries[k] is nonzero.
+        """
+        for m in self.boundaries:
+            if not m.is_integer():
+                raise ValueError("boundary entry is not an integer")
+        rows = [
+            [{j: v.numerator for j, v in r.items()} for r in m.row_dicts()]
+            for m in self.boundaries
+        ]
         for k in range(1, len(self.boundaries)):
-            prod = self.boundaries[k - 1] @ self.boundaries[k]
-            if not prod.is_zero():
-                raise ValueError(f"boundary composite nonzero in degree {k}")
+            left, right = self.boundaries[k - 1], self.boundaries[k]
+            if left.cols != right.rows:
+                raise ValueError("shape mismatch in matrix product")
+            right_rows = rows[k]
+            for row in rows[k - 1]:
+                acc = {}
+                for c, v in row.items():
+                    for j, w in right_rows[c].items():
+                        acc[j] = acc.get(j, 0) + v * w
+                if any(acc.values()):
+                    raise ValueError(f"boundary composite nonzero in degree {k}")
         return True
 
 

@@ -6,16 +6,20 @@ ranks, row spaces up to scale, or null spaces).
 
 Conventions:
 
-* A sparse row is a dict mapping column index to a nonzero int.
+* A sparse row is a dict mapping column index to a nonzero int.  Rows are
+  identified by their position among the nonempty input rows.
 * `echelon` processes columns left to right.  The pivot row for a column is
   the active row with the fewest nonzeros, ties broken by smallest absolute
-  pivot entry, then by position in the current active list.  Updates use the
-  cross-multiplication rule new = pivot_entry * row - row_entry * pivot_row
-  followed by division of the row by the gcd of its entries, which keeps
-  entry growth controlled without leaving exact integer arithmetic.
-* When fill-in exceeds half of the active block the kernel switches to a
-  dense row representation and continues with the same pivot rule, so the
-  output does not depend on the switch point.
+  pivot entry, then by smallest row id.  Updates use the cross-multiplication
+  rule row = pivot_entry * row - row_entry * pivot_row, applied to the row's
+  dict in place, followed by division of the row by the gcd of its entries,
+  which keeps entry growth controlled without leaving exact integer
+  arithmetic.
+* A column -> row ids index lists, for each column, the rows that have held
+  it, so the pivot search and the elimination visit only the rows of the
+  current column.  A row id is appended when the row gains the column and
+  never removed: ids of rows that lost the column, became pivots or became
+  zero, and repeated ids, are skipped when the column comes up.
 """
 
 from math import gcd
@@ -35,21 +39,6 @@ def _gcd_reduce_dict(row):
     return row
 
 
-def _gcd_reduce_list(row, start):
-    g = 0
-    for j in range(start, len(row)):
-        v = row[j]
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return row
-    if g > 1:
-        for j in range(start, len(row)):
-            if row[j]:
-                row[j] //= g
-    return row
-
-
 def echelon(nrows, ncols, rows):
     """Reduce integer rows to (unnormalized) row echelon form.
 
@@ -65,99 +54,76 @@ def echelon(nrows, ncols, rows):
         column and support strictly to the right elsewhere; rows are
         gcd-reduced but not sign- or pivot-normalized.
     """
-    active = []
-    nnzs = []
-    for r in rows:
-        if r:
-            d = dict(r)
-            active.append(d)
-            nnzs.append(len(d))
-    dense = False
+    # active[i] is row i, or None once it is a pivot row or zero.
+    active = [dict(r) for r in rows if r]
+    index = [[] for _ in range(ncols)]
+    for i, r in enumerate(active):
+        for j in r:
+            index[j].append(i)
+    live = len(active)
     pivot_cols = []
     pivot_rows = []
-    total = sum(nnzs)
     for col in range(ncols):
-        if not active:
+        if not live:
             break
+        ids = index[col]
+        index[col] = None
         # Deterministic pivot choice: fewest nonzeros, then smallest
-        # |entry|, then first in current order.
+        # |entry|, then smallest row id.
         best = -1
         bnnz = 0
         babs = 0
-        for i in range(len(active)):
-            if dense:
-                v = active[i][col]
-            else:
-                v = active[i].get(col, 0)
-            if v:
-                a = -v if v < 0 else v
-                if best < 0 or (nnzs[i], a) < (bnnz, babs):
-                    best = i
-                    bnnz = nnzs[i]
-                    babs = a
+        for i in ids:
+            r = active[i]
+            if r is None:
+                continue
+            v = r.get(col)
+            if not v:
+                continue
+            n = len(r)
+            a = -v if v < 0 else v
+            if best < 0 or n < bnnz or (
+                n == bnnz and (a < babs or (a == babs and i < best))
+            ):
+                best = i
+                bnnz = n
+                babs = a
         if best < 0:
             continue
-        prow = active.pop(best)
-        pn = nnzs.pop(best)
-        total -= pn
+        prow = active[best]
+        active[best] = None
+        live -= 1
         pv = prow[col]
         pivot_cols.append(col)
-        if dense:
-            pivot_rows.append({j: prow[j] for j in range(col, ncols) if prow[j]})
-        else:
-            pivot_rows.append(prow)
-        # Eliminate the pivot column from every remaining active row.
-        for i in range(len(active)):
+        pivot_rows.append(prow)
+        # Eliminate the pivot column from every other row that holds it; a
+        # repeated id finds the column gone and is skipped.
+        for i in ids:
             r = active[i]
-            if dense:
-                v = r[col]
-                if not v:
-                    continue
-                for j in range(col, ncols):
-                    r[j] = pv * r[j] - v * prow[j]
-                _gcd_reduce_list(r, col + 1)
-                n = 0
-                for j in range(col + 1, ncols):
-                    if r[j]:
-                        n += 1
-                total += n - nnzs[i]
-                nnzs[i] = n
-            else:
-                v = r.get(col, 0)
-                if not v:
-                    continue
-                nd = {}
-                for j, rv in r.items():
-                    nd[j] = pv * rv
-                for j, pj in prow.items():
-                    w = nd.get(j, 0) - v * pj
+            if r is None:
+                continue
+            v = r.get(col)
+            if not v:
+                continue
+            if pv != 1:
+                for j in r:
+                    r[j] *= pv
+            for j, pj in prow.items():
+                old = r.get(j)
+                if old is None:
+                    w = -v * pj
                     if w:
-                        nd[j] = w
-                    elif j in nd:
-                        del nd[j]
-                _gcd_reduce_dict(nd)
-                total += len(nd) - nnzs[i]
-                active[i] = nd
-                nnzs[i] = len(nd)
-        # Drop rows that became zero.
-        if dense:
-            keep = [i for i in range(len(active)) if nnzs[i]]
-        else:
-            keep = [i for i in range(len(active)) if active[i]]
-        if len(keep) != len(active):
-            active = [active[i] for i in keep]
-            nnzs = [nnzs[i] for i in keep]
-        # Dense fallback once fill-in passes half of the active block.
-        if not dense and active:
-            width = ncols - col - 1
-            if width > 0 and 2 * total > len(active) * width:
-                dense = True
-                conv = []
-                for r in active:
-                    row = [0] * ncols
-                    for j, v in r.items():
-                        row[j] = v
-                    conv.append(row)
-                active = conv
+                        r[j] = w
+                        index[j].append(i)
+                else:
+                    w = old - v * pj
+                    if w:
+                        r[j] = w
+                    else:
+                        del r[j]
+            if r:
+                _gcd_reduce_dict(r)
+            else:
+                active[i] = None
+                live -= 1
     return pivot_cols, pivot_rows
-

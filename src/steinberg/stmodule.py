@@ -323,8 +323,11 @@ def gl_generators(n: int, q: int):
     """Generators of GL_n(F_q): a transvection, an n-cycle, a diagonal.
 
     For q = 2 the diagonal is omitted (trivial); for non-prime q the
-    transvection appears for both basis scalars of the field.
+    transvection appears for both basis scalars of the field.  Raises
+    ValueError for n < 2, where there is no transvection.
     """
+    if n < 2:
+        raise ValueError("GL_n generators need n >= 2")
     field = ff.finite_field(q)
     gens = []
     e12 = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

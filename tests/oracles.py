@@ -13,6 +13,9 @@ else densely here; and probe_report_per_height, which rebuilds the
 package's truncated B complex at every height, as probe_report once did,
 to check the single build against.  unimodular_matrices is a Hypothesis
 strategy of matrices with determinant +-1 by construction.
+echelon_reference is the package's elimination kernel as it was before it
+kept a column index (full row scans per column, dense-row switch), kept
+here only to check that the indexed kernel returns exactly its output.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
 import numpy as np
 from hypothesis import strategies as st
@@ -448,3 +452,147 @@ def probe_report_per_height(n, m, height):
         "witnesses_failed": 0,
         "minimal_connected_H": minimal_connected,
     }
+
+
+def _ref_gcd_reduce_dict(row):
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return row
+    if g > 1:
+        for j in row:
+            row[j] //= g
+    return row
+
+
+def _ref_gcd_reduce_list(row, start):
+    g = 0
+    for j in range(start, len(row)):
+        v = row[j]
+        if v:
+            g = gcd(g, v)
+            if g == 1:
+                return row
+    if g > 1:
+        for j in range(start, len(row)):
+            if row[j]:
+                row[j] //= g
+    return row
+
+
+def echelon_reference(nrows, ncols, rows):
+    """The elimination kernel as it was before its column index, verbatim.
+
+    It scans every active row for every column and switches to dense rows
+    once fill-in passes half of the active block; the pivot rule is the
+    library's (fewest nonzeros, smallest |entry|, first in row order), so
+    steinberg.linalg._core_py.echelon must return exactly its output.
+
+    Args:
+        nrows: number of rows of the matrix (unused except for sanity).
+        ncols: number of columns.
+        rows: iterable of sparse rows ({col: int}); consumed by copy.
+
+    Returns:
+        (pivot_cols, pivot_rows): pivot columns in increasing order and the
+        corresponding eliminated rows as sparse dicts.  len(pivot_cols) is
+        the rank.  Each pivot row has its leading nonzero at its pivot
+        column and support strictly to the right elsewhere; rows are
+        gcd-reduced but not sign- or pivot-normalized.
+    """
+    active = []
+    nnzs = []
+    for r in rows:
+        if r:
+            d = dict(r)
+            active.append(d)
+            nnzs.append(len(d))
+    dense = False
+    pivot_cols = []
+    pivot_rows = []
+    total = sum(nnzs)
+    for col in range(ncols):
+        if not active:
+            break
+        # Deterministic pivot choice: fewest nonzeros, then smallest
+        # |entry|, then first in current order.
+        best = -1
+        bnnz = 0
+        babs = 0
+        for i in range(len(active)):
+            if dense:
+                v = active[i][col]
+            else:
+                v = active[i].get(col, 0)
+            if v:
+                a = -v if v < 0 else v
+                if best < 0 or (nnzs[i], a) < (bnnz, babs):
+                    best = i
+                    bnnz = nnzs[i]
+                    babs = a
+        if best < 0:
+            continue
+        prow = active.pop(best)
+        pn = nnzs.pop(best)
+        total -= pn
+        pv = prow[col]
+        pivot_cols.append(col)
+        if dense:
+            pivot_rows.append({j: prow[j] for j in range(col, ncols) if prow[j]})
+        else:
+            pivot_rows.append(prow)
+        # Eliminate the pivot column from every remaining active row.
+        for i in range(len(active)):
+            r = active[i]
+            if dense:
+                v = r[col]
+                if not v:
+                    continue
+                for j in range(col, ncols):
+                    r[j] = pv * r[j] - v * prow[j]
+                _ref_gcd_reduce_list(r, col + 1)
+                n = 0
+                for j in range(col + 1, ncols):
+                    if r[j]:
+                        n += 1
+                total += n - nnzs[i]
+                nnzs[i] = n
+            else:
+                v = r.get(col, 0)
+                if not v:
+                    continue
+                nd = {}
+                for j, rv in r.items():
+                    nd[j] = pv * rv
+                for j, pj in prow.items():
+                    w = nd.get(j, 0) - v * pj
+                    if w:
+                        nd[j] = w
+                    elif j in nd:
+                        del nd[j]
+                _ref_gcd_reduce_dict(nd)
+                total += len(nd) - nnzs[i]
+                active[i] = nd
+                nnzs[i] = len(nd)
+        # Drop rows that became zero.
+        if dense:
+            keep = [i for i in range(len(active)) if nnzs[i]]
+        else:
+            keep = [i for i in range(len(active)) if active[i]]
+        if len(keep) != len(active):
+            active = [active[i] for i in keep]
+            nnzs = [nnzs[i] for i in keep]
+        # Dense fallback once fill-in passes half of the active block.
+        if not dense and active:
+            width = ncols - col - 1
+            if width > 0 and 2 * total > len(active) * width:
+                dense = True
+                conv = []
+                for r in active:
+                    row = [0] * ncols
+                    for j, v in r.items():
+                        row[j] = v
+                    conv.append(row)
+                active = conv
+    return pivot_cols, pivot_rows

@@ -184,6 +184,35 @@ def test_coinv_rejects_malformed_generators(capsys, group):
     assert err.startswith("input error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-1"])
+def test_coinv_gl_rejects_too_small_n(capsys, n):
+    code = main(["steinberg", "coinv", "--n", n, "--q", "3", "--group", "gl"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "twist",
+    [
+        "json:[1.5,1,1]",
+        "json:[-1.7,1,1]",
+        "json:[true,1,-1]",
+        'json:["-1",1,1]',
+        "json:[1.0,1,1]",
+        "json:[2,1,1]",
+        "json:5",
+        'json:{"1":1}',
+    ],
+)
+def test_coinv_rejects_malformed_twist(capsys, twist):
+    argv = ["steinberg", "coinv", "--n", "2", "--q", "3", "--group", "gl", "--twist", twist]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
 def test_budget_exhaustion_exit_two(capsys):
     assert main(["building", "homology", "--n", "3", "--q", "3", "--budget", "10"]) == 2
 

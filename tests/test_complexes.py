@@ -2,12 +2,14 @@
 
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as o
 from steinberg.complexes import (
+    ChainComplex,
     SemisimplicialSet,
     chain_complex,
     chain_from_coefficients,
@@ -18,7 +20,7 @@ from steinberg.complexes import (
     tits_building,
 )
 from steinberg.errors import BudgetExceededError
-from steinberg.linalg import matrix_from_json
+from steinberg.linalg import ExactMatrix, matrix_from_json
 
 
 def interval():
@@ -137,6 +139,43 @@ def test_building_cell_counts(n, q, counts):
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_building_boundaries_compose_to_zero(n, q):
     chain_complex(tits_building(n, q)).validate()
+
+
+def triangle():
+    return SemisimplicialSet(
+        ["a", "b", "c"], [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]]
+    )
+
+
+def with_entry(matrix, i, j, value):
+    items = [(a, b, value if (a, b) == (i, j) else v) for a, b, v in matrix.entries]
+    return ExactMatrix.from_entries(matrix.rows, matrix.cols, items)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_validate_names_degree_of_flipped_sign(degree):
+    cc = chain_complex(triangle())
+    assert cc.validate()
+    i, j, v = cc.boundaries[degree].entries[0]
+    mats = list(cc.boundaries)
+    mats[degree] = with_entry(mats[degree], i, j, -v)
+    broken = ChainComplex(cc.dims, tuple(mats), cc.reduced)
+    with pytest.raises(ValueError, match=f"boundary composite nonzero in degree {degree}$"):
+        broken.validate()
+
+
+def test_validate_rejects_non_integer_boundary():
+    cc = chain_complex(triangle())
+    i, j, v = cc.boundaries[2].entries[0]
+    mats = list(cc.boundaries)
+    mats[2] = with_entry(mats[2], i, j, v * Fraction(1, 2))
+    with pytest.raises(ValueError, match="not an integer"):
+        ChainComplex(cc.dims, tuple(mats), cc.reduced).validate()
+
+
+def test_solomon_tits_rank_of_largest_building():
+    # q^(n(n-1)/2) = 2^10; d3 of this building is 13020 x 9765
+    assert reduced_homology_ranks(tits_building(5, 2)) == {0: 0, 1: 0, 2: 0, 3: 1024}
 
 
 def test_building_rejects_small_rank():

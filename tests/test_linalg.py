@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as o
+from steinberg import linalg
+from steinberg.complexes import chain_complex, tits_building
 from steinberg.linalg import (
     ExactMatrix,
     backend,
@@ -90,6 +92,78 @@ def test_smith_of_empty_or_zero_matrix_has_no_factors(rows, cols):
 
 def test_active_backend_reports_name():
     assert backend() == "python"
+
+
+# Mostly small entries, so rows meet and cancel; now and then a huge one,
+# so the cross-multiplication and the gcd reduction carry real growth.
+kernel_entries = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-(10**30), max_value=10**30),
+)
+
+
+@st.composite
+def sparse_integer_rows(draw):
+    nrows = draw(st.integers(min_value=0, max_value=9))
+    ncols = draw(st.integers(min_value=0, max_value=9))
+    rows = []
+    for _ in range(nrows):
+        cells = []
+        if ncols:
+            cells = draw(
+                st.lists(
+                    st.tuples(st.integers(min_value=0, max_value=ncols - 1), kernel_entries),
+                    max_size=ncols,
+                )
+            )
+        rows.append({j: v for j, v in cells if v})
+    return nrows, ncols, rows
+
+
+def assert_kernel_matches_reference(nrows, ncols, rows):
+    got = linalg._impl.echelon(nrows, ncols, [dict(r) for r in rows])
+    want = o.echelon_reference(nrows, ncols, [dict(r) for r in rows])
+    assert got == want
+
+
+@given(sparse_integer_rows())
+@settings(max_examples=300, deadline=None)
+def test_echelon_matches_reference_kernel(drawn):
+    assert_kernel_matches_reference(*drawn)
+
+
+@pytest.mark.parametrize(
+    "nrows, ncols, rows",
+    [
+        (0, 0, []),
+        (0, 4, []),
+        (3, 0, [{}, {}, {}]),
+        (3, 4, [{}, {}, {}]),
+        (4, 3, [{}, {0: 2, 2: -1}, {}, {0: -4, 2: 2}]),
+    ],
+)
+def test_echelon_of_empty_or_zero_rows(nrows, ncols, rows):
+    assert_kernel_matches_reference(nrows, ncols, rows)
+
+
+def test_echelon_matches_reference_after_its_dense_switch():
+    # After column 0 the three remaining rows hold 12 nonzeros in a block
+    # of width 4: 2 * 12 > 3 * 4, so the reference continues on dense rows.
+    rows = [
+        {0: 2, 1: 3, 2: 5, 3: 7, 4: 11},
+        {0: 3, 1: -1, 2: 4, 3: 10**25, 4: 9},
+        {0: 5, 1: 9, 2: -2, 3: 6, 4: 1},
+        {0: 7, 1: 2, 2: 8, 3: -3, 4: 10**18 + 1},
+    ]
+    assert_kernel_matches_reference(4, 5, rows)
+
+
+def test_echelon_matches_reference_on_building_boundary():
+    d2 = chain_complex(tits_building(4, 3)).boundaries[2]
+    rows = [{j: int(v) for j, v in r.items()} for r in d2.row_dicts()]
+    assert_kernel_matches_reference(d2.rows, d2.cols, rows)
 
 
 def test_matrix_validation():
