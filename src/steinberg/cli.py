@@ -293,6 +293,7 @@ def _cmd_probe(args) -> int:
 
 
 def _parse_range(text):
+    """Values of a list like "2,5,10..15"; a span lo..hi needs lo <= hi."""
     values = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -300,9 +301,14 @@ def _parse_range(text):
             continue
         if ".." in chunk:
             lo, hi = chunk.split("..", 1)
-            values.extend(range(int(lo), int(hi) + 1))
+            lo, hi = int(lo), int(hi)
+            if hi < lo:
+                raise ValueError(f"range {chunk!r} ends below its start")
+            values.extend(range(lo, hi + 1))
         else:
             values.append(int(chunk))
+    if not values:
+        raise ValueError(f"range {text!r} has no values")
     return values
 
 

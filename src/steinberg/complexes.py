@@ -13,13 +13,11 @@ ordered by increasing dimension.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import fields as ff
 from .errors import DEFAULT_SIMPLEX_BUDGET, BudgetExceededError
-from .linalg import ExactMatrix, matrix_to_json, rank
+from .linalg import ExactMatrix, rank
 
 
 class SemisimplicialSet:
@@ -104,9 +102,6 @@ class ChainComplex:
     def top(self) -> int:
         return len(self.dims) - 1
 
-    def boundary(self, k) -> ExactMatrix:
-        return self.boundaries[k]
-
     def validate(self):
         """Check d∘d = 0 exactly, multiplying the boundaries over Z.
 
@@ -117,16 +112,12 @@ class ChainComplex:
         for m in self.boundaries:
             if not m.is_integer():
                 raise ValueError("boundary entry is not an integer")
-        rows = [
-            [{j: v.numerator for j, v in r.items()} for r in m.row_dicts()]
-            for m in self.boundaries
-        ]
         for k in range(1, len(self.boundaries)):
             left, right = self.boundaries[k - 1], self.boundaries[k]
             if left.cols != right.rows:
                 raise ValueError("shape mismatch in matrix product")
-            right_rows = rows[k]
-            for row in rows[k - 1]:
+            right_rows = right.row_dicts
+            for row in left.row_dicts:
                 acc = {}
                 for c, v in row.items():
                     for j, w in right_rows[c].items():
@@ -141,22 +132,17 @@ def chain_complex(X: SemisimplicialSet, reduced: bool = True) -> ChainComplex:
     dims = tuple(len(c) for c in X.cells)
     mats = []
     if reduced:
-        mats.append(
-            ExactMatrix.from_entries(1, dims[0], [(0, j, 1) for j in range(dims[0])])
-        )
+        mats.append(ExactMatrix(1, dims[0], (dict.fromkeys(range(dims[0]), 1),)))
     else:
         mats.append(ExactMatrix.zero(0, dims[0]))
     for k in range(1, len(X.cells)):
-        items = {}
-        for col, row in enumerate(X.faces[k]):
-            for i, f in enumerate(row):
-                key = (f, col)
-                items[key] = items.get(key, 0) + (1 if i % 2 == 0 else -1)
-        mats.append(
-            ExactMatrix.from_entries(
-                dims[k - 1], dims[k], [(i, j, v) for (i, j), v in items.items() if v]
-            )
-        )
+        rows = [{} for _ in range(dims[k - 1])]
+        for col, faces in enumerate(X.faces[k]):
+            for i, f in enumerate(faces):
+                row = rows[f]
+                row[col] = row.get(col, 0) + (1 if i % 2 == 0 else -1)
+        # The constructor drops the entries whose faces cancel.
+        mats.append(ExactMatrix(dims[k - 1], dims[k], tuple(rows)))
     cc = ChainComplex(dims, tuple(mats), reduced)
     cc.validate()
     return cc
@@ -185,12 +171,11 @@ def tits_building(n: int, q: int, budget=DEFAULT_SIMPLEX_BUDGET) -> Semisimplici
     if n < 2:
         raise ValueError("building needs n >= 2")
     field = ff.finite_field(q)
+    _check_building_budget(n, q, budget)
     labels = []
     for d in range(1, n):
         labels.extend(ff.all_subspaces(field, n, d))
     nv = len(labels)
-    if nv > budget:
-        raise BudgetExceededError(f"{nv} vertices exceed budget {budget}")
     # Successor lists: all strictly larger subspaces containing V_i.
     succ = [[] for _ in range(nv)]
     for i, ki in enumerate(labels):
@@ -200,22 +185,44 @@ def tits_building(n: int, q: int, budget=DEFAULT_SIMPLEX_BUDGET) -> Semisimplici
                 if len(stacked) == len(kj):
                     succ[i].append(j)
     cells = [[(i,) for i in range(nv)]]
-    total = nv
     while True:
         prev = cells[-1]
         nxt = []
         for s in prev:
             for j in succ[s[-1]]:
                 nxt.append(s + (j,))
-                total += 1
-                if total > budget:
-                    raise BudgetExceededError(
-                        f"flag enumeration exceeds budget {budget}"
-                    )
         if not nxt:
             break
         cells.append(nxt)
     return SemisimplicialSet(labels, cells, budget=budget)
+
+
+def _gaussian_binomial(n, k, q) -> int:
+    """Number of k-dimensional subspaces of F_q^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (k - i) - 1
+    return num // den
+
+
+def _check_building_budget(n, q, budget):
+    """Raise BudgetExceededError unless the building of F_q^n fits in budget.
+
+    The simplices are counted without listing them.  chains[m] counts the
+    chains of proper nonzero subspaces of F_q^m, the empty one included: a
+    nonempty chain is its largest member, of some dimension d, and a chain
+    inside it.  Expanded, chains[n] - 1 is the sum over flag types of the
+    q-multinomial coefficients.  chains grows with m, so counting stops at
+    the first m past the budget.
+    """
+    chains = [1, 1]
+    for m in range(2, n + 1):
+        chains.append(1 + sum(_gaussian_binomial(m, d, q) * chains[d] for d in range(1, m)))
+        if chains[m] - 1 > budget:
+            raise BudgetExceededError(
+                f"building of F_{q}^{n} exceeds the budget of {budget} simplices"
+            )
 
 
 @dataclass(frozen=True)
@@ -229,10 +236,6 @@ class ComplexAction:
     complex: SemisimplicialSet
     generators: tuple
     perms: tuple
-
-    def permutation_matrix(self, gen: int, k: int) -> ExactMatrix:
-        p = self.perms[gen][k]
-        return ExactMatrix.from_entries(len(p), len(p), [(p[s], s, 1) for s in range(len(p))])
 
 
 def group_action(X: SemisimplicialSet, q: int, generators) -> ComplexAction:
@@ -298,32 +301,8 @@ def _is_square_int_matrix(g, n) -> bool:
     )
 
 
-def complex_to_json(cc: ChainComplex) -> str:
-    """Exchange format: {dims: [...], boundaries: [matrix payloads]}.
-
-    Simplex indices follow construction order (vertices grouped by
-    subspace dimension, flags in extension order), matching the column
-    order of each boundary matrix.
-    """
-    return json.dumps(
-        {
-            "dims": list(cc.dims),
-            "reduced": cc.reduced,
-            "boundaries": [json.loads(matrix_to_json(b)) for b in cc.boundaries],
-        }
-    )
-
-
 def euler_characteristic(X: SemisimplicialSet, reduced=True) -> int:
     total = -1 if reduced else 0
     for k, c in enumerate(X.cells):
         total += len(c) if k % 2 == 0 else -len(c)
     return total
-
-
-def chain_from_coefficients(X: SemisimplicialSet, k: int, coeffs):
-    """Dense coefficient vector (tuple of Fractions) on cells[k]."""
-    coeffs = list(coeffs)
-    if len(coeffs) != X.n_cells(k):
-        raise ValueError("coefficient length mismatch")
-    return tuple(Fraction(c) for c in coeffs)

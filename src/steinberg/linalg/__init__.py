@@ -1,24 +1,26 @@
 """Exact sparse linear algebra over the rationals and integers.
 
-Matrices are immutable sparse triplet collections with Fraction entries.
-Elimination runs in one integer kernel (_core_py.echelon) with a fixed
-pivot rule, so everything downstream is deterministic: same inputs, same
-outputs, bit for bit, on every run.  Smith forms come from the one Smith
-reduction in lattices.snf_transform, determinants from its Bareiss
-elimination lattices.integer_determinant.
+A matrix is an immutable tuple of sparse rows, one {col: value} dict per
+row.  A value is an int, and a Fraction only where it is not integral, so
+the integer matrices met in practice (boundaries, action matrices) are
+integer rows throughout.  Elimination runs in one integer kernel
+(_core_py.echelon) with a fixed pivot rule, so everything downstream is
+deterministic: same inputs, same outputs, bit for bit, on every run.
+Smith forms come from the one Smith reduction in lattices.snf_transform,
+determinants from its Bareiss elimination lattices.integer_determinant.
 
-Rational rows are scaled to integers before elimination.  Scaling a row by
-a nonzero constant changes neither the rank nor the right null space, and
-the rational reduced echelon form used for kernel bases is reconstructed
-from the integer echelon rows afterwards.
+A row that holds a Fraction is scaled to integers before elimination.
+Scaling a row by a nonzero constant changes neither the rank nor the right
+null space; kernel bases come from the integer echelon rows by
+fraction-free back-substitution.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from . import _core_py as _impl
 from .lattices import integer_determinant, snf_transform
@@ -29,10 +31,7 @@ __all__ = [
     "rank",
     "kernel_basis",
     "smith_normal_form",
-    "quotient_dim",
     "determinant",
-    "matrix_to_json",
-    "matrix_from_json",
 ]
 
 
@@ -44,56 +43,67 @@ def backend() -> str:
     return _impl.BACKEND_NAME
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
+def _value(v):
+    """An exact value as an int when it is integral, else as a Fraction."""
+    if type(v) is int:
+        return v
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
 
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable sparse rational matrix.
+    """Immutable sparse rational matrix of shape rows x cols.
 
-    entries is a tuple of (row, col, Fraction) triplets sorted by (row,
-    col); zero values and duplicate positions are rejected.  Empty matrices
+    row_dicts[i] maps each column of a nonzero entry of row i to its value:
+    an int, or a Fraction only where the value is not integral.  The
+    constructor validates and normalises once: it rejects columns out of
+    range, drops zeros and turns integral values into ints.  Readers use
+    the row dicts as they are and must not mutate them.  Empty matrices
     (zero rows and/or columns) are legal.
     """
 
     rows: int
     cols: int
-    entries: tuple
+    row_dicts: tuple
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix dimensions")
-        seen = set()
-        for i, j, v in self.entries:
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise ValueError(f"entry ({i},{j}) out of bounds")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate entry at ({i},{j})")
-            if v == 0:
-                raise ValueError(f"explicit zero stored at ({i},{j})")
-            seen.add((i, j))
+        if len(self.row_dicts) != self.rows:
+            raise ValueError("row count does not match the shape")
+        out = []
+        for i, row in enumerate(self.row_dicts):
+            clean = {}
+            for j, v in row.items():
+                if not 0 <= j < self.cols:
+                    raise ValueError(f"entry ({i},{j}) out of bounds")
+                v = _value(v)
+                if v:
+                    clean[j] = v
+            out.append(clean)
+        object.__setattr__(self, "row_dicts", tuple(out))
 
     @classmethod
     def from_entries(cls, rows, cols, items) -> "ExactMatrix":
-        ents = tuple(
-            sorted((int(i), int(j), Fraction(v)) for i, j, v in items if Fraction(v) != 0)
-        )
-        return cls(rows, cols, ents)
+        """Matrix from (row, col, value) triplets; duplicate positions are rejected."""
+        data = [{} for _ in range(rows)]
+        for i, j, v in items:
+            i, j = int(i), int(j)
+            if not 0 <= i < rows:
+                raise ValueError(f"entry ({i},{j}) out of bounds")
+            if j in data[i]:
+                raise ValueError(f"duplicate entry at ({i},{j})")
+            data[i][j] = v
+        return cls(rows, cols, tuple(data))
 
     @classmethod
     def from_dense(cls, dense) -> "ExactMatrix":
         dense = [list(r) for r in dense]
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        items = []
-        for i, r in enumerate(dense):
-            if len(r) != cols:
-                raise ValueError("ragged dense input")
-            for j, v in enumerate(r):
-                if v:
-                    items.append((i, j, v))
-        return cls.from_entries(rows, cols, items)
+        cols = len(dense[0]) if dense else 0
+        if any(len(r) != cols for r in dense):
+            raise ValueError("ragged dense input")
+        return cls(len(dense), cols, tuple({j: v for j, v in enumerate(r) if v} for r in dense))
 
     @classmethod
     def from_rows(cls, vectors, cols=None) -> "ExactMatrix":
@@ -103,116 +113,33 @@ class ExactMatrix:
             if not vectors:
                 raise ValueError("cols required for an empty row list")
             cols = len(vectors[0])
-        return cls.from_dense(vectors) if vectors else cls(0, cols, ())
-
-    @classmethod
-    def from_columns(cls, vectors, rows=None) -> "ExactMatrix":
-        vectors = [tuple(v) for v in vectors]
-        if rows is None:
-            if not vectors:
-                raise ValueError("rows required for an empty column list")
-            rows = len(vectors[0])
-        items = []
-        for j, v in enumerate(vectors):
-            if len(v) != rows:
-                raise ValueError("ragged column input")
-            for i, x in enumerate(v):
-                if x:
-                    items.append((i, j, x))
-        return cls.from_entries(rows, len(vectors), items)
-
-    @classmethod
-    def identity(cls, n) -> "ExactMatrix":
-        return cls.from_entries(n, n, [(i, i, 1) for i in range(n)])
+        return cls.from_dense(vectors) if vectors else cls.zero(0, cols)
 
     @classmethod
     def zero(cls, rows, cols) -> "ExactMatrix":
-        return cls(rows, cols, ())
+        return cls(rows, cols, ({},) * rows)
 
     def to_dense(self):
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for i, j, v in self.entries:
-            out[i][j] = v
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for i, row in enumerate(self.row_dicts):
+            for j, v in row.items():
+                out[i][j] = v
         return out
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix.from_entries(
-            self.cols, self.rows, [(j, i, v) for i, j, v in self.entries]
-        )
-
-    def row_dicts(self):
-        out = [dict() for _ in range(self.rows)]
-        for i, j, v in self.entries:
-            out[i][j] = v
-        return out
-
-    def nnz(self) -> int:
-        return len(self.entries)
 
     def is_integer(self) -> bool:
-        return all(v.denominator == 1 for _, _, v in self.entries)
-
-    def mul_vector(self, vec):
-        vec = list(vec)
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        out = [Fraction(0)] * self.rows
-        for i, j, v in self.entries:
-            if vec[j]:
-                out[i] += v * vec[j]
-        return tuple(out)
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        other_rows = other.row_dicts()
-        acc = {}
-        for i, k, v in self.entries:
-            for j, w in other_rows[k].items():
-                key = (i, j)
-                acc[key] = acc.get(key, 0) + v * w
-        return ExactMatrix.from_entries(
-            self.rows, other.cols, [(i, j, v) for (i, j), v in acc.items() if v]
-        )
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix sum")
-        acc = {(i, j): v for i, j, v in self.entries}
-        for i, j, v in other.entries:
-            acc[(i, j)] = acc.get((i, j), 0) + v
-        return ExactMatrix.from_entries(
-            self.rows, self.cols, [(i, j, v) for (i, j), v in acc.items() if v]
-        )
-
-    def scale(self, c) -> "ExactMatrix":
-        c = Fraction(c)
-        if c == 0:
-            return ExactMatrix.zero(self.rows, self.cols)
-        return ExactMatrix.from_entries(
-            self.rows, self.cols, [(i, j, v * c) for i, j, v in self.entries]
-        )
-
-    def is_zero(self) -> bool:
-        return not self.entries
+        return all(type(v) is int for row in self.row_dicts for v in row.values())
 
 
-def _scaled_integer_rows(matrix: ExactMatrix):
-    """Per-row integer dicts with denominators cleared row by row."""
-    out = []
-    for row in matrix.row_dicts():
-        if not row:
-            out.append({})
-            continue
-        scale = 1
-        for v in row.values():
-            scale = _lcm(scale, v.denominator)
-        out.append({j: int(v * scale) for j, v in row.items()})
-    return out
+def _integer_row(row):
+    """(scale, row * scale) for the least scale that makes the row integral."""
+    if all(type(v) is int for v in row.values()):
+        return 1, row
+    scale = lcm(*(v.denominator for v in row.values()))
+    return scale, {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
 
 
 def _echelon(matrix: ExactMatrix):
-    rows = _scaled_integer_rows(matrix)
+    rows = [_integer_row(row)[1] for row in matrix.row_dicts]
     return _impl.echelon(matrix.rows, matrix.cols, rows)
 
 
@@ -222,50 +149,62 @@ def rank(matrix: ExactMatrix) -> int:
     return len(pivot_cols)
 
 
-def _rref(matrix: ExactMatrix):
-    """Reduced row echelon form as (pivot_cols, rows of Fraction dicts)."""
-    pivot_cols, pivot_rows = _echelon(matrix)
-    rows = []
-    for col, row in zip(pivot_cols, pivot_rows):
-        p = Fraction(row[col])
-        rows.append({j: Fraction(v) / p for j, v in row.items()})
-    # Clear later pivot columns from earlier rows, bottom up.
-    for i in range(len(rows) - 2, -1, -1):
-        ri = rows[i]
-        for k in range(i + 1, len(rows)):
-            c = pivot_cols[k]
-            coeff = ri.get(c)
-            if coeff:
-                for j, v in rows[k].items():
-                    w = ri.get(j, Fraction(0)) - coeff * v
-                    if w:
-                        ri[j] = w
-                    elif j in ri:
-                        del ri[j]
-    return pivot_cols, rows
-
-
 def kernel_basis(matrix: ExactMatrix):
-    """Canonical basis of the right null space.
+    """Canonical basis of the right null space, as sparse supports.
 
-    Returns a tuple of Fraction tuples, one per free column in increasing
-    column order.  Each vector has entry 1 at its free column and 0 at the
-    other free columns, so coordinates in this basis can be read off
-    directly.  Always satisfies M v = 0 exactly and
+    Returns one support per free column, in increasing column order: a
+    tuple of the nonzero (column, value) pairs of the basis vector, in
+    column order.  The vector is 1 at its free column and 0 at the other
+    free columns, so coordinates in this basis can be read off directly;
+    it is the basis the reduced row echelon form gives.  Values are ints
+    where integral, else Fractions.  Always satisfies M v = 0 exactly and
     len(result) == cols - rank(M).
+
+    Each vector comes from fraction-free back-substitution on the integer
+    echelon rows: it is kept as integers y over one common denominator, and
+    a pivot row is solved only once a column it holds has become nonzero,
+    bottom row first.
     """
-    pivot_cols, rows = _rref(matrix)
+    pivot_cols, pivot_rows = _echelon(matrix)
+    # holders[c]: the pivot rows holding column c off their pivot.
+    holders = [[] for _ in range(matrix.cols)]
+    for r, (p, row) in enumerate(zip(pivot_cols, pivot_rows)):
+        for j in row:
+            if j != p:
+                holders[j].append(r)
     pivot_set = set(pivot_cols)
-    free_cols = [j for j in range(matrix.cols) if j not in pivot_set]
     basis = []
-    for f in free_cols:
-        vec = [Fraction(0)] * matrix.cols
-        vec[f] = Fraction(1)
-        for c, row in zip(pivot_cols, rows):
-            coeff = row.get(f)
-            if coeff:
-                vec[c] = -coeff
-        basis.append(tuple(vec))
+    for f in range(matrix.cols):
+        if f in pivot_set:
+            continue
+        y = {f: 1}
+        den = 1
+        heap = [-r for r in holders[f]]
+        heapify(heap)
+        queued = set(holders[f])
+        while heap:
+            r = -heappop(heap)
+            p, row = pivot_cols[r], pivot_rows[r]
+            s = -sum(v * y[j] for j, v in row.items() if j in y)
+            if not s:
+                continue
+            a = row[p]
+            g = gcd(s, a)
+            s, a = s // g, a // g
+            if a < 0:
+                s, a = -s, -a
+            if a != 1:
+                for j in y:
+                    y[j] *= a
+                den *= a
+            y[p] = s
+            for k in holders[p]:
+                if k not in queued:
+                    queued.add(k)
+                    heappush(heap, -k)
+        basis.append(
+            tuple((j, y[j] if den == 1 else _value(Fraction(y[j], den))) for j in sorted(y))
+        )
     return tuple(basis)
 
 
@@ -276,75 +215,22 @@ def smith_normal_form(matrix: ExactMatrix):
     """
     if not matrix.is_integer():
         raise ValueError("Smith normal form requires integer entries")
-    rows = [[0] * matrix.cols for _ in range(matrix.rows)]
-    for i, j, v in matrix.entries:
-        rows[i][j] = int(v)
-    return snf_transform(rows).factors
-
-
-def quotient_dim(span_vectors, sub_vectors) -> int:
-    """Dimension of span(span_vectors) / span(sub_vectors) over Q.
-
-    Raises ValueError if some sub vector lies outside the ambient span.
-    """
-    span_vectors = [tuple(v) for v in span_vectors]
-    sub_vectors = [tuple(v) for v in sub_vectors]
-    if not span_vectors and not sub_vectors:
-        return 0
-    width = len(span_vectors[0]) if span_vectors else len(sub_vectors[0])
-    if any(len(v) != width for v in span_vectors + sub_vectors):
-        raise ValueError("mixed vector lengths")
-    span_m = ExactMatrix.from_rows(span_vectors, cols=width)
-    sub_m = ExactMatrix.from_rows(sub_vectors, cols=width)
-    r_span = rank(span_m)
-    r_sub = rank(sub_m)
-    both = ExactMatrix.from_rows(span_vectors + sub_vectors, cols=width)
-    if rank(both) != r_span:
-        raise ValueError("subspace vectors do not lie in the ambient span")
-    return r_span - r_sub
+    return snf_transform(matrix.to_dense()).factors
 
 
 def determinant(matrix: ExactMatrix) -> Fraction:
     """Exact determinant (square matrices).
 
-    Each row is scaled to integers and lattices.integer_determinant
-    (fraction-free Bareiss elimination) runs on the result.
+    Each row holding a Fraction is scaled to integers and
+    lattices.integer_determinant (fraction-free Bareiss elimination) runs
+    on the result.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
-    dense = matrix.to_dense()
     scale = 1
     m = []
-    for row in dense:
-        s = 1
-        for v in row:
-            s = _lcm(s, v.denominator)
+    for row in matrix.row_dicts:
+        s, row = _integer_row(row)
         scale *= s
-        m.append([int(v * s) for v in row])
+        m.append([row.get(j, 0) for j in range(matrix.cols)])
     return Fraction(integer_determinant(m), scale)
-
-
-def matrix_to_json(matrix: ExactMatrix) -> str:
-    """Serialize to the exchange format {rows, cols, entries:[[i,j,"p/q"]..]}.
-
-    Values are exact decimal fraction strings; no floats anywhere.
-    """
-    payload = {
-        "rows": matrix.rows,
-        "cols": matrix.cols,
-        "entries": [[i, j, str(v)] for i, j, v in matrix.entries],
-    }
-    return json.dumps(payload)
-
-
-def matrix_from_json(text: str) -> ExactMatrix:
-    payload = json.loads(text)
-    if not isinstance(payload.get("rows"), int) or not isinstance(payload.get("cols"), int):
-        raise ValueError("matrix JSON needs integer rows/cols")
-    items = []
-    for ent in payload.get("entries", []):
-        i, j, val = ent
-        if not isinstance(val, str):
-            raise ValueError("matrix JSON entries must be fraction strings")
-        items.append((i, j, Fraction(val)))
-    return ExactMatrix.from_entries(payload["rows"], payload["cols"], items)

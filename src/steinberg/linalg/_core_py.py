@@ -1,7 +1,7 @@
 """The exact integer elimination kernel behind steinberg.linalg.
 
-The kernel works over arbitrary-precision integers.  Rational input is
-scaled row-wise to integers by the caller (row scaling does not change
+The kernel works over arbitrary-precision integers.  A row that holds a
+Fraction is scaled to integers by the caller (row scaling does not change
 ranks, row spaces up to scale, or null spaces).
 
 Conventions:
@@ -43,7 +43,8 @@ def echelon(nrows, ncols, rows):
     """Reduce integer rows to (unnormalized) row echelon form.
 
     Args:
-        nrows: number of rows of the matrix (unused except for sanity).
+        nrows: number of rows of the matrix (unused; the rows are counted
+            from the input).
         ncols: number of columns.
         rows: iterable of sparse rows ({col: int}); consumed by copy.
 

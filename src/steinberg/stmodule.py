@@ -2,9 +2,10 @@
 
 The Steinberg module of GL_n(F_q) is realized concretely as the cycle
 space in the top degree (n-2) of the reduced chain complex of the
-building: every top chain with zero boundary.  Its canonical basis comes
-from the reduced echelon kernel construction, whose vectors are supported
-so that coordinates in the basis can be read off at one column each.
+building: every top chain with zero boundary.  Its canonical basis is
+linalg.kernel_basis of the top boundary, kept as sparse supports: one
+basis cycle per free column, 1 there and 0 at the other free columns, so
+coordinates in the basis can be read off at one column each.
 
 Apartment classes: a frame of n independent lines L_1..L_n spans one
 apartment, the barycentric (n-2)-sphere on the proper nonempty index
@@ -62,15 +63,13 @@ class SteinbergModule:
         self.chain = chain_complex(self.building, reduced=True)
         self.top = n - 2
         boundary = self.chain.boundaries[self.top]
-        self.supports = tuple(
-            tuple((c, _exact(v)) for c, v in enumerate(vec) if v)
-            for vec in kernel_basis(boundary)
-        )
+        self.supports = kernel_basis(boundary)
         self.dim = len(self.supports)
         # The top boundary by column: (row, value) pairs.
         self._boundary_cols = [[] for _ in range(boundary.cols)]
-        for i, j, v in boundary.entries:
-            self._boundary_cols[j].append((i, _exact(v)))
+        for i, row in enumerate(boundary.row_dicts):
+            for j, v in row.items():
+                self._boundary_cols[j].append((i, v))
         # owner[c]: the one basis cycle nonzero at column c when its value
         # there is 1, else -1.
         owner = {}
@@ -122,11 +121,6 @@ class SteinbergModule:
                 items.extend((i, j, c) for i, c in coords.items())
             mats.append(ExactMatrix.from_entries(self.dim, self.dim, items))
         return LinearAction(self.dim, tuple(mats))
-
-
-def _exact(v):
-    """A Fraction as an int when it is integral, so integer sums stay ints."""
-    return int(v) if v.denominator == 1 else v
 
 
 def steinberg_module(n, q, budget=DEFAULT_SIMPLEX_BUDGET) -> SteinbergModule:
@@ -230,23 +224,23 @@ def coinvariants_dim(action: LinearAction, twist: CharacterTwist | None = None) 
     if dim == 0:
         return 0
     # One relation row per nonzero column of eps(g) g - 1, generator by
-    # generator, read straight from the sparse entries.
+    # generator, read straight from the sparse rows.
     rows = []
     for gi, mat in enumerate(action.matrices):
         if (mat.rows, mat.cols) != (dim, dim):
             raise ValueError("action matrix shape mismatch")
         eps = twist.signs[gi] if twist is not None else 1
         columns = [{} for _ in range(dim)]
-        for i, j, v in mat.entries:
-            columns[j][i] = eps * v
+        for i, row in enumerate(mat.row_dicts):
+            for j, v in row.items():
+                columns[j][i] = eps * v
         for j, col in enumerate(columns):
             col[j] = col.get(j, 0) - 1
             if any(col.values()):
                 rows.append(col)
     if not rows:
         return dim
-    items = [(r, i, v) for r, col in enumerate(rows) for i, v in col.items()]
-    return dim - rank(ExactMatrix.from_entries(len(rows), dim, items))
+    return dim - rank(ExactMatrix(len(rows), dim, tuple(rows)))
 
 
 class DualizingType(Enum):
@@ -282,22 +276,23 @@ def orientation_character_det(n: int) -> int:
     pos = {b: k for k, b in enumerate(basis)}
     dim = len(basis)
     sgn = [-1] + [1] * (n - 1)
-    cols = []
+    # Row k is the image of basis coset k: the transpose of the induced
+    # matrix, which has the same determinant.
+    images = []
     for (i, j) in basis:
         # Conjugate the representative E_ij by diag(-1,1,...,1) and project
         # back to coset coordinates: M -> coords c_kk = M_kk, c_kl = M_kl + M_lk.
         mat = [[0] * n for _ in range(n)]
         mat[i][j] = 1
         conj = [[sgn[r] * sgn[c] * mat[r][c] for c in range(n)] for r in range(n)]
-        col = [0] * dim
+        image = [0] * dim
         for r in range(n):
             for c in range(r, n):
                 v = conj[r][c] if r == c else conj[r][c] + conj[c][r]
                 if v:
-                    col[pos[(r, c)]] += v
-        cols.append(col)
-    t = ExactMatrix.from_columns(cols, rows=dim)
-    det = determinant(t)
+                    image[pos[(r, c)]] += v
+        images.append(image)
+    det = determinant(ExactMatrix.from_rows(images, cols=dim))
     if det not in (1, -1):
         raise AssertionError("orientation determinant must be a sign")
     return 1 if det == 1 else -1

@@ -16,6 +16,9 @@ strategy of matrices with determinant +-1 by construction.
 echelon_reference is the package's elimination kernel as it was before it
 kept a column index (full row scans per column, dense-row switch), kept
 here only to check that the indexed kernel returns exactly its output.
+kernel_basis_reference is the package's kernel basis as it was before it
+returned sparse supports: dense Fraction vectors read off the reduced row
+echelon form, which is rebuilt in Fractions from echelon_reference.
 """
 
 from __future__ import annotations
@@ -393,8 +396,9 @@ def dense_action_matrices(module, gens):
     top = module.top
     boundary = module.chain.boundaries[top]
     dense = [[Fraction(0)] * boundary.cols for _ in range(boundary.rows)]
-    for i, j, v in boundary.entries:
-        dense[i][j] = Fraction(v)
+    for i, row in enumerate(boundary.row_dicts):
+        for j, v in row.items():
+            dense[i][j] = Fraction(v)
     basis = nullspace_fraction(dense, boundary.cols)
     free_cols = [
         next(
@@ -596,3 +600,64 @@ def echelon_reference(nrows, ncols, rows):
                     conv.append(row)
                 active = conv
     return pivot_cols, pivot_rows
+
+
+def _ref_scaled_integer_rows(matrix):
+    """Per-row integer dicts with denominators cleared row by row."""
+    out = []
+    for row in matrix.row_dicts:
+        if not row:
+            out.append({})
+            continue
+        scale = 1
+        for v in row.values():
+            scale = math.lcm(scale, Fraction(v).denominator)
+        out.append({j: int(v * scale) for j, v in row.items()})
+    return out
+
+
+def _ref_rref(matrix):
+    """Reduced row echelon form as (pivot_cols, rows of Fraction dicts)."""
+    pivot_cols, pivot_rows = echelon_reference(
+        matrix.rows, matrix.cols, _ref_scaled_integer_rows(matrix)
+    )
+    rows = []
+    for col, row in zip(pivot_cols, pivot_rows):
+        p = Fraction(row[col])
+        rows.append({j: Fraction(v) / p for j, v in row.items()})
+    # Clear later pivot columns from earlier rows, bottom up.
+    for i in range(len(rows) - 2, -1, -1):
+        ri = rows[i]
+        for k in range(i + 1, len(rows)):
+            c = pivot_cols[k]
+            coeff = ri.get(c)
+            if coeff:
+                for j, v in rows[k].items():
+                    w = ri.get(j, Fraction(0)) - coeff * v
+                    if w:
+                        ri[j] = w
+                    elif j in ri:
+                        del ri[j]
+    return pivot_cols, rows
+
+
+def kernel_basis_reference(matrix):
+    """Canonical basis of the right null space, as dense Fraction tuples.
+
+    One vector per free column in increasing column order, with entry 1 at
+    its free column and 0 at the other free columns, read off the reduced
+    row echelon form.
+    """
+    pivot_cols, rows = _ref_rref(matrix)
+    pivot_set = set(pivot_cols)
+    free_cols = [j for j in range(matrix.cols) if j not in pivot_set]
+    basis = []
+    for f in free_cols:
+        vec = [Fraction(0)] * matrix.cols
+        vec[f] = Fraction(1)
+        for c, row in zip(pivot_cols, rows):
+            coeff = row.get(f)
+            if coeff:
+                vec[c] = -coeff
+        basis.append(tuple(vec))
+    return tuple(basis)

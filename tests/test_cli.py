@@ -1,6 +1,7 @@
 """Command-line surface: output shapes, exit codes, flag placement."""
 
 import json
+import time
 
 import pytest
 
@@ -215,6 +216,40 @@ def test_coinv_rejects_malformed_twist(capsys, twist):
 
 def test_budget_exhaustion_exit_two(capsys):
     assert main(["building", "homology", "--n", "3", "--q", "3", "--budget", "10"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["building", "homology", "--n", "7", "--q", "2"],
+        ["building", "homology", "--n", "5", "--q", "3"],
+        ["building", "homology", "--n", "6", "--q", "2"],
+        ["steinberg", "coinv", "--n", "5", "--q", "3", "--group", "gl"],
+        ["steinberg", "apartments", "--n", "7", "--q", "2"],
+    ],
+)
+def test_oversized_building_exits_two_at_once(capsys, argv):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("budget error:") and err.count("\n") == 1
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("d", ["5..2", "3..3,9..8", ",", "", " , "])
+def test_survey_rejects_reversed_or_empty_range(capsys, d):
+    code = main(["survey", "--d", d, "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+
+def test_survey_rejects_reversed_n_range(capsys):
+    assert main(["survey", "--d", "2", "--n", "3..2"]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
 
 
 def test_missing_subcommand_usage_error(capsys):

@@ -13,9 +13,6 @@ from steinberg.linalg import (
     backend,
     determinant,
     kernel_basis,
-    matrix_from_json,
-    matrix_to_json,
-    quotient_dim,
     rank,
     smith_normal_form,
 )
@@ -48,19 +45,71 @@ def test_rank_matches_oracle_and_transpose(dense):
     m = ExactMatrix.from_dense(dense)
     r = rank(m)
     assert r == o.rank_fraction(dense)
-    assert r == rank(m.transpose())
+    assert r == rank(ExactMatrix.from_dense(zip(*dense)))
 
 
 @given(dense_matrices(fracs))
 @settings(max_examples=120, deadline=None)
 def test_kernel_basis_is_exact_and_complete(dense):
     m = ExactMatrix.from_dense(dense)
-    basis = kernel_basis(m)
+    basis = [densify(support, m.cols) for support in kernel_basis(m)]
     assert len(basis) == m.cols - rank(m)
     for vec in basis:
-        assert all(v == 0 for v in m.mul_vector(vec))
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in dense)
     if basis:
-        assert o.rank_fraction([list(v) for v in basis]) == len(basis)
+        assert o.rank_fraction(basis) == len(basis)
+
+
+def densify(support, cols):
+    vec = [0] * cols
+    for j, v in support:
+        vec[j] = v
+    return vec
+
+
+def assert_kernel_basis_matches_reference(m):
+    supports = kernel_basis(m)
+    assert [densify(s, m.cols) for s in supports] == [
+        list(v) for v in o.kernel_basis_reference(m)
+    ]
+    for support in supports:
+        cols = [j for j, _ in support]
+        assert cols == sorted(set(cols))
+        assert all(v != 0 for _, v in support)
+        assert all(type(v) is int or v.denominator != 1 for _, v in support)
+
+
+@given(st.one_of(dense_matrices(ints, max_dim=6), dense_matrices(fracs, max_dim=6)))
+@settings(max_examples=200, deadline=None)
+def test_kernel_basis_matches_reference(dense):
+    assert_kernel_basis_matches_reference(ExactMatrix.from_dense(dense))
+
+
+@pytest.mark.parametrize(
+    "dense, want",
+    [
+        ([[2, 1]], (((0, Fraction(-1, 2)), (1, 1)),)),
+        ([[0, 0]], (((0, 1),), ((1, 1),))),
+        ([[1, -1, 0], [0, 3, 3]], (((0, -1), (1, -1), (2, 1)),)),
+        ([[Fraction(1, 3), Fraction(1, 2)]], (((0, Fraction(-3, 2)), (1, 1)),)),
+        ([[3, 0, 2], [0, 5, 7]], (((0, Fraction(-2, 3)), (1, Fraction(-7, 5)), (2, 1)),)),
+    ],
+)
+def test_kernel_basis_explicit_supports(dense, want):
+    m = ExactMatrix.from_dense(dense)
+    assert kernel_basis(m) == want
+    assert_kernel_basis_matches_reference(m)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (2, 3)])
+def test_kernel_basis_of_empty_or_zero_matrix(rows, cols):
+    m = ExactMatrix.zero(rows, cols)
+    assert kernel_basis(m) == tuple(((j, 1),) for j in range(cols))
+    assert_kernel_basis_matches_reference(m)
+
+
+def test_kernel_basis_of_building_boundary_matches_reference():
+    assert_kernel_basis_matches_reference(chain_complex(tits_building(3, 3)).boundaries[1])
 
 
 @given(dense_matrices(ints, max_dim=4))
@@ -162,8 +211,7 @@ def test_echelon_matches_reference_after_its_dense_switch():
 
 def test_echelon_matches_reference_on_building_boundary():
     d2 = chain_complex(tits_building(4, 3)).boundaries[2]
-    rows = [{j: int(v) for j, v in r.items()} for r in d2.row_dicts()]
-    assert_kernel_matches_reference(d2.rows, d2.cols, rows)
+    assert_kernel_matches_reference(d2.rows, d2.cols, d2.row_dicts)
 
 
 def test_matrix_validation():
@@ -171,33 +219,23 @@ def test_matrix_validation():
         ExactMatrix.from_entries(2, 2, [(0, 0, 1), (0, 0, 2)])
     with pytest.raises(ValueError):
         ExactMatrix.from_entries(2, 2, [(2, 0, 1)])
-    assert ExactMatrix.from_entries(2, 2, [(0, 0, 0)]).entries == ()
+    assert ExactMatrix.from_entries(2, 2, [(0, 0, 0)]).row_dicts == ({}, {})
 
 
-@given(dense_matrices(fracs))
-@settings(max_examples=60, deadline=None)
-def test_json_round_trip(dense):
-    m = ExactMatrix.from_dense(dense)
-    again = matrix_from_json(matrix_to_json(m))
-    assert again == m
-
-
-def test_matmul_and_identity():
-    a = ExactMatrix.from_dense([[1, 2], [3, 4]])
-    b = ExactMatrix.from_dense([[0, 1], [1, 0]])
-    assert (a @ b).to_dense() == [[2, 1], [4, 3]]
-    assert (a @ ExactMatrix.identity(2)) == a
+def test_matrix_rows_are_normalised_once():
+    with pytest.raises(ValueError, match="out of bounds"):
+        ExactMatrix.from_entries(2, 2, [(0, 2, 1)])
+    with pytest.raises(ValueError, match="out of bounds"):
+        ExactMatrix(1, 2, ({-1: 1},))
     with pytest.raises(ValueError):
-        a @ ExactMatrix.identity(3)
-
-
-def test_quotient_dim():
-    span = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    sub = [(1, 1, 0)]
-    assert quotient_dim(span, sub) == 2
-    assert quotient_dim(span, []) == 3
+        ExactMatrix(2, 2, ({},))
     with pytest.raises(ValueError):
-        quotient_dim([(1, 0, 0)], [(0, 1, 0)])
+        ExactMatrix.zero(-1, 2)
+    m = ExactMatrix.from_dense([[Fraction(4, 2), 0, Fraction(1, 3)], [True, Fraction(0), 5]])
+    assert m.row_dicts == ({0: 2, 2: Fraction(1, 3)}, {0: 1, 2: 5})
+    assert [type(v) for row in m.row_dicts for v in row.values()] == [int, Fraction, int, int]
+    assert not m.is_integer()
+    assert ExactMatrix.from_entries(1, 2, [(0, 1, Fraction(-6, 3))]).is_integer()
 
 
 @given(dense_matrices(ints, max_dim=4))

@@ -3,6 +3,7 @@
 import pytest
 
 import oracles as o
+from steinberg.complexes import chain_complex, tits_building
 from steinberg.quadratic import ZZ, make_order
 from steinberg.stmodule import (
     CharacterTwist,
@@ -133,10 +134,34 @@ def test_action_matrices_are_invertible_homomorphism_images():
     m = steinberg_module(2, 2)
     act = m.action(gl_generators(2, 2))
     e12 = act.matrices[0]
+    d = e12.to_dense()
+    dim = m.dim
+    square = [[sum(d[i][k] * d[k][j] for k in range(dim)) for j in range(dim)] for i in range(dim)]
     # the transvection squares to the identity over F_2
-    assert (e12 @ e12).to_dense() == [
-        [1 if i == j else 0 for j in range(m.dim)] for i in range(m.dim)
-    ]
+    assert square == [[1 if i == j else 0 for j in range(m.dim)] for i in range(m.dim)]
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (2, 9)])
+def test_boundaries_and_basis_hold_plain_ints(n, q):
+    for mat in chain_complex(tits_building(n, q)).boundaries:
+        assert all(type(v) is int for row in mat.row_dicts for v in row.values())
+    module = steinberg_module(n, q)
+    assert all(type(v) is int for support in module.supports for _, v in support)
+    for mat in module.action(gl_generators(n, q)).matrices:
+        assert all(type(v) is int for row in mat.row_dicts for v in row.values())
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 3), (2, 9)])
+def test_supports_match_reference_kernel(n, q):
+    m = steinberg_module(n, q)
+    boundary = m.chain.boundaries[m.top]
+    dense = []
+    for support in m.supports:
+        vec = [0] * boundary.cols
+        for c, v in support:
+            vec[c] = v
+        dense.append(tuple(vec))
+    assert dense == list(o.kernel_basis_reference(boundary))
 
 
 GENERATOR_SETS = {
