@@ -12,10 +12,10 @@ import argparse
 import json
 import sys
 
-from .errors import BudgetExceededError, DEFAULT_SIMPLEX_BUDGET, VerificationFailure
+from .errors import BudgetExceededError, DEFAULT_SIMPLEX_BUDGET
 from .complexes import reduced_homology_ranks, tits_building
 from .flags import probe_report
-from .quadratic import fundamental_unit, log_embedding, make_order, order_descriptor
+from .quadratic import log_embedding, make_order, order_invariants
 from .stmodule import (
     CharacterTwist,
     apartment_span_rank,
@@ -135,15 +135,16 @@ def _emit(args, payload: dict, text_lines) -> None:
 
 def _cmd_ring_info(args) -> int:
     order = make_order(args.d)
-    desc = order_descriptor(order)
+    inv = order_invariants(order)
+    desc = inv.descriptor()
     payload = dict(desc)
     lines = [
         f"d = {desc['d']}  discriminant = {desc['D']}  signature = {tuple(desc['signature'])}",
         f"h = {desc['h']}  h_narrow = {desc['h_narrow']}  norm -1 unit: {desc['norm_minus_one']}",
     ]
-    if desc["fundamental_unit"] is not None:
+    if inv.unit is not None:
         u = desc["fundamental_unit"]
-        emb = log_embedding(order, fundamental_unit(order))
+        emb = log_embedding(order, inv.unit)
         payload["unit_log_embedding"] = list(emb)
         payload["float_note"] = _FLOAT_NOTE
         lines.append(
@@ -315,7 +316,7 @@ def _parse_range(text):
 def _cmd_survey(args) -> int:
     d_values = _parse_range(args.d)
     n_values = _parse_range(args.n)
-    rows = survey(d_values, n_values, cache_path=args.cache, budget=_budget(args))
+    rows = survey(d_values, n_values, cache_path=args.cache)
     errored = [r for r in rows if r["status"] != "ok"]
     payload = {"rows": rows, "errors": len(errored)}
     lines = []
@@ -337,7 +338,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (VerificationFailure, AssertionError) as exc:
+    except AssertionError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
     except BudgetExceededError as exc:

@@ -5,8 +5,4 @@ class BudgetExceededError(RuntimeError):
     """Raised when an enumeration would exceed its simplex/step budget."""
 
 
-class VerificationFailure(AssertionError):
-    """Raised when an internal exact cross-check fails."""
-
-
 DEFAULT_SIMPLEX_BUDGET = 200_000

@@ -124,10 +124,6 @@ def finite_field(q: int) -> FiniteField:
     return _FIELD_CACHE[q]
 
 
-def vec_add(field, u, v):
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
 def vec_scale(field, c, v):
     return tuple(field.mul(c, a) for a in v)
 
@@ -190,10 +186,6 @@ def rref(field, rows):
         if r == len(work):
             break
     return tuple(tuple(row) for row in work[:r])
-
-
-def subspace_key(field, vectors):
-    return rref(field, vectors)
 
 
 def matrix_rank(field, rows) -> int:

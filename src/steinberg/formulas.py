@@ -2,12 +2,12 @@
 
 Signatures are pairs (r, s): r real embeddings and s conjugate pairs of
 complex embeddings of the coefficient field (so (1, 0) for the rationals,
-(2, 0) real quadratic, (0, 1) imaginary quadratic).
+(2, 0) real quadratic, (0, 1) imaginary quadratic).  The verdicts take
+the order's quadratic.OrderInvariants record and read its signature,
+norm -1 verdict and class number from it.
 """
 
 from __future__ import annotations
-
-from .quadratic import RationalIntegers, class_group, has_norm_minus_one_unit
 
 NORM_MINUS_ONE_MISSING = "NORM_MINUS_ONE_MISSING"
 PARITY_ODD = "PARITY_ODD"
@@ -40,26 +40,20 @@ def bordification_dim(n, r, s) -> int:
     return r * (n * (n + 1) // 2) + s * n * n - 1
 
 
-def _wide_class_number(order) -> int:
-    if isinstance(order, RationalIntegers):
-        return 1
-    return class_group(order).h
-
-
-def vanishing_applies(n, order):
+def vanishing_applies(n, inv):
     """(applies, reasons) for the top-degree vanishing criterion.
 
-    Applies when all three hold: n is even, the order has a unit of norm
-    -1, and the signature satisfies r + s >= n.  Failing hypotheses are
-    named by stable reason codes.
+    inv is the order's OrderInvariants.  Applies when all three hold: n is
+    even, the order has a unit of norm -1, and the signature satisfies
+    r + s >= n.  Failing hypotheses are named by stable reason codes.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    r, s = order.signature
+    r, s = inv.signature
     reasons = []
     if n % 2 == 1:
         reasons.append(PARITY_ODD)
-    if not has_norm_minus_one_unit(order):
+    if not inv.norm_minus_one:
         if s > 0:
             reasons.append(IMAGINARY_FIELD)
         else:
@@ -69,14 +63,15 @@ def vanishing_applies(n, order):
     return (not reasons, tuple(reasons))
 
 
-def nonvanishing_lower_bound(n, order):
+def nonvanishing_lower_bound(n, inv):
     """(h - 1)^(n - 1) when n is odd or no norm -1 unit exists; else None.
 
-    h is the wide class number.  None means the bound's hypotheses fail
-    (n even with a norm -1 unit present), not a zero bound.
+    inv is the order's OrderInvariants; h is its wide class number.  None
+    means the bound's hypotheses fail (n even with a norm -1 unit
+    present), not a zero bound.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if n % 2 == 0 and has_norm_minus_one_unit(order):
+    if n % 2 == 0 and inv.norm_minus_one:
         return None
-    return (_wide_class_number(order) - 1) ** (n - 1)
+    return (inv.h - 1) ** (n - 1)

@@ -13,9 +13,14 @@ numbers come from reduced binary quadratic forms of the field discriminant
 (counted directly for D < 0; counted as reduction cycles for D > 0, then
 converted from narrow to wide using the unit norm).
 
+order_invariants bundles what the verdicts read (unit, norm -1 verdict,
+h, h_narrow) into one OrderInvariants record per order, built from one
+unit and one class group computation and passed to every verdict.
+
 The d-absent integer specialization (the ring Z, signature (1,0)) is
 provided for the rational case; its norm is the identity, so -1 is a unit
 of norm -1 and the determinant-norm character is the determinant sign.
+order_invariants and chi are the two places that specialize it.
 """
 
 from __future__ import annotations
@@ -261,15 +266,6 @@ def fundamental_unit(order: QuadraticOrder) -> RingElement:
     raise RuntimeError("continued fraction period exceeds step cap")
 
 
-def has_norm_minus_one_unit(order) -> bool:
-    """Whether some unit has norm -1 (the negative-Pell verdict)."""
-    if isinstance(order, RationalIntegers):
-        return True
-    if order.d < 0:
-        return False
-    return fundamental_unit(order).norm() == -1
-
-
 # ---------------------------------------------------------------------------
 # Binary quadratic forms and class numbers.
 
@@ -297,7 +293,7 @@ def _reduced_definite_forms(D: int):
     return sorted(out)
 
 
-def _is_reduced_indefinite(a, b, c, D, s):
+def _is_reduced_indefinite(a, b, D):
     # 0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b, all exact.
     if b <= 0 or b * b >= D:
         return False
@@ -324,7 +320,7 @@ def _reduced_indefinite_forms(D: int):
                 for aa in {f, m // f}:
                     for a in (aa, -aa):
                         c = -m // a
-                        if _is_reduced_indefinite(a, b, c, D, s):
+                        if _is_reduced_indefinite(a, b, D):
                             if gcd(gcd(abs(a), b), abs(c)) == 1:
                                 out.append((a, b, c))
             f += 1
@@ -391,13 +387,60 @@ def class_group(order: QuadraticOrder) -> ClassGroupData:
                 raise AssertionError(f"reduction left the reduced set: {g}")
         reps.append(min(cycle))
     h_narrow = len(reps)
-    if has_norm_minus_one_unit(order):
+    if fundamental_unit(order).norm() == -1:
         h = h_narrow
     else:
         if h_narrow % 2:
             raise AssertionError("narrow class number must be even here")
         h = h_narrow // 2
     return ClassGroupData(order.d, D, h, h_narrow, tuple(sorted(reps)))
+
+
+@dataclass(frozen=True)
+class OrderInvariants:
+    """The invariants the verdicts read, computed once per order.
+
+    unit is the fundamental unit (None for Z and imaginary orders);
+    norm_minus_one says whether some unit has norm -1.
+    """
+
+    d: int | None
+    discriminant: int
+    signature: tuple
+    unit: RingElement | None
+    norm_minus_one: bool
+    h: int
+    h_narrow: int
+
+    def descriptor(self) -> dict:
+        """JSON-ready descriptor of the order and its invariants."""
+        u = self.unit
+        unit = None if u is None else {"a": u.a, "b": u.b, "denom": u.denom, "norm": u.norm()}
+        return {
+            "d": self.d,
+            "D": self.discriminant,
+            "signature": list(self.signature),
+            "fundamental_unit": unit,
+            "h": self.h,
+            "h_narrow": self.h_narrow,
+            "norm_minus_one": self.norm_minus_one,
+        }
+
+
+def order_invariants(order) -> OrderInvariants:
+    """The order's invariants from one unit and one class group computation.
+
+    Z has h = 1 and the unit -1 of norm -1, but no fundamental unit.
+    Imaginary orders have only roots of unity, all of norm +1.
+    """
+    if isinstance(order, RationalIntegers):
+        return OrderInvariants(None, 1, order.signature, None, True, 1, 1)
+    unit = fundamental_unit(order) if order.d > 0 else None
+    cg = class_group(order)
+    minus = unit is not None and unit.norm() == -1
+    return OrderInvariants(
+        order.d, order.discriminant, order.signature, unit, minus, cg.h, cg.h_narrow
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -494,31 +537,3 @@ def log_embedding(order: QuadraticOrder, u: RingElement):
     finally:
         mp.dps = old
     return out
-
-
-def order_descriptor(order) -> dict:
-    """JSON-ready descriptor of an order and its computed invariants."""
-    if isinstance(order, RationalIntegers):
-        return {
-            "d": None,
-            "D": 1,
-            "signature": [1, 0],
-            "fundamental_unit": None,
-            "h": 1,
-            "h_narrow": 1,
-            "norm_minus_one": True,
-        }
-    cg = class_group(order)
-    unit = None
-    if order.d > 0:
-        u = fundamental_unit(order)
-        unit = {"a": u.a, "b": u.b, "denom": u.denom, "norm": u.norm()}
-    return {
-        "d": order.d,
-        "D": order.discriminant,
-        "signature": list(order.signature),
-        "fundamental_unit": unit,
-        "h": cg.h,
-        "h_narrow": cg.h_narrow,
-        "norm_minus_one": has_norm_minus_one_unit(order),
-    }

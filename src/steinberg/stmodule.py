@@ -22,10 +22,9 @@ from enum import Enum
 from itertools import combinations, permutations
 
 from . import fields as ff
-from .complexes import SemisimplicialSet, chain_complex, group_action, tits_building
+from .complexes import chain_complex, group_action, tits_building
 from .errors import DEFAULT_SIMPLEX_BUDGET
 from .linalg import ExactMatrix, determinant, kernel_basis, rank
-from .quadratic import RationalIntegers, has_norm_minus_one_unit
 
 
 @dataclass(frozen=True)
@@ -248,16 +247,16 @@ class DualizingType(Enum):
     STEINBERG_TWISTED = "SteinbergTwisted"
 
 
-def dualizing_module_type(n: int, order) -> DualizingType:
-    """Dichotomy verdict for the duality module of GL_n over the order.
+def dualizing_module_type(n: int, inv) -> DualizingType:
+    """Dichotomy verdict for the duality module of GL_n over an order.
 
-    Twisted exactly when n is even and the order has a unit of norm -1;
-    imaginary quadratic orders never do, so they always land on the plain
-    Steinberg side.
+    inv is the order's quadratic.OrderInvariants.  Twisted exactly when n
+    is even and the order has a unit of norm -1; imaginary quadratic
+    orders never do, so they always land on the plain Steinberg side.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if has_norm_minus_one_unit(order) and n % 2 == 0:
+    if inv.norm_minus_one and n % 2 == 0:
         return DualizingType.STEINBERG_TWISTED
     return DualizingType.STEINBERG
 

@@ -25,7 +25,7 @@ from .formulas import (
     vcd_sl,
 )
 from .linalg import ExactMatrix, smith_normal_form
-from .quadratic import make_order, order_descriptor
+from .quadratic import make_order, order_invariants
 from .stmodule import coinvariants_dim, dualizing_module_type, steinberg_module
 
 
@@ -75,10 +75,11 @@ def bounds_report(d: int, n: int) -> VerdictReport:
     Bundles ring invariants (unit, class numbers), the dimension formulas,
     the vanishing criterion with reason codes, the class-number lower
     bound, and the duality dichotomy verdict.  The report fails only if
-    the internal dimension identity breaks.
+    the internal dimension identity breaks.  The order's invariants are
+    computed once and read by every verdict.
     """
-    order = make_order(d)
-    desc = order_descriptor(order)
+    inv = order_invariants(make_order(d))
+    desc = inv.descriptor()
     r, s = desc["signature"]
     failures = []
     invariants = {
@@ -101,13 +102,13 @@ def bounds_report(d: int, n: int) -> VerdictReport:
             bordification_dim(n, r, s), "r*n(n+1)/2 + s*n^2 - 1"
         ),
     }
-    applies, reasons = vanishing_applies(n, order)
-    bound = nonvanishing_lower_bound(n, order)
+    applies, reasons = vanishing_applies(n, inv)
+    bound = nonvanishing_lower_bound(n, inv)
     verdicts = {
         "vanishing_applies": applies,
         "vanishing_reasons": list(reasons),
         "lower_bound": bound,
-        "dualizing_type": dualizing_module_type(n, order).value,
+        "dualizing_type": dualizing_module_type(n, inv).value,
     }
     if invariants["bordification_dim"]["value"] - invariants["vcd_gl"]["value"] - 1 != n - 2:
         failures.append("dimension identity bordification - vcd - 1 = n - 2")
@@ -262,7 +263,7 @@ def _cached_row(line):
     return row
 
 
-def survey(d_values, n_values, cache_path=None, budget=DEFAULT_SIMPLEX_BUDGET):
+def survey(d_values, n_values, cache_path=None):
     """One verdict row per (d, n), cached across runs when a path is given.
 
     Rows are returned in the given (d-major) order.  A failing cell yields

@@ -19,9 +19,9 @@ from steinberg.quadratic import (
     ZZ,
     class_group,
     fundamental_unit,
-    has_norm_minus_one_unit,
     is_squarefree,
     make_order,
+    order_invariants,
 )
 from steinberg.stmodule import (
     CharacterTwist,
@@ -94,7 +94,7 @@ def test_criterion_05_ring_invariants_vs_oracles():
                 "denom": unit.denom,
                 "norm": unit.norm(),
             }, d
-            assert (found["norm"] == -1) == has_norm_minus_one_unit(order), d
+            assert (found["norm"] == -1) == order_invariants(order).norm_minus_one, d
     for d in range(-150, 151):
         if d in (0, 1) or not is_squarefree(d):
             continue
@@ -111,20 +111,21 @@ def test_criterion_06_formula_identities():
 
 def test_criterion_07_dualizing_dichotomy_table():
     for d in (2, 3, 5, 10, -1, -5):
-        order = make_order(d)
+        inv = order_invariants(make_order(d))
         for n in (2, 3, 4):
             expected = (
                 DualizingType.STEINBERG_TWISTED
-                if n % 2 == 0 and has_norm_minus_one_unit(order)
+                if n % 2 == 0 and inv.norm_minus_one
                 else DualizingType.STEINBERG
             )
-            assert dualizing_module_type(n, order) is expected, (d, n)
+            assert dualizing_module_type(n, inv) is expected, (d, n)
     # anchor rows
-    assert dualizing_module_type(2, make_order(2)) is DualizingType.STEINBERG_TWISTED
+    twisted, plain = DualizingType.STEINBERG_TWISTED, DualizingType.STEINBERG
+    assert dualizing_module_type(2, order_invariants(make_order(2))) is twisted
     for d in (2, 3, 5, 10, -1, -5):
-        assert dualizing_module_type(3, make_order(d)) is DualizingType.STEINBERG
-    assert dualizing_module_type(3, ZZ) is DualizingType.STEINBERG
-    assert dualizing_module_type(2, make_order(-1)) is DualizingType.STEINBERG
+        assert dualizing_module_type(3, order_invariants(make_order(d))) is plain
+    assert dualizing_module_type(3, order_invariants(ZZ)) is plain
+    assert dualizing_module_type(2, order_invariants(make_order(-1))) is plain
 
 
 def test_criterion_08_coinvariant_properties():

@@ -13,7 +13,7 @@ from steinberg.formulas import (
     vcd_gl,
     vcd_sl,
 )
-from steinberg.quadratic import ZZ, make_order
+from steinberg.quadratic import ZZ, make_order, order_invariants
 
 
 def test_vcd_values():
@@ -50,46 +50,46 @@ def test_signature_validation():
 
 
 def test_vanishing_reasons():
-    ok, reasons = vanishing_applies(2, make_order(34))
+    ok, reasons = vanishing_applies(2, order_invariants(make_order(34)))
     assert not ok and reasons == (NORM_MINUS_ONE_MISSING,)
-    ok, reasons = vanishing_applies(3, make_order(2))
+    ok, reasons = vanishing_applies(3, order_invariants(make_order(2)))
     assert not ok and PARITY_ODD in reasons
-    ok, reasons = vanishing_applies(2, make_order(-5))
+    ok, reasons = vanishing_applies(2, order_invariants(make_order(-5)))
     assert not ok and IMAGINARY_FIELD in reasons
-    ok, reasons = vanishing_applies(2, make_order(2))
+    ok, reasons = vanishing_applies(2, order_invariants(make_order(2)))
     assert ok and reasons == ()
-    ok, reasons = vanishing_applies(4, make_order(10))
+    ok, reasons = vanishing_applies(4, order_invariants(make_order(10)))
     assert not ok and reasons == (SIGNATURE_TOO_SMALL,)
-    ok, reasons = vanishing_applies(2, ZZ)
+    ok, reasons = vanishing_applies(2, order_invariants(ZZ))
     assert not ok and reasons == (SIGNATURE_TOO_SMALL,)
-    ok, reasons = vanishing_applies(3, ZZ)
+    ok, reasons = vanishing_applies(3, order_invariants(ZZ))
     assert not ok and PARITY_ODD in reasons and SIGNATURE_TOO_SMALL in reasons
     with pytest.raises(ValueError):
-        vanishing_applies(1, ZZ)
+        vanishing_applies(1, order_invariants(ZZ))
 
 
 def test_lower_bounds():
     # norm -1 and even rank: duality pairs the module with a twist, no bound
-    assert nonvanishing_lower_bound(2, make_order(10)) is None
-    assert nonvanishing_lower_bound(2, ZZ) is None
+    assert nonvanishing_lower_bound(2, order_invariants(make_order(10))) is None
+    assert nonvanishing_lower_bound(2, order_invariants(ZZ)) is None
     # odd rank or missing norm -1: bound (h - 1)^(n-1)
-    assert nonvanishing_lower_bound(2, make_order(34)) == 1  # h = 2
-    assert nonvanishing_lower_bound(3, make_order(10)) == 1
-    assert nonvanishing_lower_bound(2, make_order(-23)) == 2  # h = 3
-    assert nonvanishing_lower_bound(3, make_order(-23)) == 4
-    assert nonvanishing_lower_bound(3, ZZ) == 0
+    assert nonvanishing_lower_bound(2, order_invariants(make_order(34))) == 1  # h = 2
+    assert nonvanishing_lower_bound(3, order_invariants(make_order(10))) == 1
+    assert nonvanishing_lower_bound(2, order_invariants(make_order(-23))) == 2  # h = 3
+    assert nonvanishing_lower_bound(3, order_invariants(make_order(-23))) == 4
+    assert nonvanishing_lower_bound(3, order_invariants(ZZ)) == 0
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 10, 34, -1, -5, -23, None])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_dichotomy_is_exclusive_and_covering(d, n):
-    order = ZZ if d is None else make_order(d)
-    ok, reasons = vanishing_applies(n, order)
-    bound = nonvanishing_lower_bound(n, order)
+    inv = order_invariants(ZZ if d is None else make_order(d))
+    ok, reasons = vanishing_applies(n, inv)
+    bound = nonvanishing_lower_bound(n, inv)
     # vanishing never coexists with a stated lower bound
     assert not (ok and bound is not None)
     # with enough real and complex places, exactly one side speaks
-    r, s = order.signature
+    r, s = inv.signature
     if r + s >= n:
         assert ok == (bound is None)
     assert ok == (reasons == ())

@@ -13,11 +13,10 @@ from steinberg.quadratic import (
     class_group,
     fundamental_unit,
     from_int,
-    has_norm_minus_one_unit,
     is_squarefree,
     log_embedding,
     make_order,
-    order_descriptor,
+    order_invariants,
     sqrt_element,
 )
 
@@ -43,10 +42,10 @@ def test_fundamental_unit_matches_search(d):
 
 def test_negative_pell_verdicts():
     for d, expected in [(2, True), (5, True), (10, True), (3, False), (34, False)]:
-        assert has_norm_minus_one_unit(make_order(d)) is expected
-    assert has_norm_minus_one_unit(ZZ) is True
-    assert has_norm_minus_one_unit(make_order(-1)) is False
-    assert has_norm_minus_one_unit(make_order(-5)) is False
+        assert order_invariants(make_order(d)).norm_minus_one is expected
+    assert order_invariants(ZZ).norm_minus_one is True
+    assert order_invariants(make_order(-1)).norm_minus_one is False
+    assert order_invariants(make_order(-5)).norm_minus_one is False
 
 
 def test_fundamental_unit_imaginary_raises():
@@ -59,7 +58,7 @@ def test_class_numbers_match_ideal_oracle(d):
     cg = class_group(make_order(d))
     assert cg.h == o.class_number_by_ideals(d)
     if d > 0:
-        expected_narrow = cg.h if has_norm_minus_one_unit(make_order(d)) else 2 * cg.h
+        expected_narrow = cg.h if order_invariants(make_order(d)).norm_minus_one else 2 * cg.h
         assert cg.h_narrow == expected_narrow
     else:
         assert cg.h_narrow == cg.h
@@ -167,13 +166,13 @@ def test_log_embedding_of_large_units(d):
 
 
 def test_order_descriptor_shapes():
-    desc = order_descriptor(make_order(34))
+    desc = order_invariants(make_order(34)).descriptor()
     assert desc["norm_minus_one"] is False
     assert desc["h"] == 2
     assert desc["h_narrow"] == 4
     assert desc["fundamental_unit"] == {"a": 35, "b": 6, "denom": 1, "norm": 1}
     assert desc["signature"] == [2, 0]
-    zdesc = order_descriptor(ZZ)
+    zdesc = order_invariants(ZZ).descriptor()
     assert zdesc["d"] is None and zdesc["h"] == 1 and zdesc["norm_minus_one"] is True
-    imag = order_descriptor(make_order(-23))
+    imag = order_invariants(make_order(-23)).descriptor()
     assert imag["h"] == 3 and imag["fundamental_unit"] is None

@@ -4,7 +4,7 @@ import pytest
 
 import oracles as o
 from steinberg.complexes import chain_complex, tits_building
-from steinberg.quadratic import ZZ, make_order
+from steinberg.quadratic import ZZ, make_order, order_invariants
 from steinberg.stmodule import (
     CharacterTwist,
     DualizingType,
@@ -220,5 +220,5 @@ def test_orientation_character_alternates(n):
     ],
 )
 def test_dualizing_dichotomy(n, order_key, expected):
-    order = ZZ if order_key == "Z" else make_order(order_key)
-    assert dualizing_module_type(n, order) is expected
+    inv = order_invariants(ZZ if order_key == "Z" else make_order(order_key))
+    assert dualizing_module_type(n, inv) is expected

@@ -1,9 +1,13 @@
 """Verdict reports, the worked level-2 pipeline, and the survey cache."""
 
 import json
+import shutil
+import sys
+from pathlib import Path
 
 import pytest
 
+from steinberg import quadratic, verify
 from steinberg.verify import (
     VerdictReport,
     bounds_report,
@@ -44,6 +48,30 @@ def test_bounds_report_twisted_side():
     imag = bounds_report(-23, 2)
     assert imag.verdicts["lower_bound"] == 2
     assert imag.invariants["fundamental_unit"]["value"] is None
+
+
+def _count_calls(monkeypatch, module, names):
+    """Count calls of module.<name>, through every binding in the package."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        inner = getattr(module, name)
+
+        def counted(*args, _name=name, _inner=inner):
+            counts[_name] += 1
+            return _inner(*args)
+
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("steinberg") and getattr(mod, name, None) is inner:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("d,class_groups,max_units", [(34, 1, 2), (-23, 1, 0)])
+def test_bounds_report_computes_each_invariant_once(monkeypatch, d, class_groups, max_units):
+    counts = _count_calls(monkeypatch, quadratic, ["class_group", "fundamental_unit"])
+    bounds_report(d, 3)
+    assert counts["class_group"] == class_groups
+    assert counts["fundamental_unit"] <= max_units
 
 
 def test_every_invariant_is_noted():
@@ -142,3 +170,25 @@ def test_survey_empty_ranges():
 def test_bounds_report_rejects_unit_rank():
     with pytest.raises(ValueError):
         bounds_report(10, 1)
+
+
+FIXTURE = Path(__file__).parent / "data" / "survey_parent.jsonl"
+FIXTURE_D = [2, 3, 5, 10, 34, -1, -5, -23]
+FIXTURE_N = [2, 3, 4]
+
+
+def test_cold_survey_writes_the_fixture_bytes(tmp_path):
+    cache = tmp_path / "cells.jsonl"
+    survey(FIXTURE_D, FIXTURE_N, cache_path=str(cache))
+    assert cache.read_bytes() == FIXTURE.read_bytes()
+
+
+def test_warm_survey_over_the_fixture_computes_nothing(tmp_path, monkeypatch):
+    cache = tmp_path / "cells.jsonl"
+    shutil.copyfile(FIXTURE, cache)
+    counts = _count_calls(monkeypatch, verify, ["bounds_report"])
+    rows = survey(FIXTURE_D, FIXTURE_N, cache_path=str(cache))
+    assert counts["bounds_report"] == 0
+    expected = [json.loads(line) for line in FIXTURE.read_text().splitlines()]
+    assert rows == expected
+    assert cache.read_bytes() == FIXTURE.read_bytes()
