@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 bad input or
 budget exhaustion.  --json switches every command to a single JSON
-document on stdout; global flags may appear before or after the
-subcommand words.
+document on stdout and is the only global flag: it may appear before or
+after the subcommand words.  --budget goes only on the subcommands that
+enumerate simplices, --cache only on survey.
 """
 
 from __future__ import annotations
@@ -30,21 +31,22 @@ from .verify import bounds_report, survey, verify_example_1_2
 _FLOAT_NOTE = "50 significant digits internally; printed at double precision"
 
 
-def _add_common(parser, root):
-    default = argparse.SUPPRESS if not root else None
+def _add_json(parser, root):
+    # The root parser sets the default; a subparser's copy only overrides
+    # it when given, so --json works on either side of the subcommand.
     parser.add_argument(
         "--json",
         action="store_true",
-        **({"default": False} if root else {"default": argparse.SUPPRESS}),
+        default=False if root else argparse.SUPPRESS,
         help="emit one JSON document instead of text",
     )
-    parser.add_argument(
-        "--cache", default=default, help="JSON-lines cache file for survey cells"
-    )
+
+
+def _add_budget(parser):
     parser.add_argument(
         "--budget",
         type=int,
-        default=None if root else argparse.SUPPRESS,
+        default=DEFAULT_SIMPLEX_BUDGET,
         help=f"simplex budget (default {DEFAULT_SIMPLEX_BUDGET})",
     )
 
@@ -54,14 +56,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="steinberg",
         description="Exact invariants of buildings, Steinberg spaces, and quadratic orders",
     )
-    _add_common(parser, root=True)
+    _add_json(parser, root=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     ring = sub.add_parser("ring", help="quadratic order invariants")
     ring_sub = ring.add_subparsers(dest="subcommand", required=True)
     ring_info = ring_sub.add_parser("info", help="units, class numbers, embeddings")
     ring_info.add_argument("--d", type=int, required=True)
-    _add_common(ring_info, root=False)
+    _add_json(ring_info, root=False)
     ring_info.set_defaults(run=_cmd_ring_info)
 
     building = sub.add_parser("building", help="finite building computations")
@@ -69,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     homology = building_sub.add_parser("homology", help="reduced homology ranks")
     homology.add_argument("--n", type=int, required=True)
     homology.add_argument("--q", type=int, required=True)
-    _add_common(homology, root=False)
+    _add_json(homology, root=False)
+    _add_budget(homology)
     homology.set_defaults(run=_cmd_building_homology)
 
     st = sub.add_parser("steinberg", help="Steinberg space computations")
@@ -77,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     apartments = st_sub.add_parser("apartments", help="span rank of apartment classes")
     apartments.add_argument("--n", type=int, required=True)
     apartments.add_argument("--q", type=int, required=True)
-    _add_common(apartments, root=False)
+    _add_json(apartments, root=False)
+    _add_budget(apartments)
     apartments.set_defaults(run=_cmd_apartments)
     coinv = st_sub.add_parser("coinv", help="coinvariant dimension under a group")
     coinv.add_argument("--n", type=int, required=True)
@@ -88,19 +92,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="gl | sl | trivial | json:<list of matrices>",
     )
     coinv.add_argument("--twist", default=None, help="json list of +1/-1 per generator")
-    _add_common(coinv, root=False)
+    _add_json(coinv, root=False)
+    _add_budget(coinv)
     coinv.set_defaults(run=_cmd_coinv)
 
     bounds = sub.add_parser("bounds", help="formulas, criteria, and duality verdicts")
     bounds.add_argument("--d", type=int, required=True)
     bounds.add_argument("--n", type=int, required=True)
-    _add_common(bounds, root=False)
+    _add_json(bounds, root=False)
     bounds.set_defaults(run=_cmd_bounds)
 
     verify = sub.add_parser("verify", help="end-to-end verification pipelines")
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
     example = verify_sub.add_parser("example-1-2", help="level-2 rank-2 pipeline")
-    _add_common(example, root=False)
+    _add_json(example, root=False)
+    _add_budget(example)
     example.set_defaults(run=_cmd_example)
 
     flags = sub.add_parser("flags", help="integer flag and truncation probes")
@@ -109,20 +115,18 @@ def build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--n", type=int, required=True)
     probe.add_argument("--m", type=int, required=True)
     probe.add_argument("--height", type=int, required=True)
-    _add_common(probe, root=False)
+    _add_json(probe, root=False)
+    _add_budget(probe)
     probe.set_defaults(run=_cmd_probe)
 
     surv = sub.add_parser("survey", help="verdict table over (d, n) grids")
     surv.add_argument("--d", required=True, help="comma list and/or a..b ranges")
     surv.add_argument("--n", required=True, help="comma list and/or a..b ranges")
-    _add_common(surv, root=False)
+    surv.add_argument("--cache", default=None, help="JSON-lines cache file for survey cells")
+    _add_json(surv, root=False)
     surv.set_defaults(run=_cmd_survey)
 
     return parser
-
-
-def _budget(args) -> int:
-    return args.budget if args.budget is not None else DEFAULT_SIMPLEX_BUDGET
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -157,7 +161,7 @@ def _cmd_ring_info(args) -> int:
 
 
 def _cmd_building_homology(args) -> int:
-    X = tits_building(args.n, args.q, budget=_budget(args))
+    X = tits_building(args.n, args.q, budget=args.budget)
     ranks = reduced_homology_ranks(X)
     top = args.n - 2
     expected = args.q ** (args.n * (args.n - 1) // 2)
@@ -184,7 +188,7 @@ def _cmd_building_homology(args) -> int:
 
 
 def _cmd_apartments(args) -> int:
-    module = steinberg_module(args.n, args.q, budget=_budget(args))
+    module = steinberg_module(args.n, args.q, budget=args.budget)
     span = apartment_span_rank(module)
     ok = span == module.dim
     payload = {
@@ -233,7 +237,7 @@ def _cmd_coinv(args) -> int:
         gens = trivial_generators(args.n)
     else:
         gens = _parse_matrices(args.group)
-    module = steinberg_module(args.n, args.q, budget=_budget(args))
+    module = steinberg_module(args.n, args.q, budget=args.budget)
     action = module.action(gens)
     twist = None if args.twist is None else _parse_twist(args.twist)
     dim = coinvariants_dim(action, twist)
@@ -272,7 +276,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    report = verify_example_1_2(budget=_budget(args))
+    report = verify_example_1_2(budget=args.budget)
     payload = report.to_dict()
     lines = [f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in report.verdicts.items()]
     if report.failures:
@@ -282,7 +286,7 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    payload = probe_report(args.n, args.m, args.height, budget=_budget(args))
+    payload = probe_report(args.n, args.m, args.height, budget=args.budget)
     lines = [
         f"n = {payload['n']}, m = {payload['m']}, H = {payload['H']}",
         f"reduced ranks in degrees 0..{max(args.n - 2, 0)}: {payload['ranks']}",

@@ -125,13 +125,15 @@ def lines_complex_fq(n, q, budget=DEFAULT_SIMPLEX_BUDGET) -> SemisimplicialSet:
 
     A (k-1)-simplex is an ordered k-tuple of distinct lines whose
     generators are linearly independent; over a field this is exactly
-    extendability to a full direct-sum line decomposition.
+    extendability to a full direct-sum line decomposition.  Raises
+    BudgetExceededError as soon as the running simplex count, vertices
+    included, passes budget.
     """
     field = ff.finite_field(q)
     labels = ff.all_subspaces(field, n, 1)
     gens = [list(k[0]) for k in labels]
     cells = [[(i,) for i in range(len(labels))]]
-    total = len(labels)
+    total = _within_budget(len(labels), budget, "line complex")
     for size in range(2, n + 1):
         nxt = []
         for simplex in cells[-1]:
@@ -141,15 +143,18 @@ def lines_complex_fq(n, q, budget=DEFAULT_SIMPLEX_BUDGET) -> SemisimplicialSet:
                 cand = simplex + (j,)
                 if ff.matrix_rank(field, [gens[i] for i in cand]) == size:
                     nxt.append(cand)
-                    total += 1
-                    if total > budget:
-                        raise BudgetExceededError(
-                            f"line complex exceeds budget {budget}"
-                        )
+                    total = _within_budget(total + 1, budget, "line complex")
         if not nxt:
             break
         cells.append(nxt)
-    return SemisimplicialSet(labels, cells, budget=budget)
+    return SemisimplicialSet(labels, cells)
+
+
+def _within_budget(total, budget, what) -> int:
+    """The running simplex count, raising BudgetExceededError past budget."""
+    if total > budget:
+        raise BudgetExceededError(f"{what} exceeds budget {budget}")
+    return total
 
 
 def _last_mod(vec, m) -> int:
@@ -225,18 +230,27 @@ def completion_witness(vectors, n, m, unique=True):
             w1 = [y * a + b for a, b in zip(comp[0], comp[1])]
             w2 = [a - g * b for a, b in zip(comp[0], w1)]
             witness = [w1, w2] + comp[2:]
-    full = rows + witness
-    if not (len(full) == n and is_saturated(full)):
-        raise AssertionError("constructed completion is not unimodular")
-    wl = [_last_mod(w, m) for w in witness]
-    if any(c not in (0, 1) for c in wl):
-        raise AssertionError("completion violates the mod-m rule")
-    ones = t + sum(1 for c in wl if c == 1)
-    if unique and ones != 1:
-        raise AssertionError("completion does not isolate one 1-vertex")
-    if not unique and ones < 1:
-        raise AssertionError("completion lost every 1-vertex")
+    _check_certificate(rows + witness, n, m, unique)
     return tuple(tuple(w) for w in witness)
+
+
+def _check_certificate(full, n, m, unique=True):
+    """Raise AssertionError unless full is a basis of Z^n obeying the mod-m rules.
+
+    The four conditions: n rows, saturated (so a basis), every last
+    coordinate 0 or 1 mod m, and exactly one (unique=True) or at least one
+    (unique=False) last coordinate 1 mod m.
+    """
+    if len(full) != n:
+        raise AssertionError("certificate has wrong size")
+    if not is_saturated(full):
+        raise AssertionError("certificate is not unimodular")
+    lasts = [_last_mod(r, m) for r in full]
+    if any(c not in (0, 1) for c in lasts):
+        raise AssertionError("certificate violates the mod-m rule")
+    ones = lasts.count(1)
+    if (ones != 1) if unique else (ones < 1):
+        raise AssertionError("certificate has the wrong number of 1-vertices")
 
 
 @dataclass(frozen=True)
@@ -245,9 +259,11 @@ class TruncatedBComplex:
 
     complex: semisimplicial set of ordered vertex tuples; witnesses maps
     (dim, simplex index) to completion rows certifying extendability
-    (completions ignore the height bound).  witness_failures counts
-    candidates whose certification could not be decided; the constructive
-    decision procedure never leaves any, so it is always 0.
+    (completions ignore the height bound).  completion_witness checked
+    each witness when it made it; verify_witnesses checks them all again
+    on demand.  witness_failures counts candidates whose certification
+    could not be decided; the constructive decision procedure never leaves
+    any, so it is always 0.
     """
 
     n: int
@@ -286,7 +302,7 @@ class TruncatedBComplex:
                 break
             cells.append(sub)
         labels = [X.labels[i] for i in keep]
-        sub_x = SemisimplicialSet(labels, cells, budget=None)
+        sub_x = SemisimplicialSet(labels, cells)
         return TruncatedBComplex(self.n, self.m, height, sub_x, witnesses)
 
     def verify_witnesses(self):
@@ -294,18 +310,9 @@ class TruncatedBComplex:
         X = self.complex
         for k, cell in enumerate(X.cells):
             for s, simplex in enumerate(cell):
-                vecs = [list(X.labels[i]) for i in simplex]
-                wit = self.witnesses[(k, s)]
-                full = vecs + [list(w) for w in wit]
-                if len(full) != self.n:
-                    raise AssertionError("witness has wrong size")
-                if not is_saturated(full):
-                    raise AssertionError("witness fails unimodularity")
-                lasts = [_last_mod(r, self.m) for r in full]
-                if any(c not in (0, 1) for c in lasts):
-                    raise AssertionError("witness violates mod-m rule")
-                if sum(1 for c in lasts if c == 1) != 1:
-                    raise AssertionError("witness does not have exactly one 1")
+                full = [list(X.labels[i]) for i in simplex]
+                full.extend(list(w) for w in self.witnesses[(k, s)])
+                _check_certificate(full, self.n, self.m)
         return True
 
 
@@ -315,7 +322,10 @@ def b_complex_truncated(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET) -> Truncate
     Vertices are primitive vectors with last coordinate 0 or 1 mod m,
     kept only when they certify as 0-simplices.  Higher simplices are
     ordered tuples of distinct vertices; every ordering of a certified
-    set appears.  Raises ValueError for height < 1 or m < 2.
+    set appears.  Each witness is checked once, by completion_witness as it
+    is made.  Raises ValueError for height < 1 or m < 2, and
+    BudgetExceededError as soon as the running simplex count, vertices
+    included, passes budget.
     """
     if n < 1:
         raise ValueError("rank must be positive")
@@ -338,7 +348,7 @@ def b_complex_truncated(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET) -> Truncate
         witnesses[(0, len(labels))] = wit
         labels.append(tuple(vec))
     cells = [[(i,) for i in range(len(labels))]]
-    total = len(labels)
+    total = _within_budget(len(labels), budget, "B complex")
     for size in range(2, n + 1):
         nxt = []
         for simplex in cells[-1]:
@@ -355,16 +365,11 @@ def b_complex_truncated(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET) -> Truncate
                     continue
                 witnesses[(size - 1, len(nxt))] = wit
                 nxt.append(simplex + (j,))
-                total += 1
-                if total > budget:
-                    raise BudgetExceededError(f"B complex exceeds budget {budget}")
+                total = _within_budget(total + 1, budget, "B complex")
         if not nxt:
             break
         cells.append(nxt)
-    X = SemisimplicialSet(labels, cells, budget=budget)
-    bx = TruncatedBComplex(n, m, height, X, witnesses)
-    bx.verify_witnesses()
-    return bx
+    return TruncatedBComplex(n, m, height, SemisimplicialSet(labels, cells), witnesses)
 
 
 def connectivity_probe(X: SemisimplicialSet, k_max):

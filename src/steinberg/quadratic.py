@@ -10,12 +10,13 @@ The fundamental unit comes from the continued fraction of sqrt(d)
 scanned and the first element p_k - q_k * conj(omega) of norm +-1 is the
 fundamental unit; the negative-Pell verdict is its norm sign.  Class
 numbers come from reduced binary quadratic forms of the field discriminant
-(counted directly for D < 0; counted as reduction cycles for D > 0, then
-converted from narrow to wide using the unit norm).
+(counted directly for D < 0; counted as reduction cycles for D > 0, which
+give the narrow class number).
 
 order_invariants bundles what the verdicts read (unit, norm -1 verdict,
 h, h_narrow) into one OrderInvariants record per order, built from one
-unit and one class group computation and passed to every verdict.
+unit and one class group computation and passed to every verdict; it
+converts h_narrow to h with the unit norm.
 
 The d-absent integer specialization (the ring Z, signature (1,0)) is
 provided for the rational case; its norm is the identity, so -1 is a unit
@@ -31,6 +32,7 @@ from math import gcd, isqrt
 from mpmath import mp, mpf, log as _mplog
 
 from .linalg import ExactMatrix, determinant
+from .linalg.lattices import integer_determinant
 
 CF_STEP_CAP = 10**6
 
@@ -94,6 +96,9 @@ class RingElement:
     __radd__ = __add__
     __rmul__ = __mul__
 
+    def __bool__(self):
+        return bool(self.a or self.b)
+
     def _coerce(self, other):
         if isinstance(other, RingElement):
             if other.d != self.d:
@@ -143,6 +148,8 @@ class RingElement:
         if q * other != self:
             raise ValueError("not divisible in the order")
         return q
+
+    __floordiv__ = divexact
 
     def __pow__(self, k: int):
         if k < 0:
@@ -345,30 +352,27 @@ def _rho(form, D, s):
 
 @dataclass(frozen=True)
 class ClassGroupData:
-    """Wide and narrow class numbers with reduced form representatives."""
+    """Narrow class number with reduced form representatives."""
 
     d: int
     discriminant: int
-    h: int
     h_narrow: int
     representatives: tuple
 
 
 def class_group(order: QuadraticOrder) -> ClassGroupData:
-    """Class numbers from reduced binary quadratic forms of discriminant D.
+    """Narrow class number from reduced binary quadratic forms of discriminant D.
 
     D < 0: reduced primitive positive definite forms biject with the class
-    group; the narrow and wide class numbers agree.  D > 0: cycles of
+    group, and the narrow and wide class numbers agree.  D > 0: cycles of
     reduced indefinite forms under the reduction step biject with the
-    narrow class group; the wide count divides by 2 exactly when the
-    fundamental unit has norm +1.
+    narrow class group; order_invariants halves it when the fundamental
+    unit has norm +1.
     """
     D = order.discriminant
     if D < 0:
         forms = _reduced_definite_forms(D)
-        reps = tuple(forms)
-        h = len(forms)
-        return ClassGroupData(order.d, D, h, h, reps)
+        return ClassGroupData(order.d, D, len(forms), tuple(forms))
     s = isqrt(D)
     forms = _reduced_indefinite_forms(D)
     form_set = set(forms)
@@ -386,14 +390,7 @@ def class_group(order: QuadraticOrder) -> ClassGroupData:
             if g not in form_set:
                 raise AssertionError(f"reduction left the reduced set: {g}")
         reps.append(min(cycle))
-    h_narrow = len(reps)
-    if fundamental_unit(order).norm() == -1:
-        h = h_narrow
-    else:
-        if h_narrow % 2:
-            raise AssertionError("narrow class number must be even here")
-        h = h_narrow // 2
-    return ClassGroupData(order.d, D, h, h_narrow, tuple(sorted(reps)))
+    return ClassGroupData(order.d, D, len(reps), tuple(sorted(reps)))
 
 
 @dataclass(frozen=True)
@@ -431,15 +428,22 @@ def order_invariants(order) -> OrderInvariants:
     """The order's invariants from one unit and one class group computation.
 
     Z has h = 1 and the unit -1 of norm -1, but no fundamental unit.
-    Imaginary orders have only roots of unity, all of norm +1.
+    Imaginary orders have only roots of unity, all of norm +1, and h equals
+    h_narrow.  A real order has h = h_narrow when its fundamental unit has
+    norm -1 and h = h_narrow / 2 otherwise.
     """
     if isinstance(order, RationalIntegers):
         return OrderInvariants(None, 1, order.signature, None, True, 1, 1)
     unit = fundamental_unit(order) if order.d > 0 else None
-    cg = class_group(order)
+    h_narrow = class_group(order).h_narrow
     minus = unit is not None and unit.norm() == -1
+    h = h_narrow
+    if unit is not None and not minus:
+        if h_narrow % 2:
+            raise AssertionError("narrow class number must be even here")
+        h = h_narrow // 2
     return OrderInvariants(
-        order.d, order.discriminant, order.signature, unit, minus, cg.h, cg.h_narrow
+        order.d, order.discriminant, order.signature, unit, minus, h, h_narrow
     )
 
 
@@ -476,37 +480,14 @@ def chi(order, matrix) -> int:
             else:
                 conv.append(from_int(d, int(x)))
         rows.append(conv)
-    det = _ring_determinant(order, rows)
+    det = integer_determinant(rows)
+    if isinstance(det, int):
+        # the empty matrix, or a zero determinant found by pivot search
+        det = from_int(d, det)
     nrm = det.norm()
     if abs(nrm) != 1:
         raise ValueError("determinant is not a unit of the order")
     return 1 if nrm == 1 else -1
-
-
-def _ring_determinant(order, rows):
-    """Fraction-free (Bareiss) determinant over the order."""
-    n = len(rows)
-    if n == 0:
-        return from_int(order.d, 1)
-    m = [list(r) for r in rows]
-    zero = from_int(order.d, 0)
-    sign = 1
-    prev = from_int(order.d, 1)
-    for k in range(n - 1):
-        if m[k][k] == zero:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != zero), None)
-            if swap is None:
-                return zero
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.divexact(prev)
-            m[i][k] = zero
-        prev = m[k][k]
-    out = m[n - 1][n - 1]
-    return out if sign == 1 else -out
 
 
 def log_embedding(order: QuadraticOrder, u: RingElement):

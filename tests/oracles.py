@@ -8,8 +8,9 @@ numbers via Minkowski-bounded ideal enumeration (continued-fraction
 cycle tags for real orders, bounded principality searches for imaginary
 ones).  The one exception is dense_action_matrices, which takes the
 permutation of top simplices from the package's group_action (that
-permutation is checked against the face maps there) and does everything
-else densely here; and probe_report_per_height, which rebuilds the
+permutation commutes with the face maps by construction, and
+test_complexes checks it against the boundary matrices) and does
+everything else densely here; and probe_report_per_height, which rebuilds the
 package's truncated B complex at every height, as probe_report once did,
 to check the single build against.  unimodular_matrices is a Hypothesis
 strategy of matrices with determinant +-1 by construction.
@@ -19,6 +20,8 @@ here only to check that the indexed kernel returns exactly its output.
 kernel_basis_reference is the package's kernel basis as it was before it
 returned sparse supports: dense Fraction vectors read off the reduced row
 echelon form, which is rebuilt in Fractions from echelon_reference.
+ring_determinant_reference is the package's Bareiss determinant over a
+quadratic order as it was before chi shared lattices.integer_determinant.
 """
 
 from __future__ import annotations
@@ -661,3 +664,31 @@ def kernel_basis_reference(matrix):
                 vec[c] = -coeff
         basis.append(tuple(vec))
     return tuple(basis)
+
+
+def ring_determinant_reference(order, rows):
+    """Fraction-free (Bareiss) determinant over the order."""
+    from steinberg.quadratic import from_int
+
+    n = len(rows)
+    if n == 0:
+        return from_int(order.d, 1)
+    m = [list(r) for r in rows]
+    zero = from_int(order.d, 0)
+    sign = 1
+    prev = from_int(order.d, 1)
+    for k in range(n - 1):
+        if m[k][k] == zero:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != zero), None)
+            if swap is None:
+                return zero
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j] = num.divexact(prev)
+            m[i][k] = zero
+        prev = m[k][k]
+    out = m[n - 1][n - 1]
+    return out if sign == 1 else -out

@@ -255,3 +255,36 @@ def test_survey_rejects_reversed_n_range(capsys):
 def test_missing_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--d", "5", "--n", "2", "--budget", "3", "--cache", "x"],
+        ["bounds", "--d", "5", "--n", "2", "--budget", "3"],
+        ["ring", "info", "--d", "5", "--cache", "x"],
+        ["--budget", "5", "building", "homology", "--n", "2", "--q", "2"],
+        ["--cache", "x", "survey", "--d", "2", "--n", "2"],
+    ],
+)
+def test_flags_only_where_read(capsys, argv):
+    # --budget and --cache are usage errors wherever nothing reads them
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "steinberg: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["building", "homology", "--n", "3", "--q", "2"],
+        ["steinberg", "apartments", "--n", "3", "--q", "2"],
+        ["steinberg", "coinv", "--n", "3", "--q", "2", "--group", "gl"],
+        ["verify", "example-1-2"],
+        ["flags", "probe", "--n", "2", "--m", "2", "--height", "3"],
+    ],
+)
+def test_budget_is_read_where_accepted(capsys, argv):
+    assert main(argv + ["--budget", "2"]) == 2
+    assert capsys.readouterr().err.startswith("budget error:")

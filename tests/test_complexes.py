@@ -18,7 +18,9 @@ from steinberg.complexes import (
     tits_building,
 )
 from steinberg.errors import BudgetExceededError
+from steinberg.flags import b_complex_truncated
 from steinberg.linalg import ExactMatrix
+from steinberg.stmodule import gl_generators
 
 
 def interval():
@@ -35,12 +37,22 @@ def test_constructor_rejects_bad_input():
     with pytest.raises(ValueError):
         # edge (0, 1) has no vertex 1 in the 0-cells
         SemisimplicialSet(["a", "b"], [[(0,)], [(0, 1)]])
-    with pytest.raises(BudgetExceededError):
-        SemisimplicialSet(
-            ["a", "b", "c"],
-            [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]],
-            budget=4,
-        )
+
+
+def assert_face_identities(X):
+    """d_i d_j = d_{j-1} d_i for i < j on every simplex, read from X.faces.
+
+    Returns the number of identities checked (0 below dimension 2).
+    """
+    checked = 0
+    for k in range(2, len(X.cells)):
+        lower = X.faces[k - 1]
+        for row in X.faces[k]:
+            for j in range(1, k + 1):
+                for i in range(j):
+                    assert lower[row[j]][i] == lower[row[i]][j - 1]
+                    checked += 1
+    return checked
 
 
 def test_interval_chain_complex():
@@ -96,6 +108,7 @@ def test_reduced_homology_matches_dense_oracle(drawn):
         for k in range(max(len(c) for c in cells))
     ]
     X = SemisimplicialSet(range(nv), by_dim)
+    assert_face_identities(X)
     # Dense reduced boundaries, built straight from the tuples: the
     # augmentation row, then the alternating face sums.
     bnd = [[[1] * len(by_dim[0])]]
@@ -132,6 +145,14 @@ def test_building_cell_counts(n, q, counts):
         for dims in itertools.combinations(range(1, n), k + 1):
             total += o.flag_count(n, q, dims)
         assert got[k] == total
+
+
+def test_face_identities_in_building_and_b_complex():
+    assert assert_face_identities(tits_building(3, 3)) == 0
+    assert assert_face_identities(b_complex_truncated(2, 2, 3).complex) == 0
+    # the 2-dimensional ones, where the identities say something
+    assert assert_face_identities(tits_building(4, 2)) == 3 * 315
+    assert assert_face_identities(b_complex_truncated(3, 2, 1).complex) == 3 * 2160
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -242,3 +263,17 @@ def test_action_commutes_with_faces_in_building():
         left = matmul(d, permutation_matrix(act.perms[0][k]))
         right = matmul(permutation_matrix(act.perms[0][k - 1]), d)
         assert left == right
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (4, 2)])
+def test_action_permutes_levels_and_commutes_with_faces(n, q):
+    # what group_action no longer re-checks at run time
+    X = tits_building(n, q)
+    act = group_action(X, q, gl_generators(n, q))
+    for levels in act.perms:
+        for k, perm in enumerate(levels):
+            assert sorted(perm) == list(range(X.n_cells(k)))
+            if k:
+                for s, row in enumerate(X.faces[k]):
+                    image_faces = X.faces[k][perm[s]]
+                    assert [levels[k - 1][f] for f in row] == list(image_faces)

@@ -80,6 +80,24 @@ def test_lines_complex_budget():
         lines_complex_fq(3, 3, budget=100)
 
 
+def test_builders_count_vertices_against_budget():
+    # vertices only: the single line of F_2^1, and the two vertices +-1 of Z^1
+    with pytest.raises(BudgetExceededError):
+        lines_complex_fq(1, 2, budget=0)
+    assert lines_complex_fq(1, 2, budget=1).total_cells() == 1
+    with pytest.raises(BudgetExceededError):
+        b_complex_truncated(1, 2, 3, budget=1)
+    assert b_complex_truncated(1, 2, 3, budget=2).complex.total_cells() == 2
+    # below the vertex count, and exactly at the total, of a 1-dimensional build
+    X = b_complex_truncated(2, 2, 2).complex
+    with pytest.raises(BudgetExceededError):
+        b_complex_truncated(2, 2, 2, budget=X.n_cells(0) - 1)
+    total = X.total_cells()
+    assert b_complex_truncated(2, 2, 2, budget=total).complex.total_cells() == total
+    with pytest.raises(BudgetExceededError):
+        b_complex_truncated(2, 2, 2, budget=total - 1)
+
+
 def test_completion_witness_decisions():
     # not a vertex: completion of (2, 0) forces 2x = +-1 mod 5
     assert completion_witness([(2, 0)], 2, 5) is None

@@ -1,6 +1,7 @@
 """Quadratic orders: units, class numbers, characters, embeddings."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from steinberg.quadratic import (
     order_invariants,
     sqrt_element,
 )
+from steinberg.linalg.lattices import integer_determinant
 
 SQUAREFREE_REAL = [d for d in range(2, 62) if is_squarefree(d)]
 SQUAREFREE_IMAG = [-d for d in range(1, 62) if is_squarefree(d)]
@@ -55,13 +57,14 @@ def test_fundamental_unit_imaginary_raises():
 
 @pytest.mark.parametrize("d", SQUAREFREE_REAL + SQUAREFREE_IMAG)
 def test_class_numbers_match_ideal_oracle(d):
-    cg = class_group(make_order(d))
-    assert cg.h == o.class_number_by_ideals(d)
+    inv = order_invariants(make_order(d))
+    assert inv.h == o.class_number_by_ideals(d)
+    assert class_group(make_order(d)).h_narrow == inv.h_narrow
     if d > 0:
-        expected_narrow = cg.h if order_invariants(make_order(d)).norm_minus_one else 2 * cg.h
-        assert cg.h_narrow == expected_narrow
+        expected_narrow = inv.h if inv.norm_minus_one else 2 * inv.h
+        assert inv.h_narrow == expected_narrow
     else:
-        assert cg.h_narrow == cg.h
+        assert inv.h_narrow == inv.h
 
 
 @given(
@@ -119,8 +122,43 @@ def test_chi_over_real_order_sees_unit_norm():
     zero = order.integer(0)
     assert chi(order, [[u, zero], [zero, one]]) == -1
     assert chi(order, [[u * u, zero], [zero, one]]) == 1
+    assert chi(order, []) == 1
     with pytest.raises(ValueError):
         chi(order, [[order.integer(2), zero], [zero, one]])
+
+
+def _random_element(rng, d):
+    # zero a third of the time, so pivot searches and swaps are exercised
+    if rng.random() < 1 / 3:
+        return from_int(d, 0)
+    a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+    if d % 4 == 1 and (a - b) % 2:
+        a += 1
+    return RingElement(d, a, b)
+
+
+@pytest.mark.parametrize("d", [5, -23, 2, 13, -1, 10, 34])
+def test_shared_bareiss_matches_reference_loop_over_order(d):
+    rng = random.Random(d)
+    order = make_order(d)
+    for n in range(5):
+        for _ in range(40):
+            rows = [[_random_element(rng, d) for _ in range(n)] for _ in range(n)]
+            det = integer_determinant(rows)
+            if isinstance(det, int):
+                det = from_int(d, det)
+            assert det == o.ring_determinant_reference(order, rows), (n, rows)
+
+
+def test_ring_element_truth_and_floor_division():
+    order = make_order(5)
+    assert not order.integer(0)
+    assert order.element(1, 1) and order.element(0, 2)
+    x, y = order.element(1, 1), order.element(3, -1)
+    assert (x * y) // y == x
+    assert (x * y) // 1 == x * y
+    with pytest.raises(ValueError):
+        order.integer(1) // order.integer(2)
 
 
 def test_log_embedding_unit_coordinates_sum_to_zero():

@@ -66,12 +66,12 @@ def _count_calls(monkeypatch, module, names):
     return counts
 
 
-@pytest.mark.parametrize("d,class_groups,max_units", [(34, 1, 2), (-23, 1, 0)])
-def test_bounds_report_computes_each_invariant_once(monkeypatch, d, class_groups, max_units):
+@pytest.mark.parametrize("d,class_groups,units", [(34, 1, 1), (-23, 1, 0)])
+def test_bounds_report_computes_each_invariant_once(monkeypatch, d, class_groups, units):
     counts = _count_calls(monkeypatch, quadratic, ["class_group", "fundamental_unit"])
     bounds_report(d, 3)
     assert counts["class_group"] == class_groups
-    assert counts["fundamental_unit"] <= max_units
+    assert counts["fundamental_unit"] == units
 
 
 def test_every_invariant_is_noted():
