@@ -16,6 +16,7 @@ ordered by increasing dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import fields as ff
 from .errors import DEFAULT_SIMPLEX_BUDGET, BudgetExceededError
@@ -155,23 +156,37 @@ def tits_building(n: int, q: int, budget=DEFAULT_SIMPLEX_BUDGET) -> Semisimplici
     enumeration order; k-simplices are flags of k+1 nested subspaces listed
     by increasing dimension.  For n=2 the building is the discrete set of
     the q+1 lines.
+
+    Containment is a test on point sets.  Each nonzero vector of F_q^n is
+    indexed by its line, the position of its RREF key among the
+    dimension-1 labels; each subspace gets the bitmask of the lines its
+    nonzero vectors lie on, listed once from its RREF rows.  Then V is in W
+    iff mask(V) & ~mask(W) == 0.
     """
     if n < 2:
         raise ValueError("building needs n >= 2")
     field = ff.finite_field(q)
     _check_building_budget(n, q, budget)
     labels = []
+    starts = []
     for d in range(1, n):
+        starts.append(len(labels))
         labels.extend(ff.all_subspaces(field, n, d))
     nv = len(labels)
-    # Successor lists: all strictly larger subspaces containing V_i.
-    succ = [[] for _ in range(nv)]
-    for i, ki in enumerate(labels):
-        for j, kj in enumerate(labels):
-            if len(kj) > len(ki):
-                stacked = ff.rref(field, list(kj) + list(ki))
-                if len(stacked) == len(kj):
-                    succ[i].append(j)
+    starts.append(nv)
+    line_index = {key: i for i, key in enumerate(labels[: starts[1]])}
+    point = {
+        v: line_index[ff.rref(field, [v])]
+        for v in product(field.elements(), repeat=n)
+        if any(v)
+    }
+    masks = [_point_mask(field, key, point) for key in labels]
+    # Successor lists: all strictly larger subspaces containing V_i, in
+    # label order.  Labels of one dimension are never nested.
+    succ = []
+    for i, key in enumerate(labels):
+        inside = masks[i]
+        succ.append([j for j in range(starts[len(key)], nv) if not inside & ~masks[j]])
     cells = [[(i,) for i in range(nv)]]
     while True:
         prev = cells[-1]
@@ -183,6 +198,18 @@ def tits_building(n: int, q: int, budget=DEFAULT_SIMPLEX_BUDGET) -> Semisimplici
             break
         cells.append(nxt)
     return SemisimplicialSet(labels, cells)
+
+
+def _point_mask(field, key, point) -> int:
+    """OR of 1 << point[v] over the nonzero F_q-combinations v of key's rows."""
+    span = [(0,) * len(key[0])]
+    for row in key:
+        multiples = [tuple(field.mul(c, x) for x in row) for c in range(1, field.q)]
+        span += [tuple(map(field.add, u, m)) for u in span for m in multiples]
+    mask = 0
+    for v in span[1:]:
+        mask |= 1 << point[v]
+    return mask
 
 
 def _gaussian_binomial(n, k, q) -> int:

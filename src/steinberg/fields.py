@@ -7,7 +7,11 @@ subtraction and multiplication are explicit q x q tables built from that
 digit arithmetic, the same path for prime and prime-power q <= 9.
 
 Subspaces of F_q^n are canonicalized by reduced row echelon form: the RREF
-basis of a subspace is unique, so equal subspaces get equal keys.
+basis of a subspace is unique, so equal subspaces get equal keys.  A line's
+key rref(field, [v]) names the line through any nonzero v, so it indexes
+the points of the projective space.  Containment between subspaces is a
+test on point sets (complexes.tits_building): V is in W iff every line of
+V is a line of W, with no elimination on the stacked keys.
 """
 
 from __future__ import annotations
@@ -124,10 +128,6 @@ def finite_field(q: int) -> FiniteField:
     return _FIELD_CACHE[q]
 
 
-def vec_scale(field, c, v):
-    return tuple(field.mul(c, a) for a in v)
-
-
 def mat_vec(field, m, v):
     out = []
     for row in m:
@@ -137,19 +137,6 @@ def mat_vec(field, m, v):
                 acc = field.add(acc, field.mul(a, b))
         out.append(acc)
     return tuple(out)
-
-
-def mat_mul(field, a, b):
-    bt = list(zip(*b))
-    return tuple(tuple(_dot(field, row, col) for col in bt) for row in a)
-
-
-def _dot(field, u, v):
-    acc = 0
-    for x, y in zip(u, v):
-        if x and y:
-            acc = field.add(acc, field.mul(x, y))
-    return acc
 
 
 def rref(field, rows):
@@ -195,12 +182,6 @@ def matrix_rank(field, rows) -> int:
 def is_invertible(field, m) -> bool:
     n = len(m)
     return all(len(row) == n for row in m) and matrix_rank(field, m) == n
-
-
-def subspace_contains(field, key, vector) -> bool:
-    """Membership test against an RREF key."""
-    stacked = rref(field, list(key) + [list(vector)])
-    return len(stacked) == len(key)
 
 
 def all_subspaces(field, n, dim):

@@ -160,8 +160,6 @@ def apartment_class(module: SteinbergModule, frame_lines):
     if ff.matrix_rank(field, gens) != n:
         raise ValueError("frame lines are not independent")
     X = module.building
-    #
-
     # Vertex index for the span of each nonempty proper index subset.
     subset_vertex = {}
     for size in range(1, n):

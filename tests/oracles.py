@@ -22,6 +22,9 @@ returned sparse supports: dense Fraction vectors read off the reduced row
 echelon form, which is rebuilt in Fractions from echelon_reference.
 ring_determinant_reference is the package's Bareiss determinant over a
 quadratic order as it was before chi shared lattices.integer_determinant.
+tits_building_reference is the package's Tits building as it was before
+containment became a point-bitmask test (pairwise RREF stacking), kept to
+check that the new build lists the same labels, cells and faces.
 """
 
 from __future__ import annotations
@@ -692,3 +695,39 @@ def ring_determinant_reference(order, rows):
         prev = m[k][k]
     out = m[n - 1][n - 1]
     return out if sign == 1 else -out
+
+
+def tits_building_reference(n, q):
+    """The package's Tits building as built before point-set containment.
+
+    Same labels and cell order as complexes.tits_building, with "V_i in
+    V_j" decided by stacking the two RREF keys and checking that the rank
+    stays dim V_j: one fields.rref call per pair of labels.
+    """
+    from steinberg import fields as ff
+    from steinberg.complexes import SemisimplicialSet
+
+    field = ff.finite_field(q)
+    labels = []
+    for d in range(1, n):
+        labels.extend(ff.all_subspaces(field, n, d))
+    nv = len(labels)
+    # Successor lists: all strictly larger subspaces containing V_i.
+    succ = [[] for _ in range(nv)]
+    for i, ki in enumerate(labels):
+        for j, kj in enumerate(labels):
+            if len(kj) > len(ki):
+                stacked = ff.rref(field, list(kj) + list(ki))
+                if len(stacked) == len(kj):
+                    succ[i].append(j)
+    cells = [[(i,) for i in range(nv)]]
+    while True:
+        prev = cells[-1]
+        nxt = []
+        for s in prev:
+            for j in succ[s[-1]]:
+                nxt.append(s + (j,))
+        if not nxt:
+            break
+        cells.append(nxt)
+    return SemisimplicialSet(labels, cells)

@@ -133,6 +133,11 @@ def test_reduced_homology_matches_dense_oracle(drawn):
         (3, 2, [14, 21]),
         (3, 3, [26, 52]),
         (4, 2, [65, 315, 315]),
+        (3, 8, [146, 657]),
+        (3, 9, [182, 910]),
+        (4, 4, [527, 5355, 8925]),
+        (4, 5, [1118, 14508, 29016]),
+        (5, 2, [372, 4650, 13020, 9765]),
     ],
 )
 def test_building_cell_counts(n, q, counts):
@@ -145,6 +150,18 @@ def test_building_cell_counts(n, q, counts):
         for dims in itertools.combinations(range(1, n), k + 1):
             total += o.flag_count(n, q, dims)
         assert got[k] == total
+
+
+@pytest.mark.parametrize(
+    "n,q",
+    [(2, 2), (2, 9), (3, 2), (3, 3), (3, 4), (3, 5), (3, 7), (3, 8), (3, 9), (4, 2), (4, 3)],
+)
+def test_building_matches_pairwise_rref_reference(n, q):
+    X = tits_building(n, q)
+    ref = o.tits_building_reference(n, q)
+    assert X.labels == ref.labels
+    assert X.cells == ref.cells
+    assert X.faces == ref.faces
 
 
 def test_face_identities_in_building_and_b_complex():
