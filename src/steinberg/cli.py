@@ -254,7 +254,7 @@ def _cmd_coinv(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    report = bounds_report(args.d, args.n)
+    report = bounds_report(order_invariants(make_order(args.d)), args.n)
     payload = report.to_dict()
     inv = {k: v["value"] for k, v in report.invariants.items()}
     lines = [

@@ -11,7 +11,10 @@ scanned and the first element p_k - q_k * conj(omega) of norm +-1 is the
 fundamental unit; the negative-Pell verdict is its norm sign.  Class
 numbers come from reduced binary quadratic forms of the field discriminant
 (counted directly for D < 0; counted as reduction cycles for D > 0, which
-give the narrow class number).
+give the narrow class number).  Reduced forms are enumerated by b and then
+by the divisors a of (b^2 - D)/4 that the reduction bounds allow: a from
+|b| to sqrt(ac) when D < 0, and the smaller of |a|, |c| inside the window
+(sqrt(D) - b)/2 < |a| < (sqrt(D) + b)/2 when D > 0.
 
 order_invariants bundles what the verdicts read (unit, norm -1 verdict,
 h, h_narrow) into one OrderInvariants record per order, built from one
@@ -279,24 +282,21 @@ def fundamental_unit(order: QuadraticOrder) -> RingElement:
 
 def _reduced_definite_forms(D: int):
     # Primitive reduced positive definite forms: |b| <= a <= c with
-    # b >= 0 when |b| == a or a == c.
+    # b >= 0 when |b| == a or a == c.  Enumerated by b >= 0 (3 b^2 <= |D|
+    # since b^2 <= ac) and then by the divisors a <= sqrt(ac) of
+    # ac = (b^2 - D)/4 with a >= b; (a, -b, c) is reduced too when
+    # 0 < b < a < c.  D = 0 or 1 mod 4, so b = D mod 2 makes 4 | b^2 - D.
     out = []
-    amax = isqrt(-D // 3) if D < -3 else 1
-    for a in range(1, amax + 1):
-        for b in range(-a + 1, a + 1):
-            if (b - D) % 2:
+    for b in range(D % 2, isqrt(-D // 3) + 1, 2):
+        m = (b * b - D) // 4
+        for a in range(max(b, 1), isqrt(m) + 1):
+            if m % a:
                 continue
-            num = b * b - D
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if gcd(gcd(a, abs(b)), c) != 1:
-                continue
-            if (abs(b) == a or a == c) and b < 0:
-                continue
-            out.append((a, b, c))
+            c = m // a
+            if gcd(gcd(a, b), c) == 1:
+                out.append((a, b, c))
+                if 0 < b < a < c:
+                    out.append((a, -b, c))
     return sorted(out)
 
 
@@ -313,24 +313,23 @@ def _is_reduced_indefinite(a, b, D):
 
 
 def _reduced_indefinite_forms(D: int):
+    # For each b, |a| |c| = m = (D - b^2)/4 and both |a| and |c| lie in
+    # the reduced window (sqrt(D) - b)/2 < f < (sqrt(D) + b)/2, so the
+    # smaller of them is a divisor f of m with (2f + b)^2 > D and f^2 <= m.
     s = isqrt(D)
     out = []
-    for b in range(1, s + 1):
-        if (D - b * b) % 4:
-            continue
+    for b in range(2 - D % 2, s + 1, 2):
         m = (D - b * b) // 4
-        if m <= 0:
-            continue
-        f = 1
-        while f * f <= m:
-            if m % f == 0:
-                for aa in {f, m // f}:
-                    for a in (aa, -aa):
-                        c = -m // a
-                        if _is_reduced_indefinite(a, b, D):
-                            if gcd(gcd(abs(a), b), abs(c)) == 1:
-                                out.append((a, b, c))
-            f += 1
+        # The least f with 2f + b >= s + 1, that is with 2f + b > sqrt(D).
+        for f in range((s - b) // 2 + 1, isqrt(m) + 1):
+            if m % f:
+                continue
+            for aa in {f, m // f}:
+                for a in (aa, -aa):
+                    c = -m // a
+                    if _is_reduced_indefinite(a, b, D):
+                        if gcd(gcd(abs(a), b), abs(c)) == 1:
+                            out.append((a, b, c))
     return sorted(out)
 
 
@@ -368,6 +367,12 @@ def class_group(order: QuadraticOrder) -> ClassGroupData:
     reduced indefinite forms under the reduction step biject with the
     narrow class group; order_invariants halves it when the fundamental
     unit has norm +1.
+
+    The forms are listed by b, then by divisors of ac = (b^2 - D)/4: for
+    D < 0, b >= 0 with 3b^2 <= |D| and b <= a <= sqrt(ac), adding
+    (a, -b, c) when 0 < b < a < c; for D > 0, 0 < b <= sqrt(D) and trial
+    division only over the reduced window (2f + b)^2 > D, f^2 <= |ac|,
+    each candidate then passing the exact reduction test.
     """
     D = order.discriminant
     if D < 0:

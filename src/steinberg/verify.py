@@ -25,7 +25,7 @@ from .formulas import (
     vcd_sl,
 )
 from .linalg import ExactMatrix, smith_normal_form
-from .quadratic import make_order, order_invariants
+from .quadratic import OrderInvariants, make_order, order_invariants
 from .stmodule import coinvariants_dim, dualizing_module_type, steinberg_module
 
 
@@ -69,16 +69,16 @@ def _noted(value, note) -> dict:
     return {"value": value, "note": note}
 
 
-def bounds_report(d: int, n: int) -> VerdictReport:
-    """Invariants and verdicts for GL_n over the quadratic order of d.
+def bounds_report(inv: OrderInvariants, n: int) -> VerdictReport:
+    """Invariants and verdicts for GL_n over the order whose record is inv.
 
-    Bundles ring invariants (unit, class numbers), the dimension formulas,
-    the vanishing criterion with reason codes, the class-number lower
-    bound, and the duality dichotomy verdict.  The report fails only if
-    the internal dimension identity breaks.  The order's invariants are
-    computed once and read by every verdict.
+    inv is order_invariants(make_order(d)), and d is read from inv.d; the
+    caller builds it once per order and may pass it for every n.  Bundles
+    ring invariants (unit, class numbers), the dimension formulas, the
+    vanishing criterion with reason codes, the class-number lower bound,
+    and the duality dichotomy verdict, all read from inv.  The report
+    fails only if the internal dimension identity breaks.
     """
-    inv = order_invariants(make_order(d))
     desc = inv.descriptor()
     r, s = desc["signature"]
     failures = []
@@ -112,7 +112,7 @@ def bounds_report(d: int, n: int) -> VerdictReport:
     }
     if invariants["bordification_dim"]["value"] - invariants["vcd_gl"]["value"] - 1 != n - 2:
         failures.append("dimension identity bordification - vcd - 1 = n - 2")
-    return VerdictReport({"d": d, "n": n}, invariants, verdicts, tuple(failures))
+    return VerdictReport({"d": inv.d, "n": n}, invariants, verdicts, tuple(failures))
 
 
 _GEN_A = ((1, 2), (0, 1))
@@ -270,6 +270,12 @@ def survey(d_values, n_values, cache_path=None):
     {"d", "n", "status": "error", "error"} and the survey continues; only
     clean rows are cached.  A damaged cache line (truncated, unparsable,
     or missing fields) is a miss: its cell is recomputed and appended.
+
+    Each d's invariants record is built once, at that d's first cold cell,
+    and every cold cell of that d reads it through bounds_report; a d
+    whose cells are all cached builds none.  Building the record counts
+    as part of the cell, so an invalid d gives an error row in every cold
+    cell of that d, each one trying again.
     """
     rows = []
     cache = {}
@@ -286,13 +292,16 @@ def survey(d_values, n_values, cache_path=None):
                 cache[_cell_key(row["d"], row["n"])] = row
     try:
         for d in d_values:
+            inv = None
             for n in n_values:
                 key = _cell_key(d, n)
                 if key in cache:
                     rows.append(cache[key])
                     continue
                 try:
-                    report = bounds_report(d, n)
+                    if inv is None:
+                        inv = order_invariants(make_order(d))
+                    report = bounds_report(inv, n)
                     row = {
                         "d": d,
                         "n": n,

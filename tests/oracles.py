@@ -25,6 +25,12 @@ quadratic order as it was before chi shared lattices.integer_determinant.
 tits_building_reference is the package's Tits building as it was before
 containment became a point-bitmask test (pairwise RREF stacking), kept to
 check that the new build lists the same labels, cells and faces.
+reduced_definite_forms_reference and reduced_indefinite_forms_reference
+are the package's reduced-form enumerators as they were before they
+walked b and then only the divisors the reduction bounds allow (every
+pair |b| <= a for D < 0; trial division of (D - b^2)/4 from 1 for D > 0),
+kept to check that the new enumeration returns the same sorted lists;
+the indefinite one shares the package's exact reduction test.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 from hypothesis import strategies as st
@@ -731,3 +737,52 @@ def tits_building_reference(n, q):
             break
         cells.append(nxt)
     return SemisimplicialSet(labels, cells)
+
+
+def reduced_definite_forms_reference(D: int):
+    """Reduced definite forms of discriminant D < 0, every (a, b) tried."""
+    # Primitive reduced positive definite forms: |b| <= a <= c with
+    # b >= 0 when |b| == a or a == c.
+    out = []
+    amax = isqrt(-D // 3) if D < -3 else 1
+    for a in range(1, amax + 1):
+        for b in range(-a + 1, a + 1):
+            if (b - D) % 2:
+                continue
+            num = b * b - D
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            if gcd(gcd(a, abs(b)), c) != 1:
+                continue
+            if (abs(b) == a or a == c) and b < 0:
+                continue
+            out.append((a, b, c))
+    return sorted(out)
+
+
+def reduced_indefinite_forms_reference(D: int):
+    """Reduced indefinite forms of discriminant D > 0, divisors from f = 1."""
+    from steinberg.quadratic import _is_reduced_indefinite
+
+    s = isqrt(D)
+    out = []
+    for b in range(1, s + 1):
+        if (D - b * b) % 4:
+            continue
+        m = (D - b * b) // 4
+        if m <= 0:
+            continue
+        f = 1
+        while f * f <= m:
+            if m % f == 0:
+                for aa in {f, m // f}:
+                    for a in (aa, -aa):
+                        c = -m // a
+                        if _is_reduced_indefinite(a, b, D):
+                            if gcd(gcd(abs(a), b), abs(c)) == 1:
+                                out.append((a, b, c))
+            f += 1
+    return sorted(out)

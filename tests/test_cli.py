@@ -147,7 +147,7 @@ def test_survey_recovers_from_damaged_cache(capsys, tmp_path, monkeypatch, damag
     calls = []
     real = verify.bounds_report
     monkeypatch.setattr(
-        verify, "bounds_report", lambda d, n: calls.append((d, n)) or real(d, n)
+        verify, "bounds_report", lambda inv, n: calls.append((inv.d, n)) or real(inv, n)
     )
     assert run(capsys, *args, "--cache", str(cache)) == (0, fresh)
     assert len(calls) == 1
@@ -167,6 +167,18 @@ def test_bad_inputs_exit_two(capsys):
     assert main(["ring", "info", "--d", "12"]) == 2
     assert main(["flags", "probe", "--n", "2", "--m", "2", "--height", "0"]) == 2
     assert main(["bounds", "--d", "10", "--n", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "d,n,message",
+    [("12", "2", "d=12 must be squarefree and not 0 or 1"), ("10", "1", "n must be at least 2")],
+    ids=["bad-d", "n-below-2"],
+)
+def test_bounds_bad_input_is_one_line(capsys, d, n, message):
+    assert main(["bounds", "--d", d, "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
 
 
 def test_flags_probe_over_budget_exits_two(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as o
+from steinberg import quadratic
 from steinberg.quadratic import (
     ZZ,
     RingElement,
@@ -65,6 +66,21 @@ def test_class_numbers_match_ideal_oracle(d):
         assert inv.h_narrow == expected_narrow
     else:
         assert inv.h_narrow == inv.h
+
+
+FORM_SPOT_D = [99989, 99991, 99998, 100001, -100007, -100006, -100005, -99998]
+
+
+def test_reduced_forms_match_the_reference_enumeration():
+    sweep = [d for d in range(-2000, 2001) if is_squarefree(d)]
+    for d in sweep + FORM_SPOT_D:
+        D = make_order(d).discriminant
+        if D < 0:
+            got = quadratic._reduced_definite_forms(D)
+            assert got == o.reduced_definite_forms_reference(D), d
+        else:
+            got = quadratic._reduced_indefinite_forms(D)
+            assert got == o.reduced_indefinite_forms_reference(D), d
 
 
 @given(

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from steinberg import quadratic, verify
+from steinberg.quadratic import make_order, order_invariants
 from steinberg.verify import (
     VerdictReport,
     bounds_report,
@@ -16,8 +17,12 @@ from steinberg.verify import (
 )
 
 
+def _report(d, n):
+    return bounds_report(order_invariants(make_order(d)), n)
+
+
 def test_report_json_round_trip():
-    rep = bounds_report(10, 2)
+    rep = _report(10, 2)
     again = VerdictReport.from_json(rep.to_json())
     assert again.inputs == rep.inputs
     assert again.invariants == rep.invariants
@@ -27,7 +32,7 @@ def test_report_json_round_trip():
 
 
 def test_bounds_report_values():
-    rep = bounds_report(34, 2)
+    rep = _report(34, 2)
     assert rep.passed
     inv = {k: v["value"] for k, v in rep.invariants.items()}
     assert inv["signature"] == [2, 0]
@@ -41,11 +46,11 @@ def test_bounds_report_values():
 
 
 def test_bounds_report_twisted_side():
-    rep = bounds_report(2, 2)
+    rep = _report(2, 2)
     assert rep.verdicts["vanishing_applies"] is True
     assert rep.verdicts["lower_bound"] is None
     assert rep.verdicts["dualizing_type"] == "SteinbergTwisted"
-    imag = bounds_report(-23, 2)
+    imag = _report(-23, 2)
     assert imag.verdicts["lower_bound"] == 2
     assert imag.invariants["fundamental_unit"]["value"] is None
 
@@ -66,16 +71,39 @@ def _count_calls(monkeypatch, module, names):
     return counts
 
 
-@pytest.mark.parametrize("d,class_groups,units", [(34, 1, 1), (-23, 1, 0)])
-def test_bounds_report_computes_each_invariant_once(monkeypatch, d, class_groups, units):
-    counts = _count_calls(monkeypatch, quadratic, ["class_group", "fundamental_unit"])
-    bounds_report(d, 3)
-    assert counts["class_group"] == class_groups
-    assert counts["fundamental_unit"] == units
+_INVARIANT_CALLS = ["class_group", "fundamental_unit"]
+
+
+@pytest.mark.parametrize("d", [34, -23])
+def test_bounds_report_only_reads_the_record(monkeypatch, d):
+    inv = order_invariants(make_order(d))
+    counts = _count_calls(monkeypatch, quadratic, _INVARIANT_CALLS)
+    bounds_report(inv, 3)
+    assert counts == {"class_group": 0, "fundamental_unit": 0}
+
+
+def test_survey_builds_one_record_per_d(monkeypatch):
+    counts = _count_calls(monkeypatch, quadratic, _INVARIANT_CALLS)
+    survey([34, -23, 5], [2, 3, 4])
+    # one class group per d, one unit per real d
+    assert counts == {"class_group": 3, "fundamental_unit": 2}
+
+
+def test_partly_warm_survey_builds_one_record_per_cold_d(tmp_path, monkeypatch):
+    cache = tmp_path / "cells.jsonl"
+    survey([34, -23, 5], [2], cache_path=str(cache))
+    survey([10], [2, 3, 4], cache_path=str(cache))
+    counts = _count_calls(monkeypatch, quadratic, _INVARIANT_CALLS)
+    survey([34, -23, 5, 10], [2, 3, 4], cache_path=str(cache))
+    # d = 10 has no cold cell and builds no record
+    assert counts == {"class_group": 3, "fundamental_unit": 2}
+    counts.update(dict.fromkeys(_INVARIANT_CALLS, 0))
+    survey([34, -23, 5, 10], [2, 3, 4], cache_path=str(cache))
+    assert counts == {"class_group": 0, "fundamental_unit": 0}
 
 
 def test_every_invariant_is_noted():
-    rep = bounds_report(5, 3)
+    rep = _report(5, 3)
     for entry in rep.invariants.values():
         assert set(entry) == {"value", "note"} and entry["note"]
 
@@ -96,7 +124,7 @@ def test_example_pipeline_verdicts():
 def test_survey_rows_match_single_reports(tmp_path):
     rows = survey([10, 34], [2], cache_path=None)
     assert [r["status"] for r in rows] == ["ok", "ok"]
-    solo = bounds_report(34, 2).to_dict()
+    solo = _report(34, 2).to_dict()
     assert rows[1]["report"] == solo
 
 
@@ -169,7 +197,7 @@ def test_survey_empty_ranges():
 
 def test_bounds_report_rejects_unit_rank():
     with pytest.raises(ValueError):
-        bounds_report(10, 1)
+        _report(10, 1)
 
 
 FIXTURE = Path(__file__).parent / "data" / "survey_parent.jsonl"
@@ -192,3 +220,19 @@ def test_warm_survey_over_the_fixture_computes_nothing(tmp_path, monkeypatch):
     expected = [json.loads(line) for line in FIXTURE.read_text().splitlines()]
     assert rows == expected
     assert cache.read_bytes() == FIXTURE.read_bytes()
+
+
+def test_survey_error_rows_repeat_per_cold_cell():
+    d_error = "ValueError: d={} must be squarefree and not 0 or 1"
+    expected = [
+        {"d": d, "n": n, "status": "error", "error": d_error.format(d)}
+        for d in (4, 12)
+        for n in (2, 1)
+    ]
+    fixture_row = json.loads(FIXTURE.read_text().splitlines()[6])
+    assert (fixture_row["d"], fixture_row["n"]) == (5, 2)
+    expected.append(fixture_row)
+    expected.append(
+        {"d": 5, "n": 1, "status": "error", "error": "ValueError: n must be at least 2"}
+    )
+    assert survey([4, 12, 5], [2, 1]) == expected
