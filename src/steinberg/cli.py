@@ -4,13 +4,15 @@ Exit codes: 0 all checks pass, 1 a verification failed, 2 bad input or
 budget exhaustion.  --json switches every command to a single JSON
 document on stdout and is the only global flag: it may appear before or
 after the subcommand words.  --budget goes only on the subcommands that
-enumerate simplices, --cache only on survey.
+enumerate simplices, --cache only on survey.  --d and --n take a value
+starting with "-" (such as -7..-1) after a space as well as after "=".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .errors import BudgetExceededError, DEFAULT_SIMPLEX_BUDGET
@@ -337,9 +339,28 @@ def _cmd_survey(args) -> int:
     return 2 if errored else 0
 
 
+_NEGATIVE_VALUE = re.compile(r"-\d")
+
+
+def _join_negative_values(argv):
+    """argv with --d or --n and a following value such as -7..-1 joined.
+
+    argparse takes a word starting with "-" for an option unless the whole
+    word reads as a negative number, so "--d -7..-1" would leave --d
+    without its value; "--d=-7..-1" is read as meant.
+    """
+    out = []
+    for word in argv:
+        if out and out[-1] in ("--d", "--n") and _NEGATIVE_VALUE.match(word):
+            out[-1] = f"{out[-1]}={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.run(args)
     except AssertionError as exc:

@@ -9,6 +9,12 @@ exactly: a completion certificate is constructed (or proven impossible)
 by unimodular row reduction on the last-coordinate values, so no witness
 search can run out of budget.
 
+In both models membership is a property of the unordered set, closed
+under faces.  So both builders share one loop (_ordered_simplices): it
+certifies each set once, tries only vertices paired with every member,
+counts the k! orderings of each certified k-set against the budget, and
+only then lists the orderings.
+
 case1_retraction implements the vertex map v -> v - w (for v with last
 coordinate 1 mod m) on the link of a 1-vertex w inside the relaxed
 complex where several last coordinates 1 are allowed in one simplex; its
@@ -125,28 +131,21 @@ def lines_complex_fq(n, q, budget=DEFAULT_SIMPLEX_BUDGET) -> SemisimplicialSet:
 
     A (k-1)-simplex is an ordered k-tuple of distinct lines whose
     generators are linearly independent; over a field this is exactly
-    extendability to a full direct-sum line decomposition.  Raises
-    BudgetExceededError as soon as the running simplex count, vertices
-    included, passes budget.
+    extendability to a full direct-sum line decomposition.  Independence
+    is a property of the set, so each set gets one rank test and every
+    ordering of an independent set is a simplex (see _ordered_simplices).
+    Raises BudgetExceededError as soon as the simplex count, vertices
+    included, passes budget; each size is counted before its orderings
+    are listed.
     """
     field = ff.finite_field(q)
     labels = ff.all_subspaces(field, n, 1)
     gens = [list(k[0]) for k in labels]
-    cells = [[(i,) for i in range(len(labels))]]
-    total = _within_budget(len(labels), budget, "line complex")
-    for size in range(2, n + 1):
-        nxt = []
-        for simplex in cells[-1]:
-            for j in range(len(labels)):
-                if j in simplex:
-                    continue
-                cand = simplex + (j,)
-                if ff.matrix_rank(field, [gens[i] for i in cand]) == size:
-                    nxt.append(cand)
-                    total = _within_budget(total + 1, budget, "line complex")
-        if not nxt:
-            break
-        cells.append(nxt)
+
+    def independent(s):
+        return True if ff.matrix_rank(field, [gens[i] for i in s]) == len(s) else None
+
+    cells, _ = _ordered_simplices([True] * len(labels), n, independent, budget, "line complex")
     return SemisimplicialSet(labels, cells)
 
 
@@ -155,6 +154,78 @@ def _within_budget(total, budget, what) -> int:
     if total > budget:
         raise BudgetExceededError(f"{what} exceeds budget {budget}")
     return total
+
+
+def _ordered_simplices(vertex_certs, n, certify, budget, what):
+    """Ordered simplices of sizes 1..n, each with its set's certificate.
+
+    The vertices are 0..len(vertex_certs)-1.  certify(s) decides a strictly
+    increasing index tuple s of size >= 2: it returns a certificate (any
+    value but None) or None when s is no simplex.  Being a simplex must be
+    a property of the set, and every subset of a simplex must be one.
+
+    Sets are certified once each, size by size.  A certified k-set is a
+    certified (k-1)-set, its largest index removed, extended by that
+    index; so extending each certified (k-1)-set by the indices above its
+    last reaches every certified k-set exactly once.  Every pair inside a
+    simplex is a simplex, so from size 3 on only the indices adjacent to
+    every member of the (k-1)-set are tried.  Every ordering of a
+    certified k-set is a simplex, so size k adds k! simplices per
+    certified set; that count is checked against budget as each set
+    certifies, before any ordering is listed.
+
+    Orderings are listed in the order TruncatedBComplex.restrict relies
+    on: for each ordered (k-1)-simplex, in order, each vertex j in
+    increasing order that extends its set.  Returns (cells, certs) with certs[k][i]
+    the certificate of the set of cells[k][i]; certs[0] is vertex_certs.
+    """
+    nv = len(vertex_certs)
+    total = _within_budget(nv, budget, what)
+    cells = [[(i,) for i in range(nv)]]
+    certs = [list(vertex_certs)]
+    keys = cells[0]  # the sorted set of each simplex in cells[-1]
+    level = cells[0]  # the certified sets of the last size, each sorted
+    common = None  # common[s]: the vertices paired with every member of s, sorted
+    for size in range(2, n + 1):
+        orderings = math.factorial(size)
+        found = {}
+        for s in level:
+            above = range(s[-1] + 1, nv) if common is None else [j for j in common[s] if j > s[-1]]
+            for j in above:
+                t = s + (j,)
+                cert = certify(t)
+                if cert is not None:
+                    found[t] = cert
+                    total = _within_budget(total + orderings, budget, what)
+        if not found:
+            break
+        if common is None:
+            nbrs = [set() for _ in range(nv)]
+            for i, j in found:
+                nbrs[i].add(j)
+                nbrs[j].add(i)
+            common = {(i,): sorted(nbrs[i]) for i in range(nv)}
+        # Each j extending the set s, in increasing order, with the sorted
+        # extended set: looked up once per set, read by each ordering.
+        ext = {
+            s: [(j, t) for j in common[s] if (t := tuple(sorted(s + (j,)))) in found]
+            for s in level
+        }
+        nxt = []
+        nxt_certs = []
+        nxt_keys = []
+        for simplex, s in zip(cells[-1], keys):
+            for j, t in ext[s]:
+                nxt.append(simplex + (j,))
+                nxt_certs.append(found[t])
+                nxt_keys.append(t)
+        cells.append(nxt)
+        certs.append(nxt_certs)
+        keys = nxt_keys
+        level = found
+        if size < n:
+            common = {t: [x for x in common[t[:-1]] if x in nbrs[t[-1]]] for t in found}
+    return cells, certs
 
 
 def _last_mod(vec, m) -> int:
@@ -259,9 +330,11 @@ class TruncatedBComplex:
 
     complex: semisimplicial set of ordered vertex tuples; witnesses maps
     (dim, simplex index) to completion rows certifying extendability
-    (completions ignore the height bound).  completion_witness checked
-    each witness when it made it; verify_witnesses checks them all again
-    on demand.  witness_failures counts candidates whose certification
+    (completions ignore the height bound).  Every ordering of a set carries
+    the witness made for the set in increasing index order: the rows
+    complete the set in any order.  completion_witness checked each
+    witness when it made it; verify_witnesses checks them all again, for
+    every ordering, on demand.  witness_failures counts candidates whose certification
     could not be decided; the constructive decision procedure never leaves
     any, so it is always 0.
     """
@@ -322,10 +395,24 @@ def b_complex_truncated(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET) -> Truncate
     Vertices are primitive vectors with last coordinate 0 or 1 mod m,
     kept only when they certify as 0-simplices.  Higher simplices are
     ordered tuples of distinct vertices; every ordering of a certified
-    set appears.  Each witness is checked once, by completion_witness as it
-    is made.  Raises ValueError for height < 1 or m < 2, and
-    BudgetExceededError as soon as the running simplex count, vertices
-    included, passes budget.
+    set appears.
+
+    Whether a set of vectors extends to such a basis does not depend on
+    their order (unimodularity, the mod-m rule and the count of
+    1-vertices are properties of the set), so each set is certified once,
+    by one completion_witness call on its vectors in increasing index
+    order, and every ordering of it carries that witness.  A set holding
+    two 1-vertices is rejected without a call.  A face of a simplex is a
+    simplex: the vectors dropped from a basis obeying the exactly-one
+    rule join the completion rows, and the basis is unchanged.  So every
+    pair inside a simplex certifies, and from size 3 on a set is extended
+    only by vertices that certify in a pair with each of its members.
+    Each witness is checked once, by completion_witness as it is made.
+
+    Raises ValueError for height < 1 or m < 2, and BudgetExceededError as
+    soon as the simplex count, vertices included, passes budget.  A
+    certified k-set brings k! ordered simplices, so each size is counted
+    set by set, before any of its orderings is listed.
     """
     if n < 1:
         raise ValueError("rank must be positive")
@@ -334,7 +421,7 @@ def b_complex_truncated(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET) -> Truncate
     if height < 1:
         raise ValueError("height bound must be at least 1")
     labels = []
-    witnesses = {}
+    vertex_witnesses = []
     for vec in product(range(-height, height + 1), repeat=n):
         if not any(vec):
             continue
@@ -345,30 +432,17 @@ def b_complex_truncated(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET) -> Truncate
         wit = completion_witness([vec], n, m)
         if wit is None:
             continue
-        witnesses[(0, len(labels))] = wit
+        vertex_witnesses.append(wit)
         labels.append(tuple(vec))
-    cells = [[(i,) for i in range(len(labels))]]
-    total = _within_budget(len(labels), budget, "B complex")
-    for size in range(2, n + 1):
-        nxt = []
-        for simplex in cells[-1]:
-            vecs = [labels[i] for i in simplex]
-            ones = sum(1 for v in vecs if _last_mod(v, m) == 1)
-            for j in range(len(labels)):
-                if j in simplex:
-                    continue
-                w = labels[j]
-                if ones + (1 if _last_mod(w, m) == 1 else 0) >= 2:
-                    continue
-                wit = completion_witness(vecs + [w], n, m)
-                if wit is None:
-                    continue
-                witnesses[(size - 1, len(nxt))] = wit
-                nxt.append(simplex + (j,))
-                total = _within_budget(total + 1, budget, "B complex")
-        if not nxt:
-            break
-        cells.append(nxt)
+    one = [_last_mod(v, m) == 1 for v in labels]
+
+    def certify(s):
+        if sum(one[i] for i in s) >= 2:
+            return None
+        return completion_witness([labels[i] for i in s], n, m)
+
+    cells, certs = _ordered_simplices(vertex_witnesses, n, certify, budget, "B complex")
+    witnesses = {(k, s): wit for k, cell in enumerate(certs) for s, wit in enumerate(cell)}
     return TruncatedBComplex(n, m, height, SemisimplicialSet(labels, cells), witnesses)
 
 

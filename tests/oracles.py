@@ -31,6 +31,13 @@ walked b and then only the divisors the reduction bounds allow (every
 pair |b| <= a for D < 0; trial division of (D - b^2)/4 from 1 for D > 0),
 kept to check that the new enumeration returns the same sorted lists;
 the indefinite one shares the package's exact reduction test.
+lines_complex_fq_reference and b_complex_truncated_reference are the
+package's ordered builders as they were before each unordered set was
+certified once: every ordering extended by every vertex and tested on its
+own (one rank test, or one completion_witness call, per ordering).  They
+are kept to check that the new builders list the same labels and cells in
+the same order, and the same witness wherever a simplex's index tuple is
+increasing; they share the package's certification code.
 """
 
 from __future__ import annotations
@@ -786,3 +793,93 @@ def reduced_indefinite_forms_reference(D: int):
                                 out.append((a, b, c))
             f += 1
     return sorted(out)
+
+
+def lines_complex_fq_reference(n, q, budget=None):
+    """The package's line complex as built before sets were certified once."""
+    from steinberg import fields as ff
+    from steinberg.complexes import SemisimplicialSet
+    from steinberg.errors import DEFAULT_SIMPLEX_BUDGET
+    from steinberg.flags import _within_budget
+
+    if budget is None:
+        budget = DEFAULT_SIMPLEX_BUDGET
+    field = ff.finite_field(q)
+    labels = ff.all_subspaces(field, n, 1)
+    gens = [list(k[0]) for k in labels]
+    cells = [[(i,) for i in range(len(labels))]]
+    total = _within_budget(len(labels), budget, "line complex")
+    for size in range(2, n + 1):
+        nxt = []
+        for simplex in cells[-1]:
+            for j in range(len(labels)):
+                if j in simplex:
+                    continue
+                cand = simplex + (j,)
+                if ff.matrix_rank(field, [gens[i] for i in cand]) == size:
+                    nxt.append(cand)
+                    total = _within_budget(total + 1, budget, "line complex")
+        if not nxt:
+            break
+        cells.append(nxt)
+    return SemisimplicialSet(labels, cells)
+
+
+def b_complex_truncated_reference(n, m, height, budget=None):
+    """The package's truncated B complex as built before sets were certified once."""
+    from itertools import product
+
+    from steinberg.complexes import SemisimplicialSet
+    from steinberg.errors import DEFAULT_SIMPLEX_BUDGET
+    from steinberg.flags import (
+        TruncatedBComplex,
+        _last_mod,
+        _within_budget,
+        completion_witness,
+    )
+
+    if budget is None:
+        budget = DEFAULT_SIMPLEX_BUDGET
+    if n < 1:
+        raise ValueError("rank must be positive")
+    if m < 2:
+        raise ValueError("modulus must be at least 2")
+    if height < 1:
+        raise ValueError("height bound must be at least 1")
+    labels = []
+    witnesses = {}
+    for vec in product(range(-height, height + 1), repeat=n):
+        if not any(vec):
+            continue
+        if math.gcd(*(abs(x) for x in vec)) != 1:
+            continue
+        if _last_mod(vec, m) not in (0, 1):
+            continue
+        wit = completion_witness([vec], n, m)
+        if wit is None:
+            continue
+        witnesses[(0, len(labels))] = wit
+        labels.append(tuple(vec))
+    cells = [[(i,) for i in range(len(labels))]]
+    total = _within_budget(len(labels), budget, "B complex")
+    for size in range(2, n + 1):
+        nxt = []
+        for simplex in cells[-1]:
+            vecs = [labels[i] for i in simplex]
+            ones = sum(1 for v in vecs if _last_mod(v, m) == 1)
+            for j in range(len(labels)):
+                if j in simplex:
+                    continue
+                w = labels[j]
+                if ones + (1 if _last_mod(w, m) == 1 else 0) >= 2:
+                    continue
+                wit = completion_witness(vecs + [w], n, m)
+                if wit is None:
+                    continue
+                witnesses[(size - 1, len(nxt))] = wit
+                nxt.append(simplex + (j,))
+                total = _within_budget(total + 1, budget, "B complex")
+        if not nxt:
+            break
+        cells.append(nxt)
+    return TruncatedBComplex(n, m, height, SemisimplicialSet(labels, cells), witnesses)

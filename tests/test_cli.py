@@ -187,6 +187,33 @@ def test_flags_probe_over_budget_exits_two(capsys):
     assert "budget error" in capsys.readouterr().err
 
 
+def test_flags_probe_budget_exit_is_one_line(capsys):
+    # (3,2,1) has 2514 simplices; the triangles are counted before listing
+    code = main(["flags", "probe", "--n", "3", "--m", "2", "--height", "1", "--budget", "400"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "budget error: B complex exceeds budget 400\n"
+
+
+def test_survey_accepts_a_negative_range(capsys):
+    joined = run(capsys, "survey", "--d=-7..-1", "--n", "2", "--json")
+    spaced = run(capsys, "survey", "--d", "-7..-1", "--n", "2", "--json")
+    assert spaced == joined
+    code, out = spaced
+    # d = -4 is not squarefree: one error row, so exit 2
+    assert code == 2
+    assert [r["d"] for r in json.loads(out)["rows"]] == list(range(-7, 0))
+
+
+def test_single_negative_values_unchanged(capsys):
+    spaced = run(capsys, "bounds", "--d", "-23", "--n", "3", "--json")
+    assert spaced == run(capsys, "bounds", "--d=-23", "--n", "3", "--json")
+    code, out = spaced
+    assert code == 0 and json.loads(out)["inputs"]["d"] == -23
+    assert run(capsys, "bounds", "--d", "-23", "--n", "3")[0] == 0
+
+
 @pytest.mark.parametrize(
     "group", ["json:[[1,2]]", "json:[[[1,0]]]", "json:[[[1,0],[0,1],[1,1]]]", "json:5"]
 )

@@ -98,6 +98,26 @@ def test_builders_count_vertices_against_budget():
         b_complex_truncated(2, 2, 2, budget=total - 1)
 
 
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_lines_complex_matches_the_reference(n, q):
+    # one rank test per set lists the cells the per-ordering scan listed
+    X = lines_complex_fq(n, q)
+    ref = o.lines_complex_fq_reference(n, q)
+    assert X.labels == ref.labels
+    assert X.cells == ref.cells
+
+
+def test_b_complex_budget_is_counted_before_listing():
+    # (3,2,1) has 26 vertices, 328 edges and 2160 triangles: 2514 cells
+    X = b_complex_truncated(3, 2, 1).complex
+    assert [X.n_cells(k) for k in range(3)] == [26, 328, 2160]
+    assert b_complex_truncated(3, 2, 1, budget=2514).complex.total_cells() == 2514
+    with pytest.raises(BudgetExceededError, match="^B complex exceeds budget 2513$"):
+        b_complex_truncated(3, 2, 1, budget=2513)
+    with pytest.raises(BudgetExceededError, match="^B complex exceeds budget 353$"):
+        b_complex_truncated(3, 2, 1, budget=26 + 328 - 1)
+
+
 def test_completion_witness_decisions():
     # not a vertex: completion of (2, 0) forces 2x = +-1 mod 5
     assert completion_witness([(2, 0)], 2, 5) is None
@@ -216,6 +236,31 @@ def test_restriction_is_the_smaller_truncation(n, m, height):
         bx.restrict(0)
     with pytest.raises(ValueError):
         bx.restrict(height + 1)
+
+
+@pytest.mark.parametrize(
+    "n,m,height",
+    [(2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (2, 3, 4), (2, 5, 3),
+     (3, 2, 1), (3, 3, 2)],
+)
+def test_b_complex_matches_the_reference(n, m, height):
+    # sets certified once list the cells the per-ordering scan listed, in
+    # order; an increasing index tuple is certified on the same vectors in
+    # the same order, so it keeps its witness, and every other ordering
+    # carries its set's witness, which verify_witnesses re-checks
+    bx = b_complex_truncated(n, m, height)
+    ref = o.b_complex_truncated_reference(n, m, height)
+    assert bx.complex.labels == ref.complex.labels
+    assert bx.complex.cells == ref.complex.cells
+    assert len(bx.witnesses) == bx.complex.total_cells()
+    increasing = 0
+    for k, cell in enumerate(ref.complex.cells):
+        for s, simplex in enumerate(cell):
+            if list(simplex) == sorted(simplex):
+                assert bx.witnesses[(k, s)] == ref.witnesses[(k, s)]
+                increasing += 1
+    assert increasing > len(bx.complex.labels)
+    assert bx.verify_witnesses() is True
 
 
 @pytest.mark.parametrize(
