@@ -214,7 +214,11 @@ def _load_json_arg(text):
 
 def _parse_matrices(text):
     """Generator list from json:<list>; group_action checks each matrix."""
-    data = _load_json_arg(text)
+    if not text.startswith("json:"):
+        raise ValueError(
+            f"unknown --group {text!r}: use gl, sl, trivial or json:<list of matrices>"
+        )
+    data = json.loads(text[len("json:"):])
     if not isinstance(data, list):
         raise ValueError("--group json: must be a list of matrices")
     return data

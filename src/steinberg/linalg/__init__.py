@@ -106,16 +106,6 @@ class ExactMatrix:
         return cls(len(dense), cols, tuple({j: v for j, v in enumerate(r) if v} for r in dense))
 
     @classmethod
-    def from_rows(cls, vectors, cols=None) -> "ExactMatrix":
-        """Matrix whose rows are the given vectors."""
-        vectors = [tuple(v) for v in vectors]
-        if cols is None:
-            if not vectors:
-                raise ValueError("cols required for an empty row list")
-            cols = len(vectors[0])
-        return cls.from_dense(vectors) if vectors else cls.zero(0, cols)
-
-    @classmethod
     def zero(cls, rows, cols) -> "ExactMatrix":
         return cls(rows, cols, ({},) * rows)
 
@@ -156,9 +146,11 @@ def kernel_basis(matrix: ExactMatrix):
     tuple of the nonzero (column, value) pairs of the basis vector, in
     column order.  The vector is 1 at its free column and 0 at the other
     free columns, so coordinates in this basis can be read off directly;
-    it is the basis the reduced row echelon form gives.  Values are ints
-    where integral, else Fractions.  Always satisfies M v = 0 exactly and
-    len(result) == cols - rank(M).
+    it is the basis the reduced row echelon form gives.  The free column
+    is the last entry: the other entries sit at pivot columns to its
+    left, since an echelon row holds only columns right of its pivot.
+    Values are ints where integral, else Fractions.  Always satisfies
+    M v = 0 exactly and len(result) == cols - rank(M).
 
     Each vector comes from fraction-free back-substitution on the integer
     echelon rows: it is kept as integers y over one common denominator, and

@@ -146,11 +146,9 @@ class RingElement:
         w = self * other.conjugate()
         if w.a % abs(n) or w.b % abs(n):
             raise ValueError("not divisible in the order")
-        q = self._make(w.a // n, w.b // n) if n > 0 else self._make(-(w.a // -n), -(w.b // -n))
-        # Normalize via exact multiplication check.
-        if q * other != self:
-            raise ValueError("not divisible in the order")
-        return q
+        # Exact for either sign of n, and q * other = self * N(other) / n =
+        # self; a quotient of the wrong parity fails in __post_init__.
+        return self._make(w.a // n, w.b // n)
 
     __floordiv__ = divexact
 

@@ -2,17 +2,20 @@
 
 The Steinberg module of GL_n(F_q) is realized concretely as the cycle
 space in the top degree (n-2) of the reduced chain complex of the
-building: every top chain with zero boundary.  Its canonical basis is
+building: every top chain with zero boundary.  A top chain is always a
+sparse {top-simplex index: value} dict.  The canonical basis is
 linalg.kernel_basis of the top boundary, kept as sparse supports: one
-basis cycle per free column, 1 there and 0 at the other free columns, so
-coordinates in the basis can be read off at one column each.
+basis cycle per free column, 1 there and 0 at the other free columns.
+The free column is the last entry of its support, so a cycle's
+coordinates are its values at the free columns.
 
 Apartment classes: a frame of n independent lines L_1..L_n spans one
 apartment, the barycentric (n-2)-sphere on the proper nonempty index
 subsets I (vertex = span of L_i, i in I).  Its fundamental cycle is the
 signed sum over maximal chains of subsets, one chain per permutation,
 weighted by the permutation sign; vertices inside each flag are ordered by
-subset size.  Swapping two frame lines negates the class.
+subset size.  It is a sparse top chain with n! entries, each +1 or -1.
+Swapping two frame lines negates the class.
 """
 
 from __future__ import annotations
@@ -50,9 +53,10 @@ class SteinbergModule:
     """Top cycle space of the reduced building chain complex.
 
     supports[j] lists the nonzero (column, value) pairs of basis cycle j,
-    in column order.  The coordinate column of basis cycle j is the
-    smallest column where it is 1 and every other basis cycle is 0, so a
-    cycle's coordinates are its values at those columns.
+    in column order.  The coordinate column of basis cycle j is its free
+    column, the last entry of its support: the cycle is 1 there and every
+    other basis cycle is 0, so a cycle's coordinates are its values at
+    the free columns.
     """
 
     def __init__(self, n, q, budget=DEFAULT_SIMPLEX_BUDGET):
@@ -69,18 +73,8 @@ class SteinbergModule:
         for i, row in enumerate(boundary.row_dicts):
             for j, v in row.items():
                 self._boundary_cols[j].append((i, v))
-        # owner[c]: the one basis cycle nonzero at column c when its value
-        # there is 1, else -1.
-        owner = {}
-        for j, support in enumerate(self.supports):
-            for c, v in support:
-                owner[c] = j if c not in owner and v == 1 else -1
-        self._coord_index = {}
-        for j, support in enumerate(self.supports):
-            c = next((c for c, _ in support if owner[c] == j), None)
-            if c is None:
-                raise AssertionError("kernel basis lacks a coordinate column")
-            self._coord_index[c] = j
+        # The coordinate column of each basis cycle: its free column.
+        self._coord_index = {support[-1][0]: j for j, support in enumerate(self.supports)}
 
     def _is_cycle(self, chain) -> bool:
         """Whether a top chain {column: value} has zero boundary, over Z."""
@@ -139,19 +133,18 @@ def _perm_sign(perm) -> int:
 def apartment_class(module: SteinbergModule, frame_lines):
     """Fundamental cycle of the apartment spanned by n independent lines.
 
-    frame_lines: n vectors over F_q (or line keys).  Returns the exact
-    coefficient vector over the top-degree flags; guaranteed to lie in the
-    kernel of the top boundary.  Reordering the frame by an odd
-    permutation negates the class.
+    frame_lines: n vectors over F_q, one spanning each line.  Returns the
+    class as a sparse top chain {top-simplex index: +1 or -1}, the format
+    SteinbergModule.coordinates takes: one flag of nested spans per
+    ordering of the frame, signed by the ordering's sign.  The class is
+    checked to be a cycle.  Reordering the frame by an odd permutation
+    negates the class.
     """
     n, q = module.n, module.q
     field = ff.finite_field(q)
     gens = []
     for line in frame_lines:
-        if isinstance(line, tuple) and line and isinstance(line[0], tuple):
-            key = ff.rref(field, [list(line[0])] if len(line) == 1 else list(line))
-        else:
-            key = ff.rref(field, [list(line)])
+        key = ff.rref(field, [list(line)])
         if len(key) != 1:
             raise ValueError("frame entries must be lines")
         gens.append(list(key[0]))
@@ -169,43 +162,35 @@ def apartment_class(module: SteinbergModule, frame_lines):
             if vi is None:
                 raise ValueError("apartment vertex missing from building")
             subset_vertex[idxs] = vi
+    # Spans of nested index subsets form a flag of the building, and
+    # distinct orderings give distinct flags.
+    simplices = X.index[module.top]
     support = {}
     for perm in permutations(range(n)):
-        flag = []
-        acc = []
-        for k in range(n - 1):
-            acc.append(perm[k])
-            flag.append(subset_vertex[tuple(sorted(acc))])
-        simplex = tuple(flag)
-        si = X.index[module.top].get(simplex)
-        if si is None:
-            raise ValueError("apartment flag missing from building")
-        support[si] = support.get(si, 0) + _perm_sign(perm)
+        flag = tuple(subset_vertex[tuple(sorted(perm[: k + 1]))] for k in range(n - 1))
+        support[simplices[flag]] = _perm_sign(perm)
     if not module._is_cycle(support):
         raise AssertionError("apartment class has nonzero boundary")
-    coeffs = [0] * module.chain.dims[module.top]
-    for si, c in support.items():
-        coeffs[si] = c
-    return tuple(coeffs)
+    return support
 
 
 def apartment_span_rank(module: SteinbergModule) -> int:
     """Rank of the span of all apartment classes (one per unordered frame).
 
     Frames are enumerated as unordered sets of lines (sorted key order
-    fixes the representative ordering) and each contributes one class.
+    fixes the representative ordering) and each contributes one class, a
+    sparse row of the rank computation.
     """
     field = ff.finite_field(module.q)
     lines = ff.all_subspaces(field, module.n, 1)
-    vectors = []
+    classes = []
     for combo in combinations(lines, module.n):
         gens = [list(k[0]) for k in combo]
         if ff.matrix_rank(field, gens) != module.n:
             continue
-        vectors.append(apartment_class(module, gens))
-    if not vectors:
-        return 0
-    return rank(ExactMatrix.from_rows(vectors, cols=module.chain.dims[module.top]))
+        classes.append(apartment_class(module, gens))
+    cols = module.chain.dims[module.top]
+    return rank(ExactMatrix(len(classes), cols, tuple(classes)))
 
 
 def coinvariants_dim(action: LinearAction, twist: CharacterTwist | None = None) -> int:
@@ -289,7 +274,7 @@ def orientation_character_det(n: int) -> int:
                 if v:
                     image[pos[(r, c)]] += v
         images.append(image)
-    det = determinant(ExactMatrix.from_rows(images, cols=dim))
+    det = determinant(ExactMatrix.from_dense(images))
     if det not in (1, -1):
         raise AssertionError("orientation determinant must be a sign")
     return 1 if det == 1 else -1

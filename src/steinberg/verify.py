@@ -179,7 +179,7 @@ def verify_example_1_2(budget=DEFAULT_SIMPLEX_BUDGET) -> VerdictReport:
         (0, 0, 2, 0),
         (0, 0, 0, 2),
     ]
-    factors = smith_normal_form(ExactMatrix.from_rows(rel_rows, cols=4))
+    factors = smith_normal_form(ExactMatrix.from_dense(rel_rows))
     rational_rank = 4 - len(factors)
     sub_b = rational_rank == 0
     if not sub_b:

@@ -660,6 +660,12 @@ def _ref_rref(matrix):
     return pivot_cols, rows
 
 
+def free_columns_reference(matrix):
+    """Non-pivot columns of the reduced row echelon form, increasing."""
+    pivot_set = set(_ref_rref(matrix)[0])
+    return [j for j in range(matrix.cols) if j not in pivot_set]
+
+
 def kernel_basis_reference(matrix):
     """Canonical basis of the right null space, as dense Fraction tuples.
 

@@ -215,13 +215,17 @@ def test_single_negative_values_unchanged(capsys):
 
 
 @pytest.mark.parametrize(
-    "group", ["json:[[1,2]]", "json:[[[1,0]]]", "json:[[[1,0],[0,1],[1,1]]]", "json:5"]
+    "group",
+    ["json:[[1,2]]", "json:[[[1,0]]]", "json:[[[1,0],[0,1],[1,1]]]", "json:5", "foo", "GL"],
 )
 def test_coinv_rejects_malformed_generators(capsys, group):
     code = main(["steinberg", "coinv", "--n", "2", "--q", "3", "--group", group])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("input error:") and err.count("\n") == 1
+    if not group.startswith("json:"):
+        # an unknown name is not read as JSON; the message lists the choices
+        assert all(w in err for w in ("gl", "sl", "trivial", "json:<list of matrices>"))
 
 
 @pytest.mark.parametrize("n", ["1", "0", "-1"])

@@ -15,7 +15,7 @@ from steinberg.flags import (
     probe_report,
     projective_splitting,
 )
-from steinberg.linalg.lattices import in_row_lattice, snf_transform
+from steinberg.linalg.lattices import in_row_lattice, integer_determinant, snf_transform
 
 
 def test_flag_validation():
@@ -59,11 +59,16 @@ def test_splitting_random_flags(mat, sizes):
     assert ranks == [boundaries[0]] + [
         b - a for a, b in zip(boundaries, boundaries[1:])
     ]
+    # the stacked summands are a basis of Z^4
+    stacked = [list(r) for part in parts for r in part]
+    assert abs(integer_determinant(stacked)) == 1
     # each prefix of summands spans the matching step exactly
     prefix = []
     for part, step in zip(parts, steps):
         prefix.extend(list(p) for p in part)
-        assert all(in_row_lattice(prefix, list(r)) for r in step)
+        rows = [list(r) for r in step]
+        assert all(in_row_lattice(rows, p) for p in prefix)
+        assert all(in_row_lattice(prefix, r) for r in rows)
 
 
 @pytest.mark.parametrize(

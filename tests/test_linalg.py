@@ -72,9 +72,14 @@ def assert_kernel_basis_matches_reference(m):
     assert [densify(s, m.cols) for s in supports] == [
         list(v) for v in o.kernel_basis_reference(m)
     ]
-    for support in supports:
+    # each support ends with (its free column, 1) and holds no other
+    # free column, so no other support holds that column
+    free = o.free_columns_reference(m)
+    assert [support[-1] for support in supports] == [(f, 1) for f in free]
+    for support, f in zip(supports, free):
         cols = [j for j, _ in support]
         assert cols == sorted(set(cols))
+        assert set(cols).intersection(free) == {f}
         assert all(v != 0 for _, v in support)
         assert all(type(v) is int or v.denominator != 1 for _, v in support)
 

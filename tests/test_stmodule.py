@@ -1,8 +1,12 @@
 """Top homology of the building: basis, actions, coinvariants, characters."""
 
+from itertools import combinations
+from math import factorial
+
 import pytest
 
 import oracles as o
+from steinberg import fields as ff
 from steinberg.complexes import chain_complex, tits_building
 from steinberg.quadratic import ZZ, make_order, order_invariants
 from steinberg.stmodule import (
@@ -35,16 +39,25 @@ def test_dimension_is_q_power(n, q):
     assert m.dim == q ** (n * (n - 1) // 2)
 
 
+def add_chains(*chains):
+    """Sum of sparse top chains {simplex: value}, zeros dropped."""
+    out = {}
+    for chain in chains:
+        for s, v in chain.items():
+            out[s] = out.get(s, 0) + v
+    return {s: v for s, v in out.items() if v}
+
+
 def test_apartment_class_rank_two():
     m = steinberg_module(2, 3)
     l1, l2, l3 = (1, 0), (0, 1), (1, 1)
     c12 = apartment_class(m, [l1, l2])
     c21 = apartment_class(m, [l2, l1])
-    assert [a + b for a, b in zip(c12, c21)] == [0] * len(c12)
+    assert add_chains(c12, c21) == {}
     # two-term telescoping: [l1,l2] + [l2,l3] = [l1,l3]
     c23 = apartment_class(m, [l2, l3])
     c13 = apartment_class(m, [l1, l3])
-    assert [a + b for a, b in zip(c12, c23)] == list(c13)
+    assert add_chains(c12, c23) == c13
 
 
 def test_apartment_class_swap_negates_in_rank_three():
@@ -52,9 +65,30 @@ def test_apartment_class_swap_negates_in_rank_three():
     frame = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     c = apartment_class(m, frame)
     swapped = apartment_class(m, [frame[1], frame[0], frame[2]])
-    assert [a + b for a, b in zip(c, swapped)] == [0] * len(c)
+    assert add_chains(c, swapped) == {}
     cycled = apartment_class(m, [frame[1], frame[2], frame[0]])
-    assert list(cycled) == list(c)
+    assert cycled == c
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (2, 5)])
+def test_apartment_classes_are_signed_flags_in_the_basis(n, q):
+    m = steinberg_module(n, q)
+    field = ff.finite_field(q)
+    frames = [
+        [k[0] for k in combo]
+        for combo in combinations(ff.all_subspaces(field, n, 1), n)
+        if ff.matrix_rank(field, [list(k[0]) for k in combo]) == n
+    ]
+    assert frames
+    for frame in frames:
+        cls = apartment_class(m, frame)
+        assert len(cls) == factorial(n)
+        assert all(v in (1, -1) for v in cls.values())
+        # the class is the combination of basis cycles its coordinates give
+        terms = [
+            {s: c * v for s, v in m.supports[j]} for j, c in m.coordinates(cls).items()
+        ]
+        assert add_chains(*terms) == cls
 
 
 def test_apartment_class_rejects_bad_frames():
