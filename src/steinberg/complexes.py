@@ -270,7 +270,7 @@ def group_action(X: SemisimplicialSet, q: int, generators) -> ComplexAction:
     n = len(X.labels[0][0])
     for g in generators:
         if not _is_square_int_matrix(g, n):
-            raise ValueError(f"generator must be an {n} x {n} integer matrix")
+            raise ValueError(f"generator must be a {n} x {n} integer matrix")
     gens = tuple(tuple(tuple(x % q for x in row) for row in g) for g in generators)
     perms = []
     for g in gens:

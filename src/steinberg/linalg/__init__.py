@@ -6,8 +6,9 @@ the integer matrices met in practice (boundaries, action matrices) are
 integer rows throughout.  Elimination runs in one integer kernel
 (_core_py.echelon) with a fixed pivot rule, so everything downstream is
 deterministic: same inputs, same outputs, bit for bit, on every run.
-Smith forms come from the one Smith reduction in lattices.snf_transform,
-determinants from its Bareiss elimination lattices.integer_determinant.
+Smith forms and determinants are integer questions on dense rows, so they
+live in lattices (snf_transform, integer_determinant) and are called
+there directly.
 
 A row that holds a Fraction is scaled to integers before elimination.
 Scaling a row by a nonzero constant changes neither the rank nor the right
@@ -23,15 +24,12 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from . import _core_py as _impl
-from .lattices import integer_determinant, snf_transform
 
 __all__ = [
     "ExactMatrix",
     "backend",
     "rank",
     "kernel_basis",
-    "smith_normal_form",
-    "determinant",
 ]
 
 
@@ -121,15 +119,15 @@ class ExactMatrix:
 
 
 def _integer_row(row):
-    """(scale, row * scale) for the least scale that makes the row integral."""
+    """The row times the least scale that makes it integral."""
     if all(type(v) is int for v in row.values()):
-        return 1, row
+        return row
     scale = lcm(*(v.denominator for v in row.values()))
-    return scale, {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
+    return {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
 
 
 def _echelon(matrix: ExactMatrix):
-    rows = [_integer_row(row)[1] for row in matrix.row_dicts]
+    rows = [_integer_row(row) for row in matrix.row_dicts]
     return _impl.echelon(matrix.rows, matrix.cols, rows)
 
 
@@ -198,31 +196,3 @@ def kernel_basis(matrix: ExactMatrix):
             tuple((j, y[j] if den == 1 else _value(Fraction(y[j], den))) for j in sorted(y))
         )
     return tuple(basis)
-
-
-def smith_normal_form(matrix: ExactMatrix):
-    """Nonzero invariant factors (d_1 | d_2 | ...) of an integer matrix.
-
-    Raises ValueError on non-integer entries.
-    """
-    if not matrix.is_integer():
-        raise ValueError("Smith normal form requires integer entries")
-    return snf_transform(matrix.to_dense()).factors
-
-
-def determinant(matrix: ExactMatrix) -> Fraction:
-    """Exact determinant (square matrices).
-
-    Each row holding a Fraction is scaled to integers and
-    lattices.integer_determinant (fraction-free Bareiss elimination) runs
-    on the result.
-    """
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant of a non-square matrix")
-    scale = 1
-    m = []
-    for row in matrix.row_dicts:
-        s, row = _integer_row(row)
-        scale *= s
-        m.append([row.get(j, 0) for j in range(matrix.cols)])
-    return Fraction(integer_determinant(m), scale)

@@ -34,7 +34,6 @@ from math import gcd, isqrt
 
 from mpmath import mp, mpf, log as _mplog
 
-from .linalg import ExactMatrix, determinant
 from .linalg.lattices import integer_determinant
 
 CF_STEP_CAP = 10**6
@@ -457,17 +456,12 @@ def order_invariants(order) -> OrderInvariants:
 def chi(order, matrix) -> int:
     """Sign of the norm of the determinant for a matrix invertible over O.
 
-    matrix entries: RingElement over the order's d, or plain ints.  For the
-    integer specialization the norm is the identity, so this is the sign
-    of the determinant.  Raises ValueError when the determinant is not a
-    unit of the order.
+    matrix entries: RingElement over the order's d, or plain ints; over Z
+    (d absent) ints only.  For the integer specialization the norm is the
+    identity, so this is the sign of the determinant.  Raises ValueError
+    when the matrix is not square, an entry does not belong to the ring,
+    or the determinant is not a unit of the order.
     """
-    if isinstance(order, RationalIntegers):
-        m = ExactMatrix.from_dense(matrix)
-        det = determinant(m)
-        if det not in (1, -1):
-            raise ValueError("matrix is not invertible over Z")
-        return 1 if det == 1 else -1
     d = order.d
     n = len(matrix)
     rows = []
@@ -476,21 +470,25 @@ def chi(order, matrix) -> int:
             raise ValueError("matrix must be square")
         conv = []
         for x in row:
-            if isinstance(x, RingElement):
+            if d is None:
+                if not isinstance(x, int):
+                    raise ValueError("entry is not an integer")
+            elif isinstance(x, RingElement):
                 if x.d != d:
                     raise ValueError("entry from a different field")
-                conv.append(x)
             else:
-                conv.append(from_int(d, int(x)))
+                x = from_int(d, int(x))
+            conv.append(x)
         rows.append(conv)
     det = integer_determinant(rows)
-    if isinstance(det, int):
-        # the empty matrix, or a zero determinant found by pivot search
-        det = from_int(d, det)
-    nrm = det.norm()
-    if abs(nrm) != 1:
+    if d is not None:
+        if isinstance(det, int):
+            # the empty matrix, or a zero determinant found by pivot search
+            det = from_int(d, det)
+        det = det.norm()
+    if abs(det) != 1:
         raise ValueError("determinant is not a unit of the order")
-    return 1 if nrm == 1 else -1
+    return 1 if det == 1 else -1
 
 
 def log_embedding(order: QuadraticOrder, u: RingElement):

@@ -15,19 +15,22 @@ subsets I (vertex = span of L_i, i in I).  Its fundamental cycle is the
 signed sum over maximal chains of subsets, one chain per permutation,
 weighted by the permutation sign; vertices inside each flag are ordered by
 subset size.  It is a sparse top chain with n! entries, each +1 or -1.
-Swapping two frame lines negates the class.
+Swapping two frame lines negates the class.  That apartment classes span
+the module is certified with no elimination by the Solomon-Tits basis
+among them (apartment_span_rank).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from . import fields as ff
 from .complexes import chain_complex, group_action, tits_building
 from .errors import DEFAULT_SIMPLEX_BUDGET
-from .linalg import ExactMatrix, determinant, kernel_basis, rank
+from .linalg import ExactMatrix, kernel_basis, rank
+from .linalg.lattices import integer_determinant
 
 
 @dataclass(frozen=True)
@@ -175,22 +178,45 @@ def apartment_class(module: SteinbergModule, frame_lines):
 
 
 def apartment_span_rank(module: SteinbergModule) -> int:
-    """Rank of the span of all apartment classes (one per unordered frame).
+    """Rank of the span of all apartment classes, certified by a basis of them.
 
-    Frames are enumerated as unordered sets of lines (sorted key order
-    fixes the representative ordering) and each contributes one class, a
-    sparse row of the rank computation.
+    The Solomon-Tits basis (L. Solomon, "The Steinberg character of a
+    finite group with BN-pair", 1969; Abramenko & Brown, Buildings, GTM
+    248, ch. 4): one class per upper unitriangular u over F_q, for the
+    frame of u's columns, whose designated chamber is the flag of spans of
+    u's last 1, ..., n-1 columns.  Checked exactly: the designated chambers
+    are distinct, and each class's support meets exactly one of them, its
+    own.  The number of classes returned is exact because:
+    - each class is +1 or -1 on its own designated chamber and 0 on the
+      others, so the classes are independent;
+    - every apartment class is a top cycle, so the span rank is at most
+      module.dim: apartment_class checks each class it builds, and GL_n is
+      transitive on frames and commutes with both the class formula and
+      the boundary, so that covers every frame;
+    - hence the return value is the span rank whenever it equals module.dim.
+    Raises AssertionError if a check fails.
     """
+    n = module.n
     field = ff.finite_field(module.q)
-    lines = ff.all_subspaces(field, module.n, 1)
-    classes = []
-    for combo in combinations(lines, module.n):
-        gens = [list(k[0]) for k in combo]
-        if ff.matrix_rank(field, gens) != module.n:
-            continue
-        classes.append(apartment_class(module, gens))
-    cols = module.chain.dims[module.top]
-    return rank(ExactMatrix(len(classes), cols, tuple(classes)))
+    X = module.building
+    frames = []
+    for entries in product(range(module.q), repeat=n * (n - 1) // 2):
+        above = iter(entries)
+        # column j of u: its j entries above the diagonal, 1, then zeros
+        frames.append(
+            [[next(above) for _ in range(j)] + [1] + [0] * (n - 1 - j) for j in range(n)]
+        )
+    designated = {}
+    for k, frame in enumerate(frames):
+        flag = tuple(X.label_index[ff.rref(field, frame[n - size:])] for size in range(1, n))
+        designated[X.index[module.top][flag]] = k
+    if len(designated) != len(frames):
+        raise AssertionError("designated chambers are not distinct")
+    for k, frame in enumerate(frames):
+        met = [designated[s] for s in apartment_class(module, frame) if s in designated]
+        if met != [k]:
+            raise AssertionError(f"apartment class {k} meets designated chambers {met}")
+    return len(frames)
 
 
 def coinvariants_dim(action: LinearAction, twist: CharacterTwist | None = None) -> int:
@@ -274,7 +300,7 @@ def orientation_character_det(n: int) -> int:
                 if v:
                     image[pos[(r, c)]] += v
         images.append(image)
-    det = determinant(ExactMatrix.from_dense(images))
+    det = integer_determinant(images)
     if det not in (1, -1):
         raise AssertionError("orientation determinant must be a sign")
     return 1 if det == 1 else -1

@@ -24,7 +24,7 @@ from .formulas import (
     vcd_gl,
     vcd_sl,
 )
-from .linalg import ExactMatrix, smith_normal_form
+from .linalg.lattices import snf_transform
 from .quadratic import OrderInvariants, make_order, order_invariants
 from .stmodule import coinvariants_dim, dualizing_module_type, steinberg_module
 
@@ -179,7 +179,7 @@ def verify_example_1_2(budget=DEFAULT_SIMPLEX_BUDGET) -> VerdictReport:
         (0, 0, 2, 0),
         (0, 0, 0, 2),
     ]
-    factors = smith_normal_form(ExactMatrix.from_dense(rel_rows))
+    factors = snf_transform(rel_rows).factors
     rational_rank = 4 - len(factors)
     sub_b = rational_rank == 0
     if not sub_b:

@@ -31,6 +31,10 @@ walked b and then only the divisors the reduction bounds allow (every
 pair |b| <= a for D < 0; trial division of (D - b^2)/4 from 1 for D > 0),
 kept to check that the new enumeration returns the same sorted lists;
 the indefinite one shares the package's exact reduction test.
+apartment_span_rank_reference is the package's apartment span rank as it
+was before the Solomon-Tits basis certified it: one class per unordered
+frame, built by the package's apartment_class, and the exact rank of all
+of them by the package's elimination.
 lines_complex_fq_reference and b_complex_truncated_reference are the
 package's ordered builders as they were before each unordered set was
 certified once: every ordering extended by every vertex and tested on its
@@ -889,3 +893,26 @@ def b_complex_truncated_reference(n, m, height, budget=None):
             break
         cells.append(nxt)
     return TruncatedBComplex(n, m, height, SemisimplicialSet(labels, cells), witnesses)
+
+
+def apartment_span_rank_reference(module):
+    """Rank of the span of all apartment classes (one per unordered frame).
+
+    Frames are enumerated as unordered sets of lines (sorted key order
+    fixes the representative ordering) and each contributes one class, a
+    sparse row of the rank computation.
+    """
+    from steinberg import fields as ff
+    from steinberg.linalg import ExactMatrix, rank
+    from steinberg.stmodule import apartment_class
+
+    field = ff.finite_field(module.q)
+    lines = ff.all_subspaces(field, module.n, 1)
+    classes = []
+    for combo in combinations(lines, module.n):
+        gens = [list(k[0]) for k in combo]
+        if ff.matrix_rank(field, gens) != module.n:
+            continue
+        classes.append(apartment_class(module, gens))
+    cols = module.chain.dims[module.top]
+    return rank(ExactMatrix(len(classes), cols, tuple(classes)))

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import steinberg.stmodule as stmodule
 import steinberg.verify as verify
 from steinberg.cli import main
 
@@ -50,6 +51,27 @@ def test_apartments(capsys):
     assert code == 0
     assert payload["apartment_span_rank"] == payload["steinberg_dim"] == 5
     assert payload["passes"] is True
+
+
+def test_apartments_four_three(capsys):
+    code, payload = run_json(capsys, "--json", "steinberg", "apartments", "--n", "4", "--q", "3")
+    assert code == 0
+    assert payload["apartment_span_rank"] == payload["steinberg_dim"] == 729
+
+
+def test_apartments_failed_check_exits_one(capsys, monkeypatch):
+    # every frame gets the class of the standard frame: the basis check must fail
+    real = stmodule.apartment_class
+
+    def standard_class(module, frame):
+        return real(module, [[int(i == j) for i in range(module.n)] for j in range(module.n)])
+
+    monkeypatch.setattr(stmodule, "apartment_class", standard_class)
+    code = main(["steinberg", "apartments", "--n", "2", "--q", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("verification failed:") and captured.err.count("\n") == 1
 
 
 def test_coinv_groups(capsys):
@@ -226,6 +248,8 @@ def test_coinv_rejects_malformed_generators(capsys, group):
     if not group.startswith("json:"):
         # an unknown name is not read as JSON; the message lists the choices
         assert all(w in err for w in ("gl", "sl", "trivial", "json:<list of matrices>"))
+    elif group != "json:5":
+        assert err == "input error: generator must be a 2 x 2 integer matrix\n"
 
 
 @pytest.mark.parametrize("n", ["1", "0", "-1"])

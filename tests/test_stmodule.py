@@ -7,6 +7,7 @@ import pytest
 
 import oracles as o
 from steinberg import fields as ff
+from steinberg import stmodule
 from steinberg.complexes import chain_complex, tits_building
 from steinberg.quadratic import ZZ, make_order, order_invariants
 from steinberg.stmodule import (
@@ -101,10 +102,19 @@ def test_apartment_class_rejects_bad_frames():
         apartment_class(m, [(1, 0), (0, 1), (1, 1)])
 
 
-@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2)])
 def test_apartment_classes_span(n, q):
+    # the basis certificate agrees with eliminating the classes of every frame
     m = steinberg_module(n, q)
-    assert apartment_span_rank(m) == m.dim
+    assert apartment_span_rank(m) == o.apartment_span_rank_reference(m) == m.dim
+
+
+def test_apartment_span_rank_rejects_a_repeated_class(monkeypatch):
+    m = steinberg_module(2, 3)
+    standard = apartment_class(m, [(1, 0), (0, 1)])
+    monkeypatch.setattr(stmodule, "apartment_class", lambda module, frame: standard)
+    with pytest.raises(AssertionError):
+        apartment_span_rank(m)
 
 
 @pytest.mark.parametrize(
