@@ -151,7 +151,6 @@ def rref(field, rows):
     ncols = len(work[0])
     if any(len(r) != ncols for r in work):
         raise ValueError("rows must share one length")
-    pivot_rows = []
     r = 0
     for col in range(ncols):
         piv = None
@@ -168,7 +167,6 @@ def rref(field, rows):
             if i != r and work[i][col]:
                 c = work[i][col]
                 work[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(work[i], work[r])]
-        pivot_rows.append(col)
         r += 1
         if r == len(work):
             break

@@ -37,6 +37,9 @@ from .linalg.lattices import (
     solve_row_combination,
 )
 
+# Certified link vertices and pairs that case1_retraction checks at most.
+CASE1_PAIR_BUDGET = 20000
+
 
 @dataclass(frozen=True)
 class IntegerFlag:
@@ -496,7 +499,7 @@ class Case1Retraction:
     degenerate_images: int
 
 
-def case1_retraction(bx: TruncatedBComplex, w, pair_budget=20000) -> Case1Retraction:
+def case1_retraction(bx: TruncatedBComplex, w) -> Case1Retraction:
     """Retraction data for the link of w, a vertex with last coordinate 1.
 
     The link is taken in the relaxed complex (several 1-vertices allowed
@@ -540,7 +543,7 @@ def case1_retraction(bx: TruncatedBComplex, w, pair_budget=20000) -> Case1Retrac
             raise AssertionError("vertex image fails certification")
         checked += 1
     for va, vb in combinations(link, 2):
-        if checked >= pair_budget:
+        if checked >= CASE1_PAIR_BUDGET:
             break
         if completion_witness([w, va, vb], n, m, unique=False) is None:
             continue

@@ -21,6 +21,11 @@ h, h_narrow) into one OrderInvariants record per order, built from one
 unit and one class group computation and passed to every verdict; it
 converts h_narrow to h with the unit norm.
 
+log_embedding is the one floating-point output: the Dirichlet log vector
+of a unit, computed in a fresh 50-digit decimal context (standard library
+decimal, each step correctly rounded) and rounded to floats; for an
+imaginary order it is (0.0,), since every unit has absolute value 1.
+
 The d-absent integer specialization (the ring Z, signature (1,0)) is
 provided for the rational case; its norm is the identity, so -1 is a unit
 of norm -1 and the determinant-norm character is the determinant sign.
@@ -30,9 +35,8 @@ order_invariants and chi are the two places that specialize it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context
 from math import gcd, isqrt
-
-from mpmath import mp, mpf, log as _mplog
 
 from .linalg.lattices import integer_determinant
 
@@ -335,13 +339,9 @@ def _rho(form, D, s):
     # b' = -b mod 2|c| chosen maximal below sqrt(D).
     a, b, c = form
     tc = 2 * abs(c)
-    k = (s + b) // tc
-    b2 = -b + tc * k
-    # Largest b2 = -b mod 2|c| with b2 <= s.
-    while b2 > s:
-        b2 -= tc
-    while b2 + tc <= s:
-        b2 += tc
+    # Largest b2 = -b mod 2|c| with b2 <= s: floor division by tc gives
+    # b2 <= s < b2 + tc directly.
+    b2 = -b + tc * ((s + b) // tc)
     c2 = (b2 * b2 - D) // (4 * c)
     return (c, b2, c2)
 
@@ -494,28 +494,22 @@ def chi(order, matrix) -> int:
 def log_embedding(order: QuadraticOrder, u: RingElement):
     """Dirichlet log vector of a unit, one coordinate per infinite place.
 
-    Real orders: (log|u|, log|u'|) for the two real embeddings.  Imaginary
-    orders: (2 log|u|,) with the doubled complex coordinate.  Computed at
-    50 decimal digits and returned as floats.  For a real unit |u u'| = 1,
-    so only L = log((|a| + |b| sqrt d)/denom), the larger of the two, is
-    computed (no cancellation); the other coordinate is -L exactly, and the
-    pair sums to exactly 0.
+    Real orders: (log|u|, log|u'|) for the two real embeddings, computed in
+    a fresh 50-digit decimal context with the full exponent range, in which
+    each step (sqrt, multiply, add, divide, ln) is correctly rounded, then
+    returned as floats.  For a real unit |u u'| = 1, so only
+    L = log((|a| + |b| sqrt d)/denom), the larger of the two, is computed
+    (no cancellation); the other coordinate is -L exactly, and the pair
+    sums to exactly 0.  Imaginary orders: (0.0,), the doubled complex
+    coordinate 2 log|u|, since every unit has |u|^2 = N(u) = 1.
     """
     if not isinstance(u, RingElement) or u.d != order.d:
         raise ValueError("element does not belong to the order")
     if not u.is_unit():
         raise ValueError("log embedding defined here for units only")
-    old = mp.dps
-    mp.dps = 50
-    try:
-        rt = mp.sqrt(abs(order.d))
-        den = mpf(u.denom)
-        if order.d > 0:
-            big = float(_mplog((mpf(abs(u.a)) + mpf(abs(u.b)) * rt) / den))
-            out = (big, -big) if u.a * u.b >= 0 else (-big, big)
-        else:
-            modulus_sq = (mpf(u.a) ** 2 + mpf(u.b) ** 2 * abs(order.d)) / den**2
-            out = (float(_mplog(modulus_sq)),)
-    finally:
-        mp.dps = old
-    return out
+    if order.d < 0:
+        return (0.0,)
+    c = Context(prec=50, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    size = c.add(abs(u.a), c.multiply(abs(u.b), c.sqrt(order.d)))
+    big = float(c.ln(c.divide(size, u.denom)))
+    return (big, -big) if u.a * u.b >= 0 else (-big, big)

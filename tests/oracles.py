@@ -42,6 +42,9 @@ own (one rank test, or one completion_witness call, per ordering).  They
 are kept to check that the new builders list the same labels and cells in
 the same order, and the same witness wherever a simplex's index tuple is
 increasing; they share the package's certification code.
+log_embedding_reference is the package's unit log embedding as it was
+before it moved to the standard library's decimal module: mpmath at 50
+digits, kept to check that the decimal version returns the same floats.
 """
 
 from __future__ import annotations
@@ -916,3 +919,36 @@ def apartment_span_rank_reference(module):
         classes.append(apartment_class(module, gens))
     cols = module.chain.dims[module.top]
     return rank(ExactMatrix(len(classes), cols, tuple(classes)))
+
+
+def log_embedding_reference(order, u):
+    """Dirichlet log vector of a unit, one coordinate per infinite place.
+
+    Real orders: (log|u|, log|u'|) for the two real embeddings.  Imaginary
+    orders: (2 log|u|,) with the doubled complex coordinate.  Computed at
+    50 decimal digits and returned as floats.  For a real unit |u u'| = 1,
+    so only L = log((|a| + |b| sqrt d)/denom), the larger of the two, is
+    computed (no cancellation); the other coordinate is -L exactly, and the
+    pair sums to exactly 0.
+    """
+    from mpmath import mp, mpf, log as _mplog
+    from steinberg.quadratic import RingElement
+
+    if not isinstance(u, RingElement) or u.d != order.d:
+        raise ValueError("element does not belong to the order")
+    if not u.is_unit():
+        raise ValueError("log embedding defined here for units only")
+    old = mp.dps
+    mp.dps = 50
+    try:
+        rt = mp.sqrt(abs(order.d))
+        den = mpf(u.denom)
+        if order.d > 0:
+            big = float(_mplog((mpf(abs(u.a)) + mpf(abs(u.b)) * rt) / den))
+            out = (big, -big) if u.a * u.b >= 0 else (-big, big)
+        else:
+            modulus_sq = (mpf(u.a) ** 2 + mpf(u.b) ** 2 * abs(order.d)) / den**2
+            out = (float(_mplog(modulus_sq)),)
+    finally:
+        mp.dps = old
+    return out

@@ -1,6 +1,10 @@
-"""Every name a library module imports is read somewhere in that module."""
+"""Every name a library module imports is read somewhere in that module,
+and the command line loads nothing outside the standard library."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +56,18 @@ def test_checker_flags_unread_and_spares_exports():
         "print(os.sep, root(4))\n"
     )
     assert unused_imports(source) == ["gcd"]
+
+
+def test_cli_loads_only_the_standard_library():
+    # a fresh interpreter, so modules the test run has loaded do not count
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules)\n"
+        "import steinberg.cli\n"
+        "import json; print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    loaded = {name.split(".")[0] for name in json.loads(out)}
+    assert sorted(loaded - set(sys.stdlib_module_names) - {"steinberg"}) == []

@@ -190,16 +190,40 @@ def test_log_embedding_unit_coordinates_sum_to_zero():
 
 def test_log_embedding_sums_to_zero_exhaustively():
     # every squarefree 2 <= d < 10^4: finite coordinates summing to exactly
-    # 0 for the fundamental unit and its negative
+    # 0 for the fundamental unit, its negative and its conjugate, each
+    # float equal to the mpmath reference
     for d in range(2, 10**4):
         if not is_squarefree(d):
             continue
         order = make_order(d)
         u = fundamental_unit(order)
-        for v in (u, -u):
+        for v in (u, -u, u.conjugate()):
             coords = log_embedding(order, v)
             assert all(math.isfinite(x) for x in coords), (d, coords)
             assert coords[0] + coords[1] == 0, (d, coords)
+            assert coords == o.log_embedding_reference(order, v), (d, v)
+
+
+@pytest.mark.parametrize("k", [3, 50, 5000])
+def test_log_embedding_of_powers_of_one_plus_root_two(k):
+    # (1 + sqrt 2)^5000 has 1,914 digits in each coordinate
+    order = make_order(2)
+    u = order.element(1, 1) ** k
+    coords = log_embedding(order, u)
+    assert coords == o.log_embedding_reference(order, u)
+    assert coords[0] == pytest.approx(k * math.log(1 + math.sqrt(2)), rel=1e-14)
+
+
+@pytest.mark.parametrize("d", [-1, -3])
+def test_log_embedding_of_imaginary_units_is_zero(d):
+    # every unit of an imaginary order has |u|^2 = N(u) = 1
+    order = make_order(d)
+    root = order.element(0, 1) if d == -1 else order.element(1, 1)
+    units = {root**k for k in range(12)}
+    assert len(units) == (4 if d == -1 else 6)
+    for u in units:
+        assert log_embedding(order, u) == (0.0,)
+        assert o.log_embedding_reference(order, u) == (0.0,)
 
 
 @pytest.mark.parametrize("d", [631, 751, 1000003])
