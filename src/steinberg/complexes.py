@@ -20,7 +20,7 @@ from itertools import product
 
 from . import fields as ff
 from .errors import DEFAULT_SIMPLEX_BUDGET, BudgetExceededError
-from .linalg import ExactMatrix, rank
+from .linalg import ExactMatrix, pivot_columns, rank
 
 
 class SemisimplicialSet:
@@ -138,15 +138,65 @@ def chain_complex(X: SemisimplicialSet, reduced: bool = True) -> ChainComplex:
 
 
 def reduced_homology_ranks(X: SemisimplicialSet) -> dict:
-    """Reduced rational Betti numbers by degree, computed exactly."""
+    """Reduced rational Betti numbers by degree, computed exactly.
+
+    chain_complex(X) is built first, for its d∘d check on the signs, and
+    gives the rank of the augmentation.  Each rank of ∂_k (k >= 1) comes
+    from the coboundary instead: one integer row per k-simplex, its signed
+    faces read from X.faces[k], with the (k-1)-simplex f at column
+    n_{k-1} - 1 - f, so the columns run in reverse order.  The degrees run
+    from the top down, and a degree drops the rows of the simplices that
+    were pivot columns one degree up (clearing: Chen & Kerber, "Persistent
+    homology computation with a twist", EuroCG 2011; Bauer, "Ripser",
+    J. Appl. Comput. Topol. 5, 2021).  The kernel, its pivot rule and its
+    exact integers are unchanged; only its input is.
+
+    Clearing is exact:
+    - each pivot row one degree up is an integer combination of boundaries,
+      so it is a cycle;
+    - its leading entry sits at σ and its other entries sit earlier in the
+      order, so ∂σ lies in the span of the boundaries of earlier simplices;
+    - by induction along the order, dropping every such σ leaves rank ∂
+      unchanged.
+    """
     cc = chain_complex(X, reduced=True)
-    ranks = {}
-    bnd_rank = [rank(m) for m in cc.boundaries]
-    for k in range(len(cc.dims)):
-        out_rank = bnd_rank[k]
-        in_rank = bnd_rank[k + 1] if k + 1 < len(cc.boundaries) else 0
-        ranks[k] = cc.dims[k] - out_rank - in_rank
-    return ranks
+    dims = cc.dims
+    bnd_rank = [rank(cc.boundaries[0])] + [0] * len(dims)
+    # The boundary matrices are not read again; free them before eliminating.
+    del cc
+    cleared = set()
+    for k in range(len(dims) - 1, 0, -1):
+        pivots = pivot_columns(dims[k - 1], _coboundary_rows(X, k, cleared))
+        bnd_rank[k] = len(pivots)
+        last = dims[k - 1] - 1
+        cleared = {last - c for c in pivots}
+    return {k: dims[k] - bnd_rank[k] - bnd_rank[k + 1] for k in range(len(dims))}
+
+
+def _coboundary_rows(X: SemisimplicialSet, k: int, skip) -> list:
+    """Signed faces of each k-simplex not in skip, columns reversed.
+
+    The row of simplex s holds (-1)^i at column n_{k-1} - 1 - f for its
+    i-th face f, with entries that cancel dropped: column s of
+    chain_complex(X).boundaries[k], read bottom to top.
+    """
+    last = len(X.cells[k - 1]) - 1
+    rows = []
+    for s, faces in enumerate(X.faces[k]):
+        if s in skip:
+            continue
+        row = {}
+        sign = 1
+        for f in faces:
+            c = last - f
+            v = row.get(c, 0) + sign
+            if v:
+                row[c] = v
+            else:
+                del row[c]
+            sign = -sign
+        rows.append(row)
+    return rows
 
 
 def tits_building(n: int, q: int, budget=DEFAULT_SIMPLEX_BUDGET) -> SemisimplicialSet:

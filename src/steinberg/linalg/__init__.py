@@ -30,6 +30,7 @@ __all__ = [
     "backend",
     "rank",
     "kernel_basis",
+    "pivot_columns",
 ]
 
 
@@ -96,39 +97,36 @@ class ExactMatrix:
         return cls(rows, cols, tuple(data))
 
     @classmethod
-    def from_dense(cls, dense) -> "ExactMatrix":
-        dense = [list(r) for r in dense]
-        cols = len(dense[0]) if dense else 0
-        if any(len(r) != cols for r in dense):
-            raise ValueError("ragged dense input")
-        return cls(len(dense), cols, tuple({j: v for j, v in enumerate(r) if v} for r in dense))
-
-    @classmethod
     def zero(cls, rows, cols) -> "ExactMatrix":
         return cls(rows, cols, ({},) * rows)
-
-    def to_dense(self):
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.row_dicts):
-            for j, v in row.items():
-                out[i][j] = v
-        return out
 
     def is_integer(self) -> bool:
         return all(type(v) is int for row in self.row_dicts for v in row.values())
 
 
 def _integer_row(row):
-    """The row times the least scale that makes it integral."""
+    """A fresh dict: the row times the least scale that makes it integral."""
     if all(type(v) is int for v in row.values()):
-        return row
+        return dict(row)
     scale = lcm(*(v.denominator for v in row.values()))
     return {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
 
 
 def _echelon(matrix: ExactMatrix):
+    # The kernel reduces its rows in place, so it gets copies.
     rows = [_integer_row(row) for row in matrix.row_dicts]
     return _impl.echelon(matrix.rows, matrix.cols, rows)
+
+
+def pivot_columns(ncols, rows) -> list:
+    """Pivot columns, in increasing order, of integer rows over ncols columns.
+
+    rows are sparse {col: int} dicts with no zero values.  The kernel
+    reduces them in place, so the caller hands them over and must not use
+    them afterwards; len(result) is the rank.
+    """
+    pivot_cols, _ = _impl.echelon(len(rows), ncols, rows)
+    return pivot_cols
 
 
 def rank(matrix: ExactMatrix) -> int:

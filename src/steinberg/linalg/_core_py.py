@@ -46,7 +46,8 @@ def echelon(nrows, ncols, rows):
         nrows: number of rows of the matrix (unused; the rows are counted
             from the input).
         ncols: number of columns.
-        rows: iterable of sparse rows ({col: int}); consumed by copy.
+        rows: iterable of sparse rows ({col: int}); reduced in place, so
+            the caller must not use them afterwards.
 
     Returns:
         (pivot_cols, pivot_rows): pivot columns in increasing order and the
@@ -56,7 +57,7 @@ def echelon(nrows, ncols, rows):
         gcd-reduced but not sign- or pivot-normalized.
     """
     # active[i] is row i, or None once it is a pivot row or zero.
-    active = [dict(r) for r in rows if r]
+    active = [r for r in rows if r]
     index = [[] for _ in range(ncols)]
     for i, r in enumerate(active):
         for j in r:

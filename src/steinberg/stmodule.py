@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from . import fields as ff
@@ -133,6 +134,20 @@ def _perm_sign(perm) -> int:
     return sign
 
 
+@lru_cache(maxsize=None)
+def _orderings(n):
+    """(sorted prefix subsets, sign) of each permutation of range(n), in order.
+
+    An apartment class of rank n has one flag per ordering of its frame:
+    the spans of the first 1, ..., n-1 lines.  Only the subsets of lines
+    and the sign depend on the ordering, so they are listed once per n.
+    """
+    return tuple(
+        (tuple(tuple(sorted(perm[: k + 1])) for k in range(n - 1)), _perm_sign(perm))
+        for perm in permutations(range(n))
+    )
+
+
 def apartment_class(module: SteinbergModule, frame_lines):
     """Fundamental cycle of the apartment spanned by n independent lines.
 
@@ -169,9 +184,8 @@ def apartment_class(module: SteinbergModule, frame_lines):
     # distinct orderings give distinct flags.
     simplices = X.index[module.top]
     support = {}
-    for perm in permutations(range(n)):
-        flag = tuple(subset_vertex[tuple(sorted(perm[: k + 1]))] for k in range(n - 1))
-        support[simplices[flag]] = _perm_sign(perm)
+    for subsets, sign in _orderings(n):
+        support[simplices[tuple(subset_vertex[idxs] for idxs in subsets)]] = sign
     if not module._is_cycle(support):
         raise AssertionError("apartment class has nonzero boundary")
     return support

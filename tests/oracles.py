@@ -45,6 +45,11 @@ increasing; they share the package's certification code.
 log_embedding_reference is the package's unit log embedding as it was
 before it moved to the standard library's decimal module: mpmath at 50
 digits, kept to check that the decimal version returns the same floats.
+reduced_homology_ranks_reference is the package's homology as it was
+before it eliminated coboundaries with clearing: the rank of each
+boundary of the package's chain complex, rows as built, by the package's
+elimination.  matrix_from_dense and dense_of convert between dense lists
+and the package's sparse matrices for the tests.
 """
 
 from __future__ import annotations
@@ -57,6 +62,25 @@ from math import gcd, isqrt
 
 import numpy as np
 from hypothesis import strategies as st
+
+
+def matrix_from_dense(dense):
+    """The package's ExactMatrix of a rectangular list of rows."""
+    from steinberg.linalg import ExactMatrix
+
+    dense = [list(r) for r in dense]
+    cols = len(dense[0]) if dense else 0
+    assert all(len(r) == cols for r in dense), "ragged dense input"
+    return ExactMatrix(len(dense), cols, tuple({j: v for j, v in enumerate(r) if v} for r in dense))
+
+
+def dense_of(matrix):
+    """The rows of an ExactMatrix as dense lists, zeros filled in."""
+    out = [[0] * matrix.cols for _ in range(matrix.rows)]
+    for i, row in enumerate(matrix.row_dicts):
+        for j, v in row.items():
+            out[i][j] = v
+    return out
 
 
 def rank_fraction(rows) -> int:
@@ -919,6 +943,16 @@ def apartment_span_rank_reference(module):
         classes.append(apartment_class(module, gens))
     cols = module.chain.dims[module.top]
     return rank(ExactMatrix(len(classes), cols, tuple(classes)))
+
+
+def reduced_homology_ranks_reference(X):
+    """Reduced Betti numbers from the rank of every boundary, as built."""
+    from steinberg.complexes import chain_complex
+    from steinberg.linalg import rank
+
+    cc = chain_complex(X, reduced=True)
+    bnd_rank = [rank(m) for m in cc.boundaries] + [0]
+    return {k: cc.dims[k] - bnd_rank[k] - bnd_rank[k + 1] for k in range(len(cc.dims))}
 
 
 def log_embedding_reference(order, u):

@@ -46,6 +46,29 @@ def test_building_homology(capsys):
     assert payload["cells"] == [14, 21]
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (
+            ("building", "homology", "--n", "5", "--q", "2"),
+            '{"cells": [372, 4650, 13020, 9765], "concentrated": true, '
+            '"expected_top_rank": 1024, "n": 5, "passes": true, "q": 2, '
+            '"reduced_ranks": {"0": 0, "1": 0, "2": 0, "3": 1024}, "top_degree": 3}\n',
+        ),
+        (
+            ("flags", "probe", "--n", "3", "--m", "3", "--height", "2"),
+            '{"H": 2, "m": 3, "minimal_connected_H": 1, "n": 3, "ranks": [0, 320], '
+            '"witnesses_failed": 0}\n',
+        ),
+    ],
+)
+def test_homology_json_bytes_are_pinned(capsys, argv, want):
+    # the exact bytes the per-boundary ranks printed before clearing
+    code, out = run(capsys, *argv, "--json")
+    assert code == 0
+    assert out == want
+
+
 def test_apartments(capsys):
     code, payload = run_json(capsys, "--json", "steinberg", "apartments", "--n", "2", "--q", "5")
     assert code == 0

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as o
+import steinberg.complexes as complexes
 from steinberg.complexes import (
     ChainComplex,
     SemisimplicialSet,
+    _coboundary_rows,
     chain_complex,
     euler_characteristic,
     group_action,
@@ -18,7 +20,7 @@ from steinberg.complexes import (
     tits_building,
 )
 from steinberg.errors import BudgetExceededError
-from steinberg.flags import b_complex_truncated
+from steinberg.flags import b_complex_truncated, lines_complex_fq
 from steinberg.linalg import ExactMatrix
 from steinberg.stmodule import gl_generators
 
@@ -219,6 +221,110 @@ def test_solomon_tits_rank_of_largest_building():
     assert reduced_homology_ranks(tits_building(5, 2)) == {0: 0, 1: 0, 2: 0, 3: 1024}
 
 
+# Every building and flags complex the other tests build.
+BUILDINGS = [
+    (2, 2), (2, 3), (2, 4), (2, 5), (2, 9), (3, 2), (3, 3), (3, 4), (3, 5), (3, 7),
+    (3, 8), (3, 9), (4, 2), (4, 3), (4, 4), (4, 5), (5, 2),
+]
+B_COMPLEXES = [(2, 2, 5), (2, 3, 4), (2, 5, 3), (3, 2, 2), (3, 3, 2)]
+LINES_COMPLEXES = [(1, 5), (2, 2), (2, 3), (3, 2)]
+
+
+def loop():
+    # one vertex and one edge whose two faces cancel
+    return SemisimplicialSet(["a"], [[(0,)], [(0, 0)]])
+
+
+@pytest.mark.parametrize("n,q", BUILDINGS)
+def test_building_homology_matches_reference(n, q):
+    X = tits_building(n, q)
+    assert reduced_homology_ranks(X) == o.reduced_homology_ranks_reference(X)
+
+
+@pytest.mark.parametrize("n,m,height", B_COMPLEXES)
+def test_b_complex_homology_matches_reference_at_every_height(n, m, height):
+    bx = b_complex_truncated(n, m, height)
+    for h in range(1, height + 1):
+        X = bx.restrict(h).complex
+        assert reduced_homology_ranks(X) == o.reduced_homology_ranks_reference(X), h
+
+
+@pytest.mark.parametrize("n,q", LINES_COMPLEXES)
+def test_lines_complex_homology_matches_reference(n, q):
+    X = lines_complex_fq(n, q)
+    assert reduced_homology_ranks(X) == o.reduced_homology_ranks_reference(X)
+
+
+def test_loop_with_cancelling_faces():
+    assert reduced_homology_ranks(loop()) == o.reduced_homology_ranks_reference(loop())
+    assert reduced_homology_ranks(loop()) == {0: 0, 1: 1}
+
+
+def test_clearing_keeps_only_the_rows_it_must(monkeypatch):
+    # At (5,2) the top pivots clear rows of d2, and those of d2 clear rows
+    # of d1.  Degree k keeps n_k - rank d_{k+1} rows; below the top the
+    # homology vanishes, so every kept row becomes a pivot.
+    kept = []
+
+    def spy(ncols, rows):
+        kept.append(len(rows))
+        return pivot_columns(ncols, rows)
+
+    pivot_columns = complexes.pivot_columns
+    monkeypatch.setattr(complexes, "pivot_columns", spy)
+    assert reduced_homology_ranks(tits_building(5, 2)) == {0: 0, 1: 0, 2: 0, 3: 1024}
+    assert kept == [9765, 13020 - (9765 - 1024), 4650 - 4279]
+
+
+def simplicial_complexes(max_vertices=7):
+    """Random simplicial complexes: random facets, closed under faces."""
+
+    def build(nv):
+        facets = st.lists(
+            st.sets(st.integers(min_value=0, max_value=nv - 1), min_size=1), max_size=5
+        )
+
+        def close(tops):
+            cells = {(v,) for v in range(nv)}
+            for top in tops:
+                for size in range(2, len(top) + 1):
+                    cells.update(itertools.combinations(sorted(top), size))
+            by_dim = [[] for _ in range(max(len(c) for c in cells))]
+            for c in sorted(cells):
+                by_dim[len(c) - 1].append(c)
+            return SemisimplicialSet(range(nv), by_dim)
+
+        return facets.map(close)
+
+    return st.integers(min_value=1, max_value=max_vertices).flatmap(build)
+
+
+@given(simplicial_complexes())
+@settings(max_examples=150, deadline=None)
+def test_homology_of_random_complexes_matches_reference(X):
+    assert reduced_homology_ranks(X) == o.reduced_homology_ranks_reference(X)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [triangle, loop, lambda: tits_building(3, 3), lambda: tits_building(4, 2),
+     lambda: b_complex_truncated(2, 2, 3).complex, lambda: b_complex_truncated(3, 2, 1).complex],
+)
+def test_eliminated_rows_are_the_reversed_transposed_boundaries(make):
+    # the rows ranked are the columns of the boundaries that d∘d checks
+    X = make()
+    cc = chain_complex(X)
+    for k in range(1, X.dimension + 1):
+        d = cc.boundaries[k]
+        want = [{} for _ in range(d.cols)]
+        for f, row in enumerate(d.row_dicts):
+            for s, v in row.items():
+                want[s][d.rows - 1 - f] = v
+        assert _coboundary_rows(X, k, set()) == want
+        skip = set(range(0, d.cols, 2))
+        assert _coboundary_rows(X, k, skip) == want[1::2]
+
+
 def test_building_rejects_small_rank():
     with pytest.raises(ValueError):
         tits_building(1, 2)
@@ -276,7 +382,7 @@ def test_action_commutes_with_faces_in_building():
     act = group_action(X, 2, [[[0, 1, 0], [0, 0, 1], [1, 0, 0]]])
     cc = chain_complex(X, reduced=False)
     for k in range(1, X.dimension + 1):
-        d = cc.boundaries[k].to_dense()
+        d = o.dense_of(cc.boundaries[k])
         left = matmul(d, permutation_matrix(act.perms[0][k]))
         right = matmul(permutation_matrix(act.perms[0][k - 1]), d)
         assert left == right

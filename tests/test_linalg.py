@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import oracles as o
 from steinberg import linalg
 from steinberg.complexes import chain_complex, tits_building
-from steinberg.linalg import ExactMatrix, backend, kernel_basis, rank
+from steinberg.linalg import ExactMatrix, backend, kernel_basis, pivot_columns, rank
 from steinberg.linalg.lattices import (
     complete_to_basis,
     in_row_lattice,
@@ -36,16 +36,16 @@ def dense_matrices(entry, max_dim=5):
 @given(dense_matrices(fracs))
 @settings(max_examples=120, deadline=None)
 def test_rank_matches_oracle_and_transpose(dense):
-    m = ExactMatrix.from_dense(dense)
+    m = o.matrix_from_dense(dense)
     r = rank(m)
     assert r == o.rank_fraction(dense)
-    assert r == rank(ExactMatrix.from_dense(zip(*dense)))
+    assert r == rank(o.matrix_from_dense(zip(*dense)))
 
 
 @given(dense_matrices(fracs))
 @settings(max_examples=120, deadline=None)
 def test_kernel_basis_is_exact_and_complete(dense):
-    m = ExactMatrix.from_dense(dense)
+    m = o.matrix_from_dense(dense)
     basis = [densify(support, m.cols) for support in kernel_basis(m)]
     assert len(basis) == m.cols - rank(m)
     for vec in basis:
@@ -81,7 +81,7 @@ def assert_kernel_basis_matches_reference(m):
 @given(st.one_of(dense_matrices(ints, max_dim=6), dense_matrices(fracs, max_dim=6)))
 @settings(max_examples=200, deadline=None)
 def test_kernel_basis_matches_reference(dense):
-    assert_kernel_basis_matches_reference(ExactMatrix.from_dense(dense))
+    assert_kernel_basis_matches_reference(o.matrix_from_dense(dense))
 
 
 @pytest.mark.parametrize(
@@ -95,7 +95,7 @@ def test_kernel_basis_matches_reference(dense):
     ],
 )
 def test_kernel_basis_explicit_supports(dense, want):
-    m = ExactMatrix.from_dense(dense)
+    m = o.matrix_from_dense(dense)
     assert kernel_basis(m) == want
     assert_kernel_basis_matches_reference(m)
 
@@ -212,6 +212,31 @@ def test_echelon_matches_reference_on_building_boundary():
     assert_kernel_matches_reference(d2.rows, d2.cols, d2.row_dicts)
 
 
+@given(st.one_of(dense_matrices(ints, max_dim=6), dense_matrices(fracs, max_dim=6)))
+@settings(max_examples=100, deadline=None)
+def test_rank_and_kernel_basis_leave_the_matrix_unchanged(dense):
+    # the kernel reduces its rows in place, so it must be handed copies
+    m = o.matrix_from_dense(dense)
+    before = [dict(r) for r in m.row_dicts]
+    held = list(m.row_dicts)
+    rank(m)
+    kernel_basis(m)
+    assert list(m.row_dicts) == before
+    assert all(a is b for a, b in zip(m.row_dicts, held))
+
+
+@given(sparse_integer_rows())
+@settings(max_examples=100, deadline=None)
+def test_pivot_columns_are_the_kernel_pivots(drawn):
+    nrows, ncols, rows = drawn
+    want, _ = o.echelon_reference(nrows, ncols, [dict(r) for r in rows])
+    assert pivot_columns(ncols, [dict(r) for r in rows]) == want
+
+
+def test_pivot_columns_is_exported():
+    assert "pivot_columns" in linalg.__all__
+
+
 def test_matrix_validation():
     with pytest.raises(ValueError):
         ExactMatrix.from_entries(2, 2, [(0, 0, 1), (0, 0, 2)])
@@ -229,7 +254,7 @@ def test_matrix_rows_are_normalised_once():
         ExactMatrix(2, 2, ({},))
     with pytest.raises(ValueError):
         ExactMatrix.zero(-1, 2)
-    m = ExactMatrix.from_dense([[Fraction(4, 2), 0, Fraction(1, 3)], [True, Fraction(0), 5]])
+    m = o.matrix_from_dense([[Fraction(4, 2), 0, Fraction(1, 3)], [True, Fraction(0), 5]])
     assert m.row_dicts == ({0: 2, 2: Fraction(1, 3)}, {0: 1, 2: 5})
     assert [type(v) for row in m.row_dicts for v in row.values()] == [int, Fraction, int, int]
     assert not m.is_integer()

@@ -1,6 +1,6 @@
 """Top homology of the building: basis, actions, coinvariants, characters."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -92,6 +92,40 @@ def test_apartment_classes_are_signed_flags_in_the_basis(n, q):
         assert add_chains(*terms) == cls
 
 
+@pytest.mark.parametrize("n,q", [(3, 2), (4, 2), (3, 3)])
+def test_apartment_class_lists_every_ordering_in_order(n, q):
+    # one signed flag per permutation, inserted in permutation order
+    m = steinberg_module(n, q)
+    field = ff.finite_field(q)
+    X = m.building
+    lines = ff.all_subspaces(field, n, 1)
+    frames = [
+        [list(k[0]) for k in combo]
+        for combo in combinations(lines, n)
+        if ff.matrix_rank(field, [list(k[0]) for k in combo]) == n
+    ][:5]
+    for frame in frames:
+        want = {}
+        for perm in permutations(range(n)):
+            flag = tuple(
+                X.label_index[ff.rref(field, [frame[i] for i in sorted(perm[: k + 1])])]
+                for k in range(n - 1)
+            )
+            inversions = sum(a > b for a, b in combinations(perm, 2))
+            want[X.index[m.top][flag]] = -1 if inversions % 2 else 1
+        assert list(apartment_class(m, frame).items()) == list(want.items())
+
+
+def test_permutation_signs_are_computed_once_per_rank(monkeypatch):
+    calls = []
+    sign = stmodule._perm_sign
+    monkeypatch.setattr(stmodule, "_perm_sign", lambda perm: calls.append(perm) or sign(perm))
+    stmodule._orderings.cache_clear()
+    m = steinberg_module(4, 2)
+    assert apartment_span_rank(m) == m.dim == 64
+    assert len(calls) == factorial(4)
+
+
 def test_apartment_class_rejects_bad_frames():
     m = steinberg_module(2, 2)
     with pytest.raises(ValueError):
@@ -178,7 +212,7 @@ def test_action_matrices_are_invertible_homomorphism_images():
     m = steinberg_module(2, 2)
     act = m.action(gl_generators(2, 2))
     e12 = act.matrices[0]
-    d = e12.to_dense()
+    d = o.dense_of(e12)
     dim = m.dim
     square = [[sum(d[i][k] * d[k][j] for k in range(dim)) for j in range(dim)] for i in range(dim)]
     # the transvection squares to the identity over F_2
@@ -222,7 +256,7 @@ def test_action_matches_dense_oracle(n, q, group):
     gens = GENERATOR_SETS[group](n, q)
     act = m.action(gens)
     want = o.dense_action_matrices(m, gens)
-    assert [mat.to_dense() for mat in act.matrices] == want
+    assert [o.dense_of(mat) for mat in act.matrices] == want
     # coinvariants against the dense rank of the eps(g) g - 1 relations
     for eps in (1, -1):
         rows = [
