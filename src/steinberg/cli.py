@@ -208,8 +208,12 @@ def _cmd_apartments(args) -> int:
     return 0 if ok else 1
 
 
-def _load_json_arg(text):
-    return json.loads(text[len("json:"):] if text.startswith("json:") else text)
+def _load_json_arg(text, flag):
+    """The JSON value of text after an optional "json:" prefix, or a ValueError naming flag."""
+    try:
+        return json.loads(text[len("json:"):] if text.startswith("json:") else text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{flag} is not valid JSON: {exc}") from None
 
 
 def _parse_matrices(text):
@@ -218,7 +222,7 @@ def _parse_matrices(text):
         raise ValueError(
             f"unknown --group {text!r}: use gl, sl, trivial or json:<list of matrices>"
         )
-    data = json.loads(text[len("json:"):])
+    data = _load_json_arg(text, "--group")
     if not isinstance(data, list):
         raise ValueError("--group json: must be a list of matrices")
     return data
@@ -226,7 +230,7 @@ def _parse_matrices(text):
 
 def _parse_twist(text):
     """Sign twist from json:<list>; every entry must be the int 1 or -1."""
-    signs = _load_json_arg(text)
+    signs = _load_json_arg(text, "--twist")
     if not isinstance(signs, list) or any(
         type(s) is not int or s not in (1, -1) for s in signs
     ):
@@ -303,29 +307,32 @@ def _cmd_probe(args) -> int:
     return 0
 
 
-def _parse_range(text):
-    """Values of a list like "2,5,10..15"; a span lo..hi needs lo <= hi."""
+def _parse_range(text, flag):
+    """Values of a list like "2,5,10..15"; a span lo..hi needs lo <= hi.
+
+    An empty item, an item that is neither an integer nor a span, and a
+    span ending below its start raise ValueError naming flag.
+    """
     values = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
-            continue
-        if ".." in chunk:
-            lo, hi = chunk.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError(f"range {chunk!r} ends below its start")
-            values.extend(range(lo, hi + 1))
-        else:
-            values.append(int(chunk))
-    if not values:
-        raise ValueError(f"range {text!r} has no values")
+            raise ValueError(f"{flag} {text!r} has an empty item")
+        lo, span, hi = chunk.partition("..")
+        try:
+            lo = int(lo)
+            hi = int(hi) if span else lo
+        except ValueError:
+            raise ValueError(f"{flag} item {chunk!r} is not an integer or a lo..hi span") from None
+        if hi < lo:
+            raise ValueError(f"{flag} span {chunk!r} ends below its start")
+        values.extend(range(lo, hi + 1))
     return values
 
 
 def _cmd_survey(args) -> int:
-    d_values = _parse_range(args.d)
-    n_values = _parse_range(args.n)
+    d_values = _parse_range(args.d, "--d")
+    n_values = _parse_range(args.n, "--n")
     rows = survey(d_values, n_values, cache_path=args.cache)
     errored = [r for r in rows if r["status"] != "ok"]
     payload = {"rows": rows, "errors": len(errored)}
@@ -373,7 +380,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -373,6 +373,43 @@ class TruncatedBComplex:
         sub_x = SemisimplicialSet(labels, cells)
         return TruncatedBComplex(self.n, self.m, height, sub_x, witnesses)
 
+    def component_counts(self):
+        """Connected components of the truncation at each height 1..height.
+
+        The truncation at h is the full subcomplex on the vertices of
+        sup-norm <= h (see restrict), so one union-find adds each vertex
+        and each edge at the height where it first appears; entry h - 1
+        is the number of components at height h.
+        """
+        X = self.complex
+        norms = [max(abs(a) for a in v) for v in X.labels]
+        arrivals = [0] * (self.height + 1)
+        for r in norms:
+            arrivals[r] += 1
+        edges_at = [[] for _ in range(self.height + 1)]
+        for i, j in X.cells[1] if len(X.cells) > 1 else ():
+            if i < j:
+                edges_at[max(norms[i], norms[j])].append((i, j))
+        parent = list(range(len(norms)))
+
+        def root(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        counts = []
+        count = 0
+        for h in range(1, self.height + 1):
+            count += arrivals[h]
+            for i, j in edges_at[h]:
+                a, b = root(i), root(j)
+                if a != b:
+                    parent[a] = b
+                    count -= 1
+            counts.append(count)
+        return counts
+
     def verify_witnesses(self):
         """Recheck every stored certificate: unimodular and mod-m sound."""
         X = self.complex
@@ -395,13 +432,28 @@ def b_complex_truncated(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET) -> Truncate
     Whether a set of vectors extends to such a basis does not depend on
     their order (unimodularity, the mod-m rule and the count of
     1-vertices are properties of the set), so each set is certified once,
-    by one completion_witness call on its vectors in increasing index
-    order, and every ordering of it carries that witness.  A set holding
-    two 1-vertices is rejected without a call.  A face of a simplex is a
-    simplex: the vectors dropped from a basis obeying the exactly-one
-    rule join the completion rows, and the basis is unchanged.  So every
-    pair inside a simplex certifies, and from size 3 on a set is extended
-    only by vertices that certify in a pair with each of its members.
+    and every ordering of it carries its witness.  Two exact rules reject
+    a set with no completion_witness call:
+
+    - residue count: the set holds two or more 1-vertices, or it holds n
+      vectors and no 1-vertex (a whole basis, with nothing left to
+      complete that could carry the one 1);
+    - pairs: a pair {u, v} whose 2x2 minors u_i v_j - u_j v_i have a gcd
+      other than 1 (for n = 2, |det| != 1).  If u, v and completion rows
+      form a basis, the Laplace expansion of its determinant along the
+      rows u and v is an integer combination of these minors, so their
+      gcd divides the determinant +-1.
+
+    Every other set is decided by one completion_witness call on its
+    vectors in increasing index order, which builds the witness and
+    checks it; the rules only skip sets that call would reject, so the
+    cells and witnesses are those of a call on every set.
+
+    A face of a simplex is a simplex: the vectors dropped from a basis
+    obeying the exactly-one rule join the completion rows, and the basis
+    is unchanged.  So every pair inside a simplex certifies, and from
+    size 3 on a set is extended only by vertices that certify in a pair
+    with each of its members.
     Each witness is checked once, by completion_witness as it is made.
 
     Raises ValueError for height < 1 or m < 2, and BudgetExceededError as
@@ -430,10 +482,21 @@ def b_complex_truncated(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET) -> Truncate
         vertex_witnesses.append(wit)
         labels.append(tuple(vec))
     one = [_last_mod(v, m) == 1 for v in labels]
+    index_pairs = list(combinations(range(n), 2))
 
     def certify(s):
-        if sum(one[i] for i in s) >= 2:
+        ones = sum(one[i] for i in s)
+        if ones >= 2 or (ones == 0 and len(s) == n):
             return None
+        if len(s) == 2:
+            u, v = labels[s[0]], labels[s[1]]
+            g = 0
+            for i, j in index_pairs:
+                g = math.gcd(g, u[i] * v[j] - u[j] * v[i])
+                if g == 1:
+                    break
+            if g != 1:
+                return None
         return completion_witness([labels[i] for i in s], n, m)
 
     cells, certs = _ordered_simplices(vertex_witnesses, n, certify, budget, "B complex")
@@ -451,11 +514,12 @@ def probe_report(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET):
     """Connectivity evidence for growing truncations up to the given height.
 
     Reports the reduced ranks at the final height and the smallest height
-    at which the truncation became connected (reduced rank 0 in degree 0),
-    if that happened.  The complex is built and certified once, at the
-    final height; each smaller truncation is its restriction.  Evidence
-    only: a truncation can never prove connectivity of the untruncated
-    complex.
+    at which the truncation became connected (one component, so reduced
+    rank 0 in degree 0), if that happened.  The complex is built and
+    certified once, at the final height; the components of every smaller
+    truncation are counted on it by TruncatedBComplex.component_counts,
+    with no homology.  Evidence only: a truncation can never prove
+    connectivity of the untruncated complex.
     """
     if height < 1:
         raise ValueError("height must be positive")
@@ -463,14 +527,10 @@ def probe_report(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET):
     ranks = []
     minimal_connected = None
     if n >= 2:
-        for h in range(1, height):
-            if connectivity_probe(bx.restrict(h).complex, 0)[0] == 0:
-                minimal_connected = h
-                break
+        counts = bx.component_counts()
+        minimal_connected = next((h for h, c in enumerate(counts, 1) if c == 1), None)
         probe = connectivity_probe(bx.complex, n - 2)
         ranks = [probe[k] for k in sorted(probe)]
-        if minimal_connected is None and probe[0] == 0:
-            minimal_connected = height
     return {
         "n": n,
         "m": m,

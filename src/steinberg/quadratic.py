@@ -41,6 +41,9 @@ from math import gcd, isqrt
 from .linalg.lattices import integer_determinant
 
 CF_STEP_CAP = 10**6
+# Bits of |a| and |b| that log_embedding keeps of a larger unit: far more
+# than the 2 x 50 digits its decimal arithmetic can resolve.
+LOG_KEEP_BITS = 1024
 
 
 def is_squarefree(d: int) -> bool:
@@ -502,6 +505,12 @@ def log_embedding(order: QuadraticOrder, u: RingElement):
     (no cancellation); the other coordinate is -L exactly, and the pair
     sums to exactly 0.  Imaginary orders: (0.0,), the doubled complex
     coordinate 2 log|u|, since every unit has |u|^2 = N(u) = 1.
+
+    When |a| and |b| both pass LOG_KEEP_BITS bits, both are shifted right
+    by the same s bits, keeping at least LOG_KEEP_BITS of each (a relative
+    error below 2^-1023, far under the 50 digits), and s ln 2 is added
+    back in the same context; so no whole huge integer becomes a Decimal.
+    Smaller units take the unshifted path.
     """
     if not isinstance(u, RingElement) or u.d != order.d:
         raise ValueError("element does not belong to the order")
@@ -509,7 +518,12 @@ def log_embedding(order: QuadraticOrder, u: RingElement):
         raise ValueError("log embedding defined here for units only")
     if order.d < 0:
         return (0.0,)
+    a, b = abs(u.a), abs(u.b)
+    shift = max(0, min(a.bit_length(), b.bit_length()) - LOG_KEEP_BITS)
     c = Context(prec=50, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    size = c.add(abs(u.a), c.multiply(abs(u.b), c.sqrt(order.d)))
-    big = float(c.ln(c.divide(size, u.denom)))
-    return (big, -big) if u.a * u.b >= 0 else (-big, big)
+    size = c.add(a >> shift, c.multiply(b >> shift, c.sqrt(order.d)))
+    big = c.ln(c.divide(size, u.denom))
+    if shift:
+        big = c.add(big, c.multiply(shift, c.ln(2)))
+    big = float(big)
+    return (-big, big) if u.a < 0 < u.b or u.b < 0 < u.a else (big, -big)

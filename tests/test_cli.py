@@ -69,6 +69,22 @@ def test_homology_json_bytes_are_pinned(capsys, argv, want):
     assert out == want
 
 
+@pytest.mark.parametrize(
+    "height, m, want",
+    [
+        (20, 2, '{"H": 20, "m": 2, "minimal_connected_H": 1, "n": 2, "ranks": [0], '
+                '"witnesses_failed": 0}\n'),
+        (30, 3, '{"H": 30, "m": 3, "minimal_connected_H": 1, "n": 2, "ranks": [88], '
+                '"witnesses_failed": 0}\n'),
+    ],
+)
+def test_flags_probe_json_bytes_are_pinned(capsys, height, m, want):
+    # the exact bytes printed when every candidate set went through a
+    # completion and each height was ranked in every degree
+    argv = ("flags", "probe", "--n", "2", "--m", str(m), "--height", str(height), "--json")
+    assert run(capsys, *argv) == (0, want)
+
+
 def test_apartments(capsys):
     code, payload = run_json(capsys, "--json", "steinberg", "apartments", "--n", "2", "--q", "5")
     assert code == 0
@@ -335,6 +351,29 @@ def test_survey_rejects_reversed_or_empty_range(capsys, d):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["steinberg", "coinv", "--n", "2", "--q", "3", "--group", "gl", "--twist", "nope"],
+         "--twist"),
+        (["steinberg", "coinv", "--n", "2", "--q", "3", "--group", "json:["], "--group"),
+        (["survey", "--d", "2..", "--n", "2"], "--d"),
+        (["survey", "--d", "2..x", "--n", "2"], "--d"),
+        (["survey", "--d", "2,,3", "--n", "2"], "--d"),
+        (["survey", "--d", "2,", "--n", "2"], "--d"),
+        (["survey", "--d", "2", "--n", "2,,3"], "--n"),
+        (["survey", "--d", "2", "--n", ""], "--n"),
+        (["survey", "--d", "2", "--n", "3..2"], "--n"),
+    ],
+)
+def test_bad_flag_value_message_names_the_flag(capsys, argv, flag):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {flag} ") and captured.err.count("\n") == 1
 
 
 def test_survey_rejects_reversed_n_range(capsys):

@@ -1,5 +1,8 @@
 """Integer flags, line complexes, and truncated basis complexes."""
 
+import math
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +18,13 @@ from steinberg.flags import (
     probe_report,
     projective_splitting,
 )
-from steinberg.linalg.lattices import in_row_lattice, integer_determinant, snf_transform
+from steinberg.complexes import reduced_homology_ranks
+from steinberg.linalg.lattices import (
+    in_row_lattice,
+    integer_determinant,
+    is_saturated,
+    snf_transform,
+)
 
 
 def test_flag_validation():
@@ -226,8 +235,8 @@ def test_b_complex_vertices_height_one():
 
 @pytest.mark.parametrize("n,m,height", [(2, 2, 5), (2, 3, 4), (3, 2, 2), (3, 3, 2)])
 def test_restriction_is_the_smaller_truncation(n, m, height):
-    # probe_report reads every smaller truncation, certificates included,
-    # off the one build at the largest height
+    # every smaller truncation, certificates included, reads off the one
+    # build at the largest height
     bx = b_complex_truncated(n, m, height)
     for h in range(1, height):
         sub = bx.restrict(h)
@@ -246,13 +255,16 @@ def test_restriction_is_the_smaller_truncation(n, m, height):
 @pytest.mark.parametrize(
     "n,m,height",
     [(2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (2, 3, 4), (2, 5, 3),
-     (3, 2, 1), (3, 3, 2)],
+     (3, 2, 1), (3, 3, 2), (2, 2, 8), (2, 3, 12), (2, 4, 6), (2, 7, 5), (3, 2, 2),
+     (3, 4, 2)],
 )
 def test_b_complex_matches_the_reference(n, m, height):
-    # sets certified once list the cells the per-ordering scan listed, in
-    # order; an increasing index tuple is certified on the same vectors in
-    # the same order, so it keeps its witness, and every other ordering
-    # carries its set's witness, which verify_witnesses re-checks
+    # sets certified once, and ruled out by residue count or 2x2 minors
+    # before any completion, list the cells the per-ordering scan listed
+    # with a completion on every candidate, in order; an increasing index
+    # tuple is certified on the same vectors in the same order, so it
+    # keeps its witness, and every other ordering carries its set's
+    # witness, which verify_witnesses re-checks
     bx = b_complex_truncated(n, m, height)
     ref = o.b_complex_truncated_reference(n, m, height)
     assert bx.complex.labels == ref.complex.labels
@@ -266,6 +278,63 @@ def test_b_complex_matches_the_reference(n, m, height):
                 increasing += 1
     assert increasing > len(bx.complex.labels)
     assert bx.verify_witnesses() is True
+
+
+def minors_gcd(u, v):
+    g = 0
+    for i, j in combinations(range(len(u)), 2):
+        g = math.gcd(g, u[i] * v[j] - u[j] * v[i])
+    return g
+
+
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.tuples(*[st.lists(st.integers(-20, 20), min_size=n, max_size=n)] * 2)
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_pair_minor_rule_is_saturation(pair):
+    # gcd of the 2x2 minors is 1 exactly when {u, v} spans a direct
+    # summand of rank 2; dependent pairs have all minors 0
+    u, v = pair
+    assert (minors_gcd(u, v) == 1) == is_saturated([u, v])
+
+
+def test_rules_reject_only_uncompletable_sets_in_rank_four():
+    # (4,2,1) lists 1,663,184 ordered simplices, too many to compare with
+    # the reference, so both rules are checked against a completion on its
+    # vertices: every pair the minor rule rejects, and every 4-set with no
+    # 1-vertex, has none
+    labels = [
+        v for v in product((-1, 0, 1), repeat=4)
+        if any(v) and completion_witness([v], 4, 2) is not None
+    ]
+    assert len(labels) == 80
+    rejected = 0
+    for u, v in combinations(labels, 2):
+        if minors_gcd(u, v) != 1:
+            rejected += 1
+            assert completion_witness([u, v], 4, 2) is None
+    assert rejected > 0
+    zeros = [v for v in labels if v[-1] % 2 == 0]
+    for s in combinations(zeros, 4):
+        assert completion_witness(list(s), 4, 2) is None
+
+
+@pytest.mark.parametrize(
+    "n,m,height,rank",
+    [(2, 2, 5, 0), (2, 3, 3, 2), (2, 3, 12, 16), (2, 4, 6, 6), (2, 5, 6, 0), (2, 7, 5, 0),
+     (3, 3, 2, 0), (3, 4, 2, 0)],
+)
+def test_component_counts_give_degree_zero(n, m, height, rank):
+    # components - 1 is the reduced rank in degree 0 of every truncation,
+    # disconnected ones included; rank is that of the last
+    bx = b_complex_truncated(n, m, height)
+    counts = bx.component_counts()
+    assert len(counts) == height
+    for h, count in enumerate(counts, 1):
+        assert count - 1 == reduced_homology_ranks(bx.restrict(h).complex).get(0, 0), h
+    assert counts[-1] - 1 == rank
 
 
 @pytest.mark.parametrize(

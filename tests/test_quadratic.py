@@ -214,6 +214,16 @@ def test_log_embedding_of_powers_of_one_plus_root_two(k):
     assert coords[0] == pytest.approx(k * math.log(1 + math.sqrt(2)), rel=1e-14)
 
 
+def test_log_embedding_of_a_hundred_thousand_digit_unit():
+    # (1 + sqrt 2)^270000 has about 10^5 digits in each coordinate: its
+    # leading bits and the shift's logarithm give k L(u)
+    order = make_order(2)
+    u = order.element(1, 1)
+    big = log_embedding(order, u**270000)
+    assert big[0] == pytest.approx(270000 * log_embedding(order, u)[0], rel=1e-12)
+    assert big[1] == -big[0]
+
+
 @pytest.mark.parametrize("d", [-1, -3])
 def test_log_embedding_of_imaginary_units_is_zero(d):
     # every unit of an imaginary order has |u|^2 = N(u) = 1
