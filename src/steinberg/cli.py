@@ -4,8 +4,10 @@ Exit codes: 0 all checks pass, 1 a verification failed, 2 bad input or
 budget exhaustion.  --json switches every command to a single JSON
 document on stdout and is the only global flag: it may appear before or
 after the subcommand words.  --budget goes only on the subcommands that
-enumerate simplices, --cache only on survey.  --d and --n take a value
-starting with "-" (such as -7..-1) after a space as well as after "=".
+enumerate simplices, where it bounds the simplices, and on survey, where
+it bounds the (d, n) cells; --cache goes only on survey.  --d and --n
+take a value starting with "-" (such as -7..-1) after a space as well as
+after "=".
 """
 
 from __future__ import annotations
@@ -44,12 +46,12 @@ def _add_json(parser, root):
     )
 
 
-def _add_budget(parser):
+def _add_budget(parser, unit="simplex"):
     parser.add_argument(
         "--budget",
         type=int,
         default=DEFAULT_SIMPLEX_BUDGET,
-        help=f"simplex budget (default {DEFAULT_SIMPLEX_BUDGET})",
+        help=f"{unit} budget (default {DEFAULT_SIMPLEX_BUDGET})",
     )
 
 
@@ -126,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     surv.add_argument("--n", required=True, help="comma list and/or a..b ranges")
     surv.add_argument("--cache", default=None, help="JSON-lines cache file for survey cells")
     _add_json(surv, root=False)
+    _add_budget(surv, unit="(d, n) cell")
     surv.set_defaults(run=_cmd_survey)
 
     return parser
@@ -307,13 +310,13 @@ def _cmd_probe(args) -> int:
     return 0
 
 
-def _parse_range(text, flag):
-    """Values of a list like "2,5,10..15"; a span lo..hi needs lo <= hi.
+def _parse_spans(text, flag):
+    """The (lo, hi) spans of a list like "2,5,10..15"; a value v is (v, v).
 
     An empty item, an item that is neither an integer nor a span, and a
     span ending below its start raise ValueError naming flag.
     """
-    values = []
+    spans = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -326,14 +329,22 @@ def _parse_range(text, flag):
             raise ValueError(f"{flag} item {chunk!r} is not an integer or a lo..hi span") from None
         if hi < lo:
             raise ValueError(f"{flag} span {chunk!r} ends below its start")
-        values.extend(range(lo, hi + 1))
-    return values
+        spans.append((lo, hi))
+    return spans
+
+
+def _span_values(spans):
+    return [v for lo, hi in spans for v in range(lo, hi + 1)]
 
 
 def _cmd_survey(args) -> int:
-    d_values = _parse_range(args.d, "--d")
-    n_values = _parse_range(args.n, "--n")
-    rows = survey(d_values, n_values, cache_path=args.cache)
+    d_spans = _parse_spans(args.d, "--d")
+    n_spans = _parse_spans(args.n, "--n")
+    # Counted from the spans, so an oversized survey lists no value.
+    cells = sum(hi - lo + 1 for lo, hi in d_spans) * sum(hi - lo + 1 for lo, hi in n_spans)
+    if cells > args.budget:
+        raise BudgetExceededError(f"survey of {cells} cells exceeds the budget of {args.budget}")
+    rows = survey(_span_values(d_spans), _span_values(n_spans), cache_path=args.cache)
     errored = [r for r in rows if r["status"] != "ok"]
     payload = {"rows": rows, "errors": len(errored)}
     lines = []

@@ -140,63 +140,44 @@ def chain_complex(X: SemisimplicialSet, reduced: bool = True) -> ChainComplex:
 def reduced_homology_ranks(X: SemisimplicialSet) -> dict:
     """Reduced rational Betti numbers by degree, computed exactly.
 
-    chain_complex(X) is built first, for its d∘d check on the signs, and
-    gives the rank of the augmentation.  Each rank of ∂_k (k >= 1) comes
-    from the coboundary instead: one integer row per k-simplex, its signed
-    faces read from X.faces[k], with the (k-1)-simplex f at column
-    n_{k-1} - 1 - f, so the columns run in reverse order.  The degrees run
-    from the top down, and a degree drops the rows of the simplices that
-    were pivot columns one degree up (clearing: Chen & Kerber, "Persistent
-    homology computation with a twist", EuroCG 2011; Bauer, "Ripser",
-    J. Appl. Comput. Topol. 5, 2021).  The kernel, its pivot rule and its
-    exact integers are unchanged; only its input is.
+    chain_complex(X) is built first: its d∘d check guards the signs of the
+    very rows ranked here, and its augmentation gives rank ∂_0.  Each rank
+    of ∂_{k+1} is then the rank of the rows of boundaries[k+1]: row f is
+    the coboundary of the k-simplex f, over the (k+1)-simplices as
+    columns.  The degrees run from 0 up, and a degree drops the rows of the
+    simplices that were pivot columns one degree down (clearing, run as
+    cohomology: de Silva, Morozov & Vejdemo-Johansson, "Dualities in
+    persistent (co)homology", Inverse Problems 27, 2011; Bauer, "Ripser",
+    J. Appl. Comput. Topol. 5, 2021).  Degree 0 drops vertex 0, the pivot
+    of the all-ones augmentation row.
 
     Clearing is exact:
-    - each pivot row one degree up is an integer combination of boundaries,
-      so it is a cycle;
-    - its leading entry sits at σ and its other entries sit earlier in the
-      order, so ∂σ lies in the span of the boundaries of earlier simplices;
-    - by induction along the order, dropping every such σ leaves rank ∂
-      unchanged.
+    - a pivot row of degree k-1 is δc for an integer cochain c; its leading
+      entry sits at σ and its other entries sit at later columns;
+    - since δδc = 0, δσ lies in the span of δτ for the later τ;
+    - by downward induction over the column order, dropping every such σ
+      leaves the rank unchanged.
+    The augmentation cocycle, the sum of all vertices, clears vertex 0 in
+    the same way.
+
+    Degree k keeps n_k - rank ∂_k rows, of which rank ∂_{k+1} become
+    pivots, so exactly β̃_k rows reduce to zero.  On a building that is
+    none below the top, and top simplices are only ever columns.
     """
     cc = chain_complex(X, reduced=True)
     dims = cc.dims
     bnd_rank = [rank(cc.boundaries[0])] + [0] * len(dims)
-    # The boundary matrices are not read again; free them before eliminating.
+    boundaries = list(cc.boundaries)
     del cc
-    cleared = set()
-    for k in range(len(dims) - 1, 0, -1):
-        pivots = pivot_columns(dims[k - 1], _coboundary_rows(X, k, cleared))
-        bnd_rank[k] = len(pivots)
-        last = dims[k - 1] - 1
-        cleared = {last - c for c in pivots}
+    cleared = {0}
+    for k in range(len(dims) - 1):
+        # The kernel reduces its rows in place, so it gets copies; the
+        # boundary is released before its rows are eliminated.
+        rows = [dict(r) for f, r in enumerate(boundaries[k + 1].row_dicts) if f not in cleared]
+        boundaries[k + 1] = None
+        cleared = set(pivot_columns(dims[k + 1], rows))
+        bnd_rank[k + 1] = len(cleared)
     return {k: dims[k] - bnd_rank[k] - bnd_rank[k + 1] for k in range(len(dims))}
-
-
-def _coboundary_rows(X: SemisimplicialSet, k: int, skip) -> list:
-    """Signed faces of each k-simplex not in skip, columns reversed.
-
-    The row of simplex s holds (-1)^i at column n_{k-1} - 1 - f for its
-    i-th face f, with entries that cancel dropped: column s of
-    chain_complex(X).boundaries[k], read bottom to top.
-    """
-    last = len(X.cells[k - 1]) - 1
-    rows = []
-    for s, faces in enumerate(X.faces[k]):
-        if s in skip:
-            continue
-        row = {}
-        sign = 1
-        for f in faces:
-            c = last - f
-            v = row.get(c, 0) + sign
-            if v:
-                row[c] = v
-            else:
-                del row[c]
-            sign = -sign
-        rows.append(row)
-    return rows
 
 
 def tits_building(n: int, q: int, budget=DEFAULT_SIMPLEX_BUDGET) -> SemisimplicialSet:

@@ -169,10 +169,13 @@ def _ordered_simplices(vertex_certs, n, certify, budget, what):
     certified set; that count is checked against budget as each set
     certifies, before any ordering is listed.
 
-    Orderings are listed in the order TruncatedBComplex.restrict relies
-    on: for each ordered (k-1)-simplex, in order, each vertex j in
-    increasing order that extends its set.  Returns (cells, certs) with certs[k][i]
-    the certificate of the set of cells[k][i]; certs[0] is vertex_certs.
+    Orderings are listed for each ordered (k-1)-simplex, in order, with
+    each vertex j that extends its set, in increasing order.  So when
+    certify ignores a height bound, as the basis complex's does, the
+    h-truncation is exactly the full subcomplex on the vertices of
+    sup-norm <= h, listed in the same order.  Returns (cells, certs) with
+    certs[k][i] the certificate of the set of cells[k][i]; certs[0] is
+    vertex_certs.
     """
     nv = len(vertex_certs)
     total = _within_budget(nv, budget, what)
@@ -341,45 +344,15 @@ class TruncatedBComplex:
     witnesses: dict
     witness_failures: int = 0
 
-    def restrict(self, height) -> "TruncatedBComplex":
-        """The truncation at a height h <= self.height, read off this one.
-
-        Certification ignores the height bound and both builds enumerate
-        labels and cells in the same order, so the h-truncation is exactly
-        the full subcomplex on the vertices of sup-norm <= h.  The result
-        equals b_complex_truncated(n, m, h): the same labels, cells and
-        witnesses, in the same order.  Its certificates are the stored ones
-        and are not checked again.
-        """
-        if not 1 <= height <= self.height:
-            raise ValueError("restriction height must lie in 1..height")
-        X = self.complex
-        keep = {}
-        for i, v in enumerate(X.labels):
-            if max(abs(a) for a in v) <= height:
-                keep[i] = len(keep)
-        cells = []
-        witnesses = {}
-        for k, cell in enumerate(X.cells):
-            sub = []
-            for s, simplex in enumerate(cell):
-                if all(i in keep for i in simplex):
-                    witnesses[(k, len(sub))] = self.witnesses[(k, s)]
-                    sub.append(tuple(keep[i] for i in simplex))
-            if not sub:
-                break
-            cells.append(sub)
-        labels = [X.labels[i] for i in keep]
-        sub_x = SemisimplicialSet(labels, cells)
-        return TruncatedBComplex(self.n, self.m, height, sub_x, witnesses)
-
     def component_counts(self):
         """Connected components of the truncation at each height 1..height.
 
         The truncation at h is the full subcomplex on the vertices of
-        sup-norm <= h (see restrict), so one union-find adds each vertex
-        and each edge at the height where it first appears; entry h - 1
-        is the number of components at height h.
+        sup-norm <= h (certification ignores the height bound, and
+        _ordered_simplices lists cells in the same order at every
+        height), so one union-find adds each vertex and each edge at the
+        height where it first appears; entry h - 1 is the number of
+        components at height h.
         """
         X = self.complex
         norms = [max(abs(a) for a in v) for v in X.labels]

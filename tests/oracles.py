@@ -46,9 +46,13 @@ log_embedding_reference is the package's unit log embedding as it was
 before it moved to the standard library's decimal module: mpmath at 50
 digits, kept to check that the decimal version returns the same floats.
 reduced_homology_ranks_reference is the package's homology as it was
-before it eliminated coboundaries with clearing: the rank of each
-boundary of the package's chain complex, rows as built, by the package's
-elimination.  matrix_from_dense and dense_of convert between dense lists
+before it ranked the boundary rows with clearing: the rank of every
+boundary of the package's chain complex, all rows as built, by the
+package's elimination.  restrict_reference is the package's
+TruncatedBComplex.restrict as it was before probe_report counted
+components instead: the truncation at a smaller height read off one
+build, kept as the reference for component_counts and to rank homology
+at every height.  matrix_from_dense and dense_of convert between dense lists
 and the package's sparse matrices for the tests.
 """
 
@@ -920,6 +924,41 @@ def b_complex_truncated_reference(n, m, height, budget=None):
             break
         cells.append(nxt)
     return TruncatedBComplex(n, m, height, SemisimplicialSet(labels, cells), witnesses)
+
+
+def restrict_reference(bx, height):
+    """The truncation at a height h <= bx.height, read off bx.
+
+    Certification ignores the height bound and both builds enumerate
+    labels and cells in the same order, so the h-truncation is exactly the
+    full subcomplex on the vertices of sup-norm <= h.  The result equals
+    b_complex_truncated(n, m, h): the same labels, cells and witnesses, in
+    the same order.  Its certificates are the stored ones and are not
+    checked again.
+    """
+    from steinberg.complexes import SemisimplicialSet
+    from steinberg.flags import TruncatedBComplex
+
+    if not 1 <= height <= bx.height:
+        raise ValueError("restriction height must lie in 1..height")
+    X = bx.complex
+    keep = {}
+    for i, v in enumerate(X.labels):
+        if max(abs(a) for a in v) <= height:
+            keep[i] = len(keep)
+    cells = []
+    witnesses = {}
+    for k, cell in enumerate(X.cells):
+        sub = []
+        for s, simplex in enumerate(cell):
+            if all(i in keep for i in simplex):
+                witnesses[(k, len(sub))] = bx.witnesses[(k, s)]
+                sub.append(tuple(keep[i] for i in simplex))
+        if not sub:
+            break
+        cells.append(sub)
+    labels = [X.labels[i] for i in keep]
+    return TruncatedBComplex(bx.n, bx.m, height, SemisimplicialSet(labels, cells), witnesses)
 
 
 def apartment_span_rank_reference(module):

@@ -60,10 +60,23 @@ def test_building_homology(capsys):
             '{"H": 2, "m": 3, "minimal_connected_H": 1, "n": 3, "ranks": [0, 320], '
             '"witnesses_failed": 0}\n',
         ),
+        (
+            ("building", "homology", "--n", "4", "--q", "5"),
+            '{"cells": [1118, 14508, 29016], "concentrated": true, '
+            '"expected_top_rank": 15625, "n": 4, "passes": true, "q": 5, '
+            '"reduced_ranks": {"0": 0, "1": 0, "2": 15625}, "top_degree": 2}\n',
+        ),
+        (
+            ("flags", "probe", "--n", "3", "--m", "2", "--height", "2"),
+            '{"H": 2, "m": 2, "minimal_connected_H": 1, "n": 3, "ranks": [0, 0], '
+            '"witnesses_failed": 0}\n',
+        ),
     ],
 )
 def test_homology_json_bytes_are_pinned(capsys, argv, want):
-    # the exact bytes the per-boundary ranks printed before clearing
+    # the exact bytes printed when every boundary was ranked with all its
+    # rows ((5,2), (3,3,2)), or the reversed coboundaries from the top
+    # degree down ((4,5), (3,2,2))
     code, out = run(capsys, *argv, "--json")
     assert code == 0
     assert out == want
@@ -412,8 +425,30 @@ def test_flags_only_where_read(capsys, argv):
         ["steinberg", "coinv", "--n", "3", "--q", "2", "--group", "gl"],
         ["verify", "example-1-2"],
         ["flags", "probe", "--n", "2", "--m", "2", "--height", "3"],
+        ["survey", "--d", "2", "--n", "2..4"],
     ],
 )
 def test_budget_is_read_where_accepted(capsys, argv):
     assert main(argv + ["--budget", "2"]) == 2
     assert capsys.readouterr().err.startswith("budget error:")
+
+
+def test_survey_budget_counts_cells_before_listing_any(capsys):
+    # 10**12 values of d would exhaust memory long before they were listed
+    start = time.perf_counter()
+    code = main(["survey", "--d", f"1..{10**12}", "--n", "2", "--json"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"budget error: survey of {10**12} cells exceeds the budget of 200000\n"
+    )
+    assert elapsed < 0.5
+    # the budget bounds cells: d x n, repeats included
+    assert main(["survey", "--d", "2,2,3", "--n", "2..3", "--budget", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "budget error: survey of 6 cells exceeds the budget of 5\n"
+    )
+    code, payload = run_json(capsys, "survey", "--d", "2,2,3", "--n", "2..3", "--budget", "6",
+                             "--json")
+    assert code == 0 and len(payload["rows"]) == 6

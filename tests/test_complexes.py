@@ -12,7 +12,6 @@ import steinberg.complexes as complexes
 from steinberg.complexes import (
     ChainComplex,
     SemisimplicialSet,
-    _coboundary_rows,
     chain_complex,
     euler_characteristic,
     group_action,
@@ -245,7 +244,7 @@ def test_building_homology_matches_reference(n, q):
 def test_b_complex_homology_matches_reference_at_every_height(n, m, height):
     bx = b_complex_truncated(n, m, height)
     for h in range(1, height + 1):
-        X = bx.restrict(h).complex
+        X = o.restrict_reference(bx, h).complex
         assert reduced_homology_ranks(X) == o.reduced_homology_ranks_reference(X), h
 
 
@@ -260,20 +259,44 @@ def test_loop_with_cancelling_faces():
     assert reduced_homology_ranks(loop()) == {0: 0, 1: 1}
 
 
-def test_clearing_keeps_only_the_rows_it_must(monkeypatch):
-    # At (5,2) the top pivots clear rows of d2, and those of d2 clear rows
-    # of d1.  Degree k keeps n_k - rank d_{k+1} rows; below the top the
-    # homology vanishes, so every kept row becomes a pivot.
-    kept = []
+def spy_on_pivot_columns(monkeypatch):
+    """Record (rows, pivots) for every elimination reduced_homology_ranks makes."""
+    calls = []
+    real = complexes.pivot_columns
 
     def spy(ncols, rows):
-        kept.append(len(rows))
-        return pivot_columns(ncols, rows)
+        handed = [dict(r) for r in rows]
+        pivots = real(ncols, rows)
+        calls.append((handed, pivots))
+        return pivots
 
-    pivot_columns = complexes.pivot_columns
     monkeypatch.setattr(complexes, "pivot_columns", spy)
+    return calls
+
+
+def test_clearing_keeps_only_the_rows_it_must(monkeypatch):
+    # At (5,2) the augmentation clears vertex 0, the pivots of d1 clear
+    # rows of d2, and those of d2 clear rows of d3.  Degree k keeps
+    # n_k - rank d_k rows; below the top the homology vanishes, so every
+    # kept row becomes a pivot, and the top degree is never eliminated.
+    calls = spy_on_pivot_columns(monkeypatch)
     assert reduced_homology_ranks(tits_building(5, 2)) == {0: 0, 1: 0, 2: 0, 3: 1024}
-    assert kept == [9765, 13020 - (9765 - 1024), 4650 - 4279]
+    kept = [len(rows) for rows, _ in calls]
+    assert kept == [372 - 1, 4650 - 371, 13020 - 4279] == [371, 4279, 8741]
+    assert [len(pivots) for _, pivots in calls] == kept
+
+
+@pytest.mark.parametrize(
+    "make,zero_rows",
+    [(loop, [0]), (lambda: b_complex_truncated(2, 4, 6).complex, [6]),
+     (lambda: b_complex_truncated(3, 3, 2).complex, [0, 320])],
+)
+def test_degree_k_keeps_exactly_beta_k_rows_that_reduce_to_zero(make, zero_rows, monkeypatch):
+    # (2,4,6) is disconnected (beta_0 = 6); (3,3,2) has homology below its top
+    calls = spy_on_pivot_columns(monkeypatch)
+    ranks = reduced_homology_ranks(make())
+    assert [len(rows) - len(pivots) for rows, pivots in calls] == zero_rows
+    assert zero_rows == [ranks[k] for k in range(len(calls))]
 
 
 def simplicial_complexes(max_vertices=7):
@@ -310,19 +333,28 @@ def test_homology_of_random_complexes_matches_reference(X):
     [triangle, loop, lambda: tits_building(3, 3), lambda: tits_building(4, 2),
      lambda: b_complex_truncated(2, 2, 3).complex, lambda: b_complex_truncated(3, 2, 1).complex],
 )
-def test_eliminated_rows_are_the_reversed_transposed_boundaries(make):
-    # the rows ranked are the columns of the boundaries that d∘d checks
+def test_eliminated_rows_are_the_checked_boundary_rows(make, monkeypatch):
+    # the rows ranked in degree k are the rows of the boundary that d∘d
+    # checks, in order, minus the cleared ones; the complex is not mutated
+    built = []
+
+    def keep(X, reduced=True):
+        cc = chain_complex(X, reduced)
+        built.append((cc, [dict(r) for d in cc.boundaries for r in d.row_dicts]))
+        return cc
+
+    monkeypatch.setattr(complexes, "chain_complex", keep)
+    calls = spy_on_pivot_columns(monkeypatch)
     X = make()
-    cc = chain_complex(X)
-    for k in range(1, X.dimension + 1):
-        d = cc.boundaries[k]
-        want = [{} for _ in range(d.cols)]
-        for f, row in enumerate(d.row_dicts):
-            for s, v in row.items():
-                want[s][d.rows - 1 - f] = v
-        assert _coboundary_rows(X, k, set()) == want
-        skip = set(range(0, d.cols, 2))
-        assert _coboundary_rows(X, k, skip) == want[1::2]
+    reduced_homology_ranks(X)
+    [(cc, before)] = built
+    assert len(calls) == X.dimension
+    cleared = {0}
+    for k, (rows, pivots) in enumerate(calls):
+        d = cc.boundaries[k + 1]
+        assert rows == [r for f, r in enumerate(d.row_dicts) if f not in cleared]
+        cleared = set(pivots)
+    assert [dict(r) for d in cc.boundaries for r in d.row_dicts] == before
 
 
 def test_building_rejects_small_rank():
