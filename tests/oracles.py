@@ -48,6 +48,10 @@ digits, kept to check that the decimal version returns the same floats.
 reduced_homology_ranks_reference is the package's homology as it was
 before it ranked the boundary rows with clearing: the rank of every
 boundary of the package's chain complex, all rows as built, by the
+package's elimination.  coinvariants_dim_reference is the package's
+coinvariant dimension as it was before the generators acting as signed
+permutations were merged by a signed union-find: one relation row per
+nonzero column of eps(g) g - 1 for every generator, ranked by the
 package's elimination.  restrict_reference is the package's
 TruncatedBComplex.restrict as it was before probe_report counted
 components instead: the truncation at a smaller height read off one
@@ -992,6 +996,40 @@ def reduced_homology_ranks_reference(X):
     cc = chain_complex(X, reduced=True)
     bnd_rank = [rank(m) for m in cc.boundaries] + [0]
     return {k: cc.dims[k] - bnd_rank[k] - bnd_rank[k + 1] for k in range(len(cc.dims))}
+
+
+def coinvariants_dim_reference(action, twist=None) -> int:
+    """Dimension of the (possibly sign-twisted) coinvariant quotient.
+
+    Quotient of the module by the span of eps(g) g m - m over generators g
+    and module elements m; generators suffice because the relation span is
+    closed under multiplying words.
+    """
+    from steinberg.linalg import ExactMatrix, rank
+
+    if twist is not None and len(twist.signs) != len(action.matrices):
+        raise ValueError("twist length does not match generator count")
+    dim = action.dim
+    if dim == 0:
+        return 0
+    # One relation row per nonzero column of eps(g) g - 1, generator by
+    # generator, read straight from the sparse rows.
+    rows = []
+    for gi, mat in enumerate(action.matrices):
+        if (mat.rows, mat.cols) != (dim, dim):
+            raise ValueError("action matrix shape mismatch")
+        eps = twist.signs[gi] if twist is not None else 1
+        columns = [{} for _ in range(dim)]
+        for i, row in enumerate(mat.row_dicts):
+            for j, v in row.items():
+                columns[j][i] = eps * v
+        for j, col in enumerate(columns):
+            col[j] = col.get(j, 0) - 1
+            if any(col.values()):
+                rows.append(col)
+    if not rows:
+        return dim
+    return dim - rank(ExactMatrix(len(rows), dim, tuple(rows)))
 
 
 def log_embedding_reference(order, u):

@@ -1,5 +1,6 @@
 """Command-line surface: output shapes, exit codes, flag placement."""
 
+import hashlib
 import json
 import time
 
@@ -161,6 +162,90 @@ def test_coinv_twist(capsys):
         "--twist", "[-1, -1]",
     )
     assert code == 0 and payload["coinvariants_dim"] == 0
+
+
+GL_JSON = {
+    2: "json:[[[1, 1], [0, 1]], [[0, 1], [1, 0]], [[2, 0], [0, 1]]]",
+    3: "json:[[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]], "
+    "[[2, 0, 0], [0, 1, 0], [0, 0, 1]]]",
+}
+
+
+@pytest.mark.parametrize(
+    "n, group, twist, want",
+    [
+        (2, "gl", None, '{"coinvariants_dim": 0, "group": "gl", "n": 2, "q": 3, '
+                        '"steinberg_dim": 3, "twisted": false}\n'),
+        (2, "gl", "[-1, -1, -1]", '{"coinvariants_dim": 0, "group": "gl", "n": 2, "q": 3, '
+                                  '"steinberg_dim": 3, "twisted": true}\n'),
+        (2, "sl", None, '{"coinvariants_dim": 0, "group": "sl", "n": 2, "q": 3, '
+                        '"steinberg_dim": 3, "twisted": false}\n'),
+        (2, "sl", "[-1, -1]", '{"coinvariants_dim": 0, "group": "sl", "n": 2, "q": 3, '
+                              '"steinberg_dim": 3, "twisted": true}\n'),
+        (2, "trivial", None, '{"coinvariants_dim": 3, "group": "trivial", "n": 2, "q": 3, '
+                             '"steinberg_dim": 3, "twisted": false}\n'),
+        (2, "trivial", "[-1]", '{"coinvariants_dim": 0, "group": "trivial", "n": 2, "q": 3, '
+                               '"steinberg_dim": 3, "twisted": true}\n'),
+        (2, GL_JSON[2], None,
+         '{"coinvariants_dim": 0, "group": "json:[[[1, 1], [0, 1]], [[0, 1], [1, 0]], '
+         '[[2, 0], [0, 1]]]", "n": 2, "q": 3, "steinberg_dim": 3, "twisted": false}\n'),
+        (2, GL_JSON[2], "[-1, -1, -1]",
+         '{"coinvariants_dim": 0, "group": "json:[[[1, 1], [0, 1]], [[0, 1], [1, 0]], '
+         '[[2, 0], [0, 1]]]", "n": 2, "q": 3, "steinberg_dim": 3, "twisted": true}\n'),
+        (3, "gl", None, '{"coinvariants_dim": 0, "group": "gl", "n": 3, "q": 3, '
+                        '"steinberg_dim": 27, "twisted": false}\n'),
+        (3, "gl", "[-1, -1, -1]", '{"coinvariants_dim": 0, "group": "gl", "n": 3, "q": 3, '
+                                  '"steinberg_dim": 27, "twisted": true}\n'),
+        (3, "sl", None, '{"coinvariants_dim": 0, "group": "sl", "n": 3, "q": 3, '
+                        '"steinberg_dim": 27, "twisted": false}\n'),
+        (3, "sl", "[-1, -1, -1, -1, -1, -1]",
+         '{"coinvariants_dim": 0, "group": "sl", "n": 3, "q": 3, '
+         '"steinberg_dim": 27, "twisted": true}\n'),
+        (3, "trivial", None, '{"coinvariants_dim": 27, "group": "trivial", "n": 3, "q": 3, '
+                             '"steinberg_dim": 27, "twisted": false}\n'),
+        (3, "trivial", "[-1]", '{"coinvariants_dim": 0, "group": "trivial", "n": 3, "q": 3, '
+                               '"steinberg_dim": 27, "twisted": true}\n'),
+        (3, GL_JSON[3], None,
+         '{"coinvariants_dim": 0, "group": "json:[[[1, 1, 0], [0, 1, 0], [0, 0, 1]], '
+         '[[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[2, 0, 0], [0, 1, 0], [0, 0, 1]]]", '
+         '"n": 3, "q": 3, "steinberg_dim": 27, "twisted": false}\n'),
+        (3, GL_JSON[3], "[-1, -1, -1]",
+         '{"coinvariants_dim": 0, "group": "json:[[[1, 1, 0], [0, 1, 0], [0, 0, 1]], '
+         '[[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[2, 0, 0], [0, 1, 0], [0, 0, 1]]]", '
+         '"n": 3, "q": 3, "steinberg_dim": 27, "twisted": true}\n'),
+    ],
+)
+def test_coinv_json_bytes_are_pinned(capsys, n, group, twist, want):
+    # the exact bytes printed when every generator's relation rows were
+    # eliminated, before signed permutations were merged by union-find
+    argv = ["steinberg", "coinv", "--n", str(n), "--q", "3", "--group", group, "--json"]
+    if twist is not None:
+        argv += ["--twist", twist]
+    assert run(capsys, *argv) == (0, want)
+
+
+@pytest.mark.parametrize(
+    "argv, sha256, length",
+    [
+        (
+            ("survey", "--d", "2,3,5,-1,-5,-23", "--n", "2..4", "--json"),
+            "2490f8014cd168984d4b4c2c3109cccb80d9af5a030acebdcc3af9b98f331f70",
+            17952,
+        ),
+        (
+            ("survey", "--d", "-3..-1", "--n", "2..3", "--json"),
+            "4f812242614932f8776bec9b34d0caf886f0ef8e5760d3516f2d936a4561bddd",
+            5946,
+        ),
+    ],
+)
+def test_survey_json_bytes_are_pinned(capsys, argv, sha256, length):
+    # the survey lines CI runs: a change to any row, the row order or the
+    # JSON layout shows here
+    code, out = run(capsys, *argv)
+    data = out.encode()
+    assert code == 0
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (sha256, length)
 
 
 def test_bounds_text_and_json(capsys):

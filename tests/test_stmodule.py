@@ -1,9 +1,10 @@
 """Top homology of the building: basis, actions, coinvariants, characters."""
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles as o
 from steinberg import fields as ff
@@ -13,6 +14,7 @@ from steinberg.quadratic import ZZ, make_order, order_invariants
 from steinberg.stmodule import (
     CharacterTwist,
     DualizingType,
+    LinearAction,
     apartment_class,
     apartment_span_rank,
     coinvariants_dim,
@@ -198,6 +200,66 @@ def test_coinvariants_do_not_depend_on_generating_set():
     assert len(closure_std) == gl_order(n, q)
     m = steinberg_module(n, q)
     assert coinvariants_dim(m.action(std)) == coinvariants_dim(m.action(alt))
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2), (4, 3)])
+def test_coinvariants_match_elimination_on_generator_subsets(n, q):
+    # every nonempty subset of the GL generators, with every +-1 twist:
+    # subsets without the n-cycle leave live roots, so some quotients are
+    # nonzero and the projected rows are ranked
+    m = steinberg_module(n, q)
+    mats = m.action(gl_generators(n, q)).matrices
+    nonzero = 0
+    for size in range(1, len(mats) + 1):
+        for subset in combinations(mats, size):
+            act = LinearAction(m.dim, subset)
+            for signs in product((1, -1), repeat=size):
+                twist = CharacterTwist(signs)
+                want = o.coinvariants_dim_reference(act, twist)
+                assert coinvariants_dim(act, twist) == want
+                nonzero += want != 0
+    assert nonzero > 0
+
+
+@st.composite
+def mixed_actions(draw):
+    """A small LinearAction mixing signed permutations, identities and integer
+    matrices, with no twist or a random one."""
+    dim = draw(st.integers(0, 6))
+    signs = st.sampled_from((1, -1))
+    mats = []
+    for kind in draw(st.lists(st.sampled_from(("signed", "identity", "integer")), max_size=4)):
+        if kind == "signed":
+            perm = draw(st.permutations(range(dim)))
+            vals = draw(st.lists(signs, min_size=dim, max_size=dim))
+            dense = [[vals[j] if perm[j] == i else 0 for j in range(dim)] for i in range(dim)]
+        elif kind == "identity":
+            dense = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        else:
+            row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+            dense = draw(st.lists(row, min_size=dim, max_size=dim))
+        mats.append(o.matrix_from_dense(dense))
+    k = len(mats)
+    twist = draw(st.none() | st.lists(signs, min_size=k, max_size=k).map(
+        lambda s: CharacterTwist(tuple(s))))
+    return LinearAction(dim, tuple(mats)), twist
+
+
+@given(mixed_actions())
+@example((LinearAction(0, ()), None))
+@example((LinearAction(3, ()), None))
+@example((LinearAction(3, ()), CharacterTwist(())))
+# a 1-cycle with sign -1 kills e_0; a 3-cycle whose signs multiply to -1
+# kills everything
+@example((LinearAction(2, (o.matrix_from_dense([[-1, 0], [0, 1]]),)), None))
+@example((LinearAction(3, (o.matrix_from_dense([[0, 0, -1], [1, 0, 0], [0, 1, 0]]),)), None))
+@settings(max_examples=300, deadline=None)
+def test_coinvariants_match_elimination_on_mixed_actions(drawn):
+    act, twist = drawn
+    want = o.coinvariants_dim_reference(act, twist)
+    assert coinvariants_dim(act, twist) == want
+    if not act.matrices:
+        assert want == act.dim
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 5), (3, 2)])
