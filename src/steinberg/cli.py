@@ -217,6 +217,8 @@ def _load_json_arg(text, flag):
         return json.loads(text[len("json:"):] if text.startswith("json:") else text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{flag} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{flag} JSON is nested too deeply") from None
 
 
 def _parse_matrices(text):

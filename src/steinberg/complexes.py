@@ -78,52 +78,24 @@ class SemisimplicialSet:
 class ChainComplex:
     """Chain groups and integer boundary matrices of a semisimplicial set.
 
-    boundaries[k] maps degree-k chains to degree k-1 for 1 <= k <= top.
-    When reduced, boundaries[0] is the 1 x n_0 augmentation and the report
-    of homology in degree 0 is reduced homology.
+    boundaries[k] maps degree-k chains to degree k-1 for k >= 1, and
+    boundaries[0] is the 1 x n_0 augmentation, so the homology they give
+    in degree 0 is reduced homology.
     """
 
     dims: tuple
     boundaries: tuple
-    reduced: bool
-
-    @property
-    def top(self) -> int:
-        return len(self.dims) - 1
-
-    def validate(self):
-        """Check d∘d = 0 exactly, multiplying the boundaries over Z.
-
-        Raises ValueError when a boundary entry is not an integer, when
-        consecutive shapes do not match, or naming the first degree k
-        whose composite boundaries[k-1] @ boundaries[k] is nonzero.
-        """
-        for m in self.boundaries:
-            if not m.is_integer():
-                raise ValueError("boundary entry is not an integer")
-        for k in range(1, len(self.boundaries)):
-            left, right = self.boundaries[k - 1], self.boundaries[k]
-            if left.cols != right.rows:
-                raise ValueError("shape mismatch in matrix product")
-            right_rows = right.row_dicts
-            for row in left.row_dicts:
-                acc = {}
-                for c, v in row.items():
-                    for j, w in right_rows[c].items():
-                        acc[j] = acc.get(j, 0) + v * w
-                if any(acc.values()):
-                    raise ValueError(f"boundary composite nonzero in degree {k}")
-        return True
 
 
-def chain_complex(X: SemisimplicialSet, reduced: bool = True) -> ChainComplex:
-    """Boundary matrices of X with alternating-sign face sums."""
+def chain_complex(X: SemisimplicialSet) -> ChainComplex:
+    """Augmentation and boundary matrices of X with alternating-sign face sums.
+
+    Every entry is an int.  d∘d = 0 is not re-multiplied here: faces drop
+    positions, so the composite's entries cancel in pairs by the face
+    identities d_i d_j = d_{j-1} d_i (i < j), which hold for every tuple.
+    """
     dims = tuple(len(c) for c in X.cells)
-    mats = []
-    if reduced:
-        mats.append(ExactMatrix(1, dims[0], (dict.fromkeys(range(dims[0]), 1),)))
-    else:
-        mats.append(ExactMatrix.zero(0, dims[0]))
+    mats = [ExactMatrix(1, dims[0], (dict.fromkeys(range(dims[0]), 1),))]
     for k in range(1, len(X.cells)):
         rows = [{} for _ in range(dims[k - 1])]
         for col, faces in enumerate(X.faces[k]):
@@ -132,16 +104,14 @@ def chain_complex(X: SemisimplicialSet, reduced: bool = True) -> ChainComplex:
                 row[col] = row.get(col, 0) + (1 if i % 2 == 0 else -1)
         # The constructor drops the entries whose faces cancel.
         mats.append(ExactMatrix(dims[k - 1], dims[k], tuple(rows)))
-    cc = ChainComplex(dims, tuple(mats), reduced)
-    cc.validate()
-    return cc
+    return ChainComplex(dims, tuple(mats))
 
 
 def reduced_homology_ranks(X: SemisimplicialSet) -> dict:
     """Reduced rational Betti numbers by degree, computed exactly.
 
-    chain_complex(X) is built first: its d∘d check guards the signs of the
-    very rows ranked here, and its augmentation gives rank ∂_0.  Each rank
+    chain_complex(X) is built first: its boundaries hold the very rows
+    ranked here, and its augmentation gives rank ∂_0.  Each rank
     of ∂_{k+1} is then the rank of the rows of boundaries[k+1]: row f is
     the coboundary of the k-simplex f, over the (k+1)-simplices as
     columns.  The degrees run from 0 up, and a degree drops the rows of the
@@ -164,7 +134,7 @@ def reduced_homology_ranks(X: SemisimplicialSet) -> dict:
     pivots, so exactly β̃_k rows reduce to zero.  On a building that is
     none below the top, and top simplices are only ever columns.
     """
-    cc = chain_complex(X, reduced=True)
+    cc = chain_complex(X)
     dims = cc.dims
     bnd_rank = [rank(cc.boundaries[0])] + [0] * len(dims)
     boundaries = list(cc.boundaries)
@@ -340,8 +310,9 @@ def _is_square_int_matrix(g, n) -> bool:
     )
 
 
-def euler_characteristic(X: SemisimplicialSet, reduced=True) -> int:
-    total = -1 if reduced else 0
+def euler_characteristic(X: SemisimplicialSet) -> int:
+    """Reduced Euler characteristic: the empty simplex counts in degree -1."""
+    total = -1
     for k, c in enumerate(X.cells):
         total += len(c) if k % 2 == 0 else -len(c)
     return total

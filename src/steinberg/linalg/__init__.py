@@ -83,26 +83,6 @@ class ExactMatrix:
             out.append(clean)
         object.__setattr__(self, "row_dicts", tuple(out))
 
-    @classmethod
-    def from_entries(cls, rows, cols, items) -> "ExactMatrix":
-        """Matrix from (row, col, value) triplets; duplicate positions are rejected."""
-        data = [{} for _ in range(rows)]
-        for i, j, v in items:
-            i, j = int(i), int(j)
-            if not 0 <= i < rows:
-                raise ValueError(f"entry ({i},{j}) out of bounds")
-            if j in data[i]:
-                raise ValueError(f"duplicate entry at ({i},{j})")
-            data[i][j] = v
-        return cls(rows, cols, tuple(data))
-
-    @classmethod
-    def zero(cls, rows, cols) -> "ExactMatrix":
-        return cls(rows, cols, ({},) * rows)
-
-    def is_integer(self) -> bool:
-        return all(type(v) is int for row in self.row_dicts for v in row.values())
-
 
 def _integer_row(row):
     """A fresh dict: the row times the least scale that makes it integral."""

@@ -60,16 +60,17 @@ class SteinbergModule:
     in column order.  The coordinate column of basis cycle j is its free
     column, the last entry of its support: the cycle is 1 there and every
     other basis cycle is 0, so a cycle's coordinates are its values at
-    the free columns.
+    the free columns.  coordinates() checks that a chain handed in is a
+    cycle; action() needs no such check, since a simplicial automorphism
+    maps cycles to cycles.  Only the top boundary is kept, by column.
     """
 
     def __init__(self, n, q, budget=DEFAULT_SIMPLEX_BUDGET):
         self.n = n
         self.q = q
         self.building = tits_building(n, q, budget=budget)
-        self.chain = chain_complex(self.building, reduced=True)
         self.top = n - 2
-        boundary = self.chain.boundaries[self.top]
+        boundary = chain_complex(self.building).boundaries[self.top]
         self.supports = kernel_basis(boundary)
         self.dim = len(self.supports)
         # The top boundary by column: (row, value) pairs.
@@ -91,11 +92,15 @@ class SteinbergModule:
     def coordinates(self, chain):
         """Coordinates {basis index: value} of a top cycle {column: value}.
 
-        Raises ValueError unless the chain's boundary is zero.  That check
-        is exact and complete: a cycle vanishing at every coordinate column
-        is zero, so the cycle equals the combination of basis cycles with
-        the coordinates read off.
+        Raises ValueError unless every column is a top simplex index and
+        the chain's boundary is zero.  That check is exact and complete: a
+        cycle vanishing at every coordinate column is zero, so the cycle
+        equals the combination of basis cycles with the coordinates read
+        off.
         """
+        ncols = len(self._boundary_cols)
+        if not all(0 <= s < ncols for s in chain):
+            raise ValueError(f"chain columns must lie in range({ncols})")
         if not self._is_cycle(chain):
             raise ValueError("chain is not in the cycle space")
         index = self._coord_index
@@ -105,18 +110,25 @@ class SteinbergModule:
         """Exact matrices of the generators acting on the cycle space.
 
         Generators act by permuting top simplices (flags map to flags with
-        preserved dimension order, so no signs appear); each permuted basis
-        cycle is re-expressed in the canonical basis.
+        preserved dimension order, so no signs appear).  group_action
+        certifies that each generator permutes every level and maps faces
+        to faces position by position, so it commutes with the boundary:
+        a permuted basis cycle g.z has boundary g.(boundary of z) = 0, and
+        is not re-checked.  Its coordinates, its values at the free
+        columns, are written straight into the matrix rows.
         """
         act = group_action(self.building, self.q, generators)
+        index = self._coord_index
         mats = []
         for levels in act.perms:
             perm = levels[self.top]
-            items = []
+            rows = [{} for _ in range(self.dim)]
             for j, support in enumerate(self.supports):
-                coords = self.coordinates({perm[s]: v for s, v in support})
-                items.extend((i, j, c) for i, c in coords.items())
-            mats.append(ExactMatrix.from_entries(self.dim, self.dim, items))
+                for s, v in support:
+                    i = index.get(perm[s])
+                    if i is not None:
+                        rows[i][j] = v
+            mats.append(ExactMatrix(self.dim, self.dim, tuple(rows)))
         return LinearAction(self.dim, tuple(mats))
 
 

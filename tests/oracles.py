@@ -56,8 +56,12 @@ package's elimination.  restrict_reference is the package's
 TruncatedBComplex.restrict as it was before probe_report counted
 components instead: the truncation at a smaller height read off one
 build, kept as the reference for component_counts and to rank homology
-at every height.  matrix_from_dense and dense_of convert between dense lists
-and the package's sparse matrices for the tests.
+at every height.  first_nonzero_composite is the package's
+ChainComplex.validate as it was before d∘d stopped being re-multiplied at
+run time: the exact product of consecutive boundaries, kept to check that
+the face identities make every composite zero.  matrix_from_dense and
+dense_of convert between dense lists and the package's sparse matrices
+for the tests.
 """
 
 from __future__ import annotations
@@ -449,10 +453,10 @@ def dense_action_matrices(module, gens):
     coordinates and compared entry by entry with itself.  Returns one dense
     matrix (list of Fraction rows, basis-coordinate columns) per generator.
     """
-    from steinberg.complexes import group_action
+    from steinberg.complexes import chain_complex, group_action
 
     top = module.top
-    boundary = module.chain.boundaries[top]
+    boundary = chain_complex(module.building).boundaries[top]
     dense = [[Fraction(0)] * boundary.cols for _ in range(boundary.rows)]
     for i, row in enumerate(boundary.row_dicts):
         for j, v in row.items():
@@ -973,6 +977,7 @@ def apartment_span_rank_reference(module):
     sparse row of the rank computation.
     """
     from steinberg import fields as ff
+    from steinberg.complexes import chain_complex
     from steinberg.linalg import ExactMatrix, rank
     from steinberg.stmodule import apartment_class
 
@@ -984,7 +989,7 @@ def apartment_span_rank_reference(module):
         if ff.matrix_rank(field, gens) != module.n:
             continue
         classes.append(apartment_class(module, gens))
-    cols = module.chain.dims[module.top]
+    cols = chain_complex(module.building).dims[module.top]
     return rank(ExactMatrix(len(classes), cols, tuple(classes)))
 
 
@@ -993,9 +998,27 @@ def reduced_homology_ranks_reference(X):
     from steinberg.complexes import chain_complex
     from steinberg.linalg import rank
 
-    cc = chain_complex(X, reduced=True)
+    cc = chain_complex(X)
     bnd_rank = [rank(m) for m in cc.boundaries] + [0]
     return {k: cc.dims[k] - bnd_rank[k] - bnd_rank[k + 1] for k in range(len(cc.dims))}
+
+
+def first_nonzero_composite(cc):
+    """First degree k whose composite boundaries[k-1] @ boundaries[k] is nonzero.
+
+    The exact product over the sparse integer rows; None when every
+    composite is zero.
+    """
+    for k in range(1, len(cc.boundaries)):
+        right_rows = cc.boundaries[k].row_dicts
+        for row in cc.boundaries[k - 1].row_dicts:
+            acc = {}
+            for c, v in row.items():
+                for j, w in right_rows[c].items():
+                    acc[j] = acc.get(j, 0) + v * w
+            if any(acc.values()):
+                return k
+    return None
 
 
 def coinvariants_dim_reference(action, twist=None) -> int:

@@ -418,6 +418,15 @@ def test_coinv_rejects_malformed_twist(capsys, twist):
     assert err.startswith("input error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--group", "--twist"])
+def test_coinv_rejects_deeply_nested_json(capsys, flag):
+    # json.loads raises RecursionError here, not JSONDecodeError; a second
+    # --group overrides the first
+    argv = ["steinberg", "coinv", "--n", "2", "--q", "3", "--group", "gl"]
+    assert main(argv + [flag, "json:" + "[" * 100000]) == 2
+    assert capsys.readouterr().err == f"input error: {flag} JSON is nested too deeply\n"
+
+
 def test_budget_exhaustion_exit_two(capsys):
     assert main(["building", "homology", "--n", "3", "--q", "3", "--budget", "10"]) == 2
 

@@ -294,7 +294,7 @@ def test_boundaries_and_basis_hold_plain_ints(n, q):
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 3), (2, 9)])
 def test_supports_match_reference_kernel(n, q):
     m = steinberg_module(n, q)
-    boundary = m.chain.boundaries[m.top]
+    boundary = chain_complex(m.building).boundaries[m.top]
     dense = []
     for support in m.supports:
         vec = [0] * boundary.cols
@@ -336,6 +336,21 @@ def test_coordinates_reject_a_non_cycle():
         m.coordinates({0: 1})
     # a basis cycle itself reads back as its own coordinate vector
     assert m.coordinates(dict(m.supports[3])) == {3: 1}
+
+
+def test_coordinates_reject_columns_outside_the_top_simplices():
+    m = steinberg_module(3, 2)
+    ncols = m.building.n_cells(m.top)
+    cycle = dict(m.supports[3])
+    free, one = m.supports[3][-1]
+    assert one == 1
+    # the free column written as a negative index names the same simplex
+    # in Python's indexing, so the chain would pass as a cycle and read {}
+    wrapped = {(free - ncols if s == free else s): v for s, v in cycle.items()}
+    with pytest.raises(ValueError, match=f"range\\({ncols}\\)"):
+        m.coordinates(wrapped)
+    with pytest.raises(ValueError, match=f"range\\({ncols}\\)"):
+        m.coordinates({ncols: 1})
 
 
 @pytest.mark.parametrize("n", range(1, 9))
