@@ -252,9 +252,12 @@ def _cmd_coinv(args) -> int:
         gens = trivial_generators(args.n)
     else:
         gens = _parse_matrices(args.group)
+    # Checked before the build, so a bad twist exits at once.
+    twist = None if args.twist is None else _parse_twist(args.twist)
+    if twist is not None and len(twist.signs) != len(gens):
+        raise ValueError("twist length does not match generator count")
     module = steinberg_module(args.n, args.q, budget=args.budget)
     action = module.action(gens)
-    twist = None if args.twist is None else _parse_twist(args.twist)
     dim = coinvariants_dim(action, twist)
     payload = {
         "n": args.n,

@@ -309,10 +309,3 @@ def _is_square_int_matrix(g, n) -> bool:
         for row in g
     )
 
-
-def euler_characteristic(X: SemisimplicialSet) -> int:
-    """Reduced Euler characteristic: the empty simplex counts in degree -1."""
-    total = -1
-    for k, c in enumerate(X.cells):
-        total += len(c) if k % 2 == 0 else -len(c)
-    return total

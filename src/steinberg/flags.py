@@ -11,9 +11,12 @@ search can run out of budget.
 
 In both models membership is a property of the unordered set, closed
 under faces.  So both builders share one loop (_ordered_simplices): it
+tries as pairs only the partners each builder lists for a vertex,
 certifies each set once, tries only vertices paired with every member,
 counts the k! orderings of each certified k-set against the budget, and
-only then lists the orderings.
+only then lists the orderings.  The line complex lists every pair; the
+basis complex lists only pairs of the right residue classes whose 2x2
+minors have gcd 1, so its certify sees no pair rule.
 
 case1_retraction implements the vertex map v -> v - w (for v with last
 coordinate 1 mod m) on the link of a 1-vertex w inside the relaxed
@@ -24,6 +27,7 @@ images land in the exactly-one complex and are re-certified.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -140,7 +144,10 @@ def lines_complex_fq(n, q, budget=DEFAULT_SIMPLEX_BUDGET) -> SemisimplicialSet:
     def independent(s):
         return True if ff.matrix_rank(field, [gens[i] for i in s]) == len(s) else None
 
-    cells, _ = _ordered_simplices([True] * len(labels), n, independent, budget, "line complex")
+    nv = len(labels)
+    cells, _ = _ordered_simplices(
+        [True] * nv, n, lambda i: range(i + 1, nv), independent, budget, "line complex"
+    )
     return SemisimplicialSet(labels, cells)
 
 
@@ -151,23 +158,27 @@ def _within_budget(total, budget, what) -> int:
     return total
 
 
-def _ordered_simplices(vertex_certs, n, certify, budget, what):
+def _ordered_simplices(vertex_certs, n, partners, certify, budget, what):
     """Ordered simplices of sizes 1..n, each with its set's certificate.
 
-    The vertices are 0..len(vertex_certs)-1.  certify(s) decides a strictly
-    increasing index tuple s of size >= 2: it returns a certificate (any
-    value but None) or None when s is no simplex.  Being a simplex must be
-    a property of the set, and every subset of a simplex must be one.
+    The vertices are 0..len(vertex_certs)-1.  partners(i) lists, in
+    increasing order, the indices j > i that may form an edge with i; a
+    pair it leaves out is never certified.  certify(s) decides a strictly
+    increasing index tuple s of size >= 2 built from listed pairs: it
+    returns a certificate (any value but None) or None when s is no
+    simplex.  Being a simplex must be a property of the set, and every
+    subset of a simplex must be one.
 
-    Sets are certified once each, size by size.  A certified k-set is a
-    certified (k-1)-set, its largest index removed, extended by that
-    index; so extending each certified (k-1)-set by the indices above its
-    last reaches every certified k-set exactly once.  Every pair inside a
-    simplex is a simplex, so from size 3 on only the indices adjacent to
-    every member of the (k-1)-set are tried.  Every ordering of a
-    certified k-set is a simplex, so size k adds k! simplices per
-    certified set; that count is checked against budget as each set
-    certifies, before any ordering is listed.
+    Sets are certified once each, size by size.  The pairs are i with each
+    of partners(i).  A certified k-set, k >= 3, is a certified (k-1)-set,
+    its largest index removed, extended by that index; so extending each
+    certified (k-1)-set by the indices above its last reaches every
+    certified k-set exactly once.  Every pair inside a simplex is a
+    simplex, so from size 3 on only the indices adjacent to every member
+    of the (k-1)-set are tried.  Every ordering of a certified k-set is a
+    simplex, so size k adds k! simplices per certified set; that count is
+    checked against budget as each set certifies, before any ordering is
+    listed.
 
     Orderings are listed for each ordered (k-1)-simplex, in order, with
     each vertex j that extends its set, in increasing order.  So when
@@ -188,7 +199,7 @@ def _ordered_simplices(vertex_certs, n, certify, budget, what):
         orderings = math.factorial(size)
         found = {}
         for s in level:
-            above = range(s[-1] + 1, nv) if common is None else [j for j in common[s] if j > s[-1]]
+            above = partners(s[-1]) if common is None else [j for j in common[s] if j > s[-1]]
             for j in above:
                 t = s + (j,)
                 cert = certify(t)
@@ -405,20 +416,24 @@ def b_complex_truncated(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET) -> Truncate
     Whether a set of vectors extends to such a basis does not depend on
     their order (unimodularity, the mod-m rule and the count of
     1-vertices are properties of the set), so each set is certified once,
-    and every ordering of it carries its witness.  Two exact rules reject
-    a set with no completion_witness call:
+    and every ordering of it carries its witness.  Exact rules reject a
+    set with no completion_witness call, each in one place:
 
-    - residue count: the set holds two or more 1-vertices, or it holds n
-      vectors and no 1-vertex (a whole basis, with nothing left to
-      complete that could carry the one 1);
-    - pairs: a pair {u, v} whose 2x2 minors u_i v_j - u_j v_i have a gcd
-      other than 1 (for n = 2, |det| != 1).  If u, v and completion rows
-      form a basis, the Laplace expansion of its determinant along the
-      rows u and v is an integer combination of these minors, so their
-      gcd divides the determinant +-1.
+    - where pairs are listed (partners), by residue class: two 1-vertices
+      never pair, and for n = 2 neither do two 0-vertices (a whole basis
+      with no 1-vertex to carry the one 1);
+    - there too, by minors: a pair {u, v} whose 2x2 minors
+      u_i v_j - u_j v_i have a gcd other than 1 (for n = 2, |det| != 1) is
+      not listed.  If u, v and completion rows form a basis, the Laplace
+      expansion of its determinant along the rows u and v is an integer
+      combination of these minors, so their gcd divides the determinant
+      +-1;
+    - in certify: a set of n vectors with no 1-vertex, which for n = 2 is
+      never listed, so this rule fires only for n >= 3.
 
-    Every other set is decided by one completion_witness call on its
-    vectors in increasing index order, which builds the witness and
+    A set with two 1-vertices holds an unlisted pair, so it is never
+    formed.  Every other set is decided by one completion_witness call on
+    its vectors in increasing index order, which builds the witness and
     checks it; the rules only skip sets that call would reject, so the
     cells and witnesses are those of a call on every set.
 
@@ -454,25 +469,35 @@ def b_complex_truncated(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET) -> Truncate
             continue
         vertex_witnesses.append(wit)
         labels.append(tuple(vec))
+    nv = len(labels)
     one = [_last_mod(v, m) == 1 for v in labels]
+    ones = [i for i in range(nv) if one[i]]
+    zeros = [i for i in range(nv) if not one[i]]
     index_pairs = list(combinations(range(n), 2))
 
+    def partners(i):
+        if one[i]:
+            above = zeros[bisect_right(zeros, i):]
+        elif n == 2:
+            above = ones[bisect_right(ones, i):]
+        else:
+            above = range(i + 1, nv)
+        u = labels[i]
+        out = []
+        for j in above:
+            v = labels[j]
+            if math.gcd(*[u[a] * v[b] - u[b] * v[a] for a, b in index_pairs]) == 1:
+                out.append(j)
+        return out
+
     def certify(s):
-        ones = sum(one[i] for i in s)
-        if ones >= 2 or (ones == 0 and len(s) == n):
+        if len(s) == n and not any(one[i] for i in s):
             return None
-        if len(s) == 2:
-            u, v = labels[s[0]], labels[s[1]]
-            g = 0
-            for i, j in index_pairs:
-                g = math.gcd(g, u[i] * v[j] - u[j] * v[i])
-                if g == 1:
-                    break
-            if g != 1:
-                return None
         return completion_witness([labels[i] for i in s], n, m)
 
-    cells, certs = _ordered_simplices(vertex_witnesses, n, certify, budget, "B complex")
+    cells, certs = _ordered_simplices(
+        vertex_witnesses, n, partners, certify, budget, "B complex"
+    )
     witnesses = {(k, s): wit for k, cell in enumerate(certs) for s, wit in enumerate(cell)}
     return TruncatedBComplex(n, m, height, SemisimplicialSet(labels, cells), witnesses)
 

@@ -259,7 +259,13 @@ def fundamental_unit(order: QuadraticOrder) -> RingElement:
     else:
         P, Q = 0, 1
     # Convergents of omega; u_k = p_k - q_k * conj(omega) lies in the order
-    # and |N(u_k)| = 1 exactly at period boundaries.
+    # and |N(u_k)| = 1 exactly at period boundaries.  The norm is tested on
+    # the integer components, and only the unit found becomes an element:
+    # for d = 1 mod 4, u = p - q*(1 - sqrt(d))/2 = ((2p - q) + q sqrt(d)) / 2
+    # and |N(u)| = 1 is (2p - q)^2 - d q^2 = +-4; otherwise u = p + q sqrt(d)
+    # and |N(u)| = 1 is p^2 - d q^2 = +-1.
+    half = d % 4 == 1
+    target = 4 if half else 1
     p_prev, q_prev = 1, 0
     p, q = None, None
     for _ in range(CF_STEP_CAP):
@@ -270,13 +276,9 @@ def fundamental_unit(order: QuadraticOrder) -> RingElement:
             p, q = a, 1
         else:
             p, q, p_prev, q_prev = a * p + p_prev, a * q + q_prev, p, q
-        if d % 4 == 1:
-            # u = p - q*(1 - sqrt(d))/2 = ((2p - q) + q sqrt(d)) / 2
-            u = RingElement(d, 2 * p - q, q)
-        else:
-            u = RingElement(d, p, q)
-        if abs(u.norm()) == 1:
-            return u
+        x = 2 * p - q if half else p
+        if abs(x * x - d * q * q) == target:
+            return RingElement(d, x, q)
     raise RuntimeError("continued fraction period exceeds step cap")
 
 

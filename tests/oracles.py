@@ -59,7 +59,9 @@ build, kept as the reference for component_counts and to rank homology
 at every height.  first_nonzero_composite is the package's
 ChainComplex.validate as it was before d∘d stopped being re-multiplied at
 run time: the exact product of consecutive boundaries, kept to check that
-the face identities make every composite zero.  matrix_from_dense and
+the face identities make every composite zero.  euler_characteristic
+is the reduced Euler characteristic, read off the cell counts; nothing in
+the package needs it, so it lives here.  matrix_from_dense and
 dense_of convert between dense lists and the package's sparse matrices
 for the tests.
 """
@@ -1019,6 +1021,14 @@ def first_nonzero_composite(cc):
             if any(acc.values()):
                 return k
     return None
+
+
+def euler_characteristic(X) -> int:
+    """Reduced Euler characteristic: the empty simplex counts in degree -1."""
+    total = -1
+    for k, c in enumerate(X.cells):
+        total += len(c) if k % 2 == 0 else -len(c)
+    return total
 
 
 def coinvariants_dim_reference(action, twist=None) -> int:

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import steinberg.cli as cli
 import steinberg.stmodule as stmodule
 import steinberg.verify as verify
 from steinberg.cli import main
@@ -416,6 +417,28 @@ def test_coinv_rejects_malformed_twist(capsys, twist):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("input error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "group, twist, message",
+    [
+        ("gl", "json:5", "input error: --twist must be a list of the integers 1 and -1\n"),
+        ("gl", "json:[1, -1]", "input error: twist length does not match generator count\n"),
+        ("trivial", "[1, 1]", "input error: twist length does not match generator count\n"),
+        ("json:[[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]", "[]",
+         "input error: twist length does not match generator count\n"),
+    ],
+)
+def test_coinv_rejects_twist_before_the_build(capsys, monkeypatch, group, twist, message):
+    # the Steinberg module of (4,5) takes over a second to build; a twist
+    # that cannot apply is rejected before it is started
+    def spy(*args, **kwargs):
+        raise AssertionError("steinberg_module called before the twist was checked")
+
+    monkeypatch.setattr(cli, "steinberg_module", spy)
+    argv = ["steinberg", "coinv", "--n", "4", "--q", "5", "--group", group, "--twist", twist]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("flag", ["--group", "--twist"])

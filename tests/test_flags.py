@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as o
+import steinberg.flags as flags
 from steinberg.errors import BudgetExceededError
 from steinberg.flags import (
     b_complex_truncated,
@@ -298,6 +299,52 @@ def test_pair_minor_rule_is_saturation(pair):
     # summand of rank 2; dependent pairs have all minors 0
     u, v = pair
     assert (minors_gcd(u, v) == 1) == is_saturated([u, v])
+
+
+@pytest.mark.parametrize("n,m,height", [(2, 2, 12), (2, 3, 5), (3, 3, 2), (3, 2, 2)])
+def test_pair_stage_lists_only_pairs_the_rules_keep(monkeypatch, n, m, height):
+    # the pairs handed to certify are exactly the index pairs i < j that
+    # pass the residue rule (at most one 1-vertex, and for n = 2 at least
+    # one) and the minor rule, in increasing order of (i, j); each of them
+    # reaches completion_witness, on its vectors in index order
+    listed = []
+    completed = []
+    real_ordered = flags._ordered_simplices
+    real_witness = flags.completion_witness
+
+    def ordered(vertex_certs, n, partners, certify, budget, what):
+        def spy_certify(s):
+            if len(s) == 2:
+                listed.append(s)
+            return certify(s)
+
+        return real_ordered(vertex_certs, n, partners, spy_certify, budget, what)
+
+    def witness(vectors, n, m, unique=True):
+        if len(vectors) == 2:
+            completed.append(tuple(vectors))
+        return real_witness(vectors, n, m, unique)
+
+    monkeypatch.setattr(flags, "_ordered_simplices", ordered)
+    monkeypatch.setattr(flags, "completion_witness", witness)
+    bx = b_complex_truncated(n, m, height)
+    labels = bx.complex.labels
+    one = [v[-1] % m == 1 for v in labels]
+    for i, j in listed:
+        assert not (one[i] and one[j])
+        assert n > 2 or one[i] or one[j]
+        assert minors_gcd(labels[i], labels[j]) == 1
+    expected = [
+        (i, j)
+        for i, j in combinations(range(len(labels)), 2)
+        if one[i] + one[j] < 2
+        and (n > 2 or one[i] + one[j] == 1)
+        and minors_gcd(labels[i], labels[j]) == 1
+    ]
+    assert listed == expected
+    assert completed == [(labels[i], labels[j]) for i, j in expected]
+    if (n, m, height) == (2, 2, 12):
+        assert len(completed) == 980
 
 
 def test_rules_reject_only_uncompletable_sets_in_rank_four():
