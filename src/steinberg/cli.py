@@ -234,11 +234,9 @@ def _parse_matrices(text):
 
 
 def _parse_twist(text):
-    """Sign twist from json:<list>; every entry must be the int 1 or -1."""
+    """Sign twist from json:<list>; CharacterTwist checks the entries."""
     signs = _load_json_arg(text, "--twist")
-    if not isinstance(signs, list) or any(
-        type(s) is not int or s not in (1, -1) for s in signs
-    ):
+    if not isinstance(signs, list):
         raise ValueError("--twist must be a list of the integers 1 and -1")
     return CharacterTwist(tuple(signs))
 
@@ -388,6 +386,12 @@ def _join_negative_values(argv):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+    # A valid result, such as a fundamental unit, can have more digits than
+    # Python (3.10.7+) converts to str by default.  The limit is lifted once
+    # argparse has read the int options under it, and restored on return.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.run(args)
     except AssertionError as exc:
@@ -399,6 +403,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def console_entry() -> None:

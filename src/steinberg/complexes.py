@@ -263,9 +263,10 @@ def group_action(X: SemisimplicialSet, q: int, generators) -> ComplexAction:
     keys (as produced by tits_building or the finite-field line complexes).
     Raises ValueError if a generator is not an n x n integer matrix (n the
     ambient dimension of the labels), is singular, sends a vertex outside
-    the complex, is not injective on vertices, or sends a simplex outside
-    the complex.  An injective vertex map that sends simplices to simplices
-    permutes each level and commutes with faces, so neither is re-checked.
+    the complex, or sends a simplex outside the complex.  An invertible
+    generator sends distinct subspaces to distinct subspaces, so its vertex
+    map is injective; one that also sends simplices to simplices permutes
+    each level and commutes with faces, so none of these is re-checked.
     """
     field = ff.finite_field(q)
     n = len(X.labels[0][0])
@@ -284,8 +285,6 @@ def group_action(X: SemisimplicialSet, q: int, generators) -> ComplexAction:
             if tgt is None:
                 raise ValueError("generator image leaves the complex")
             vmap.append(tgt)
-        if len(set(vmap)) != len(vmap):
-            raise ValueError("generator does not permute vertices")
         levels = []
         for k, cell in enumerate(X.cells):
             level = []

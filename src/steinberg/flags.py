@@ -98,24 +98,22 @@ def projective_splitting(flag: IntegerFlag):
     parts = []
     for step in flag.steps:
         rows = [list(r) for r in step]
-        if not adapted:
-            new_rows = rows
-        else:
-            # Coordinates of the previous adapted basis inside this step's
-            # basis form a saturated matrix; complete it and push back.
-            coords = []
-            for b in adapted:
-                x = solve_row_combination(rows, b)
-                if x is None:
-                    raise AssertionError("flag nesting lost during splitting")
-                coords.append(x)
-            extra = complete_to_basis(coords, len(rows))
-            if extra is None:
-                raise AssertionError("saturation lost inside larger step")
-            new_rows = [
-                [sum(c * rows[j][i] for j, c in enumerate(y)) for i in range(n)]
-                for y in extra
-            ]
+        # Coordinates of the previous adapted basis inside this step's
+        # basis form a saturated matrix; complete it and push back.  For
+        # the first step there are none, and the completion is the identity.
+        coords = []
+        for b in adapted:
+            x = solve_row_combination(rows, b)
+            if x is None:
+                raise AssertionError("flag nesting lost during splitting")
+            coords.append(x)
+        extra = complete_to_basis(coords, len(rows))
+        if extra is None:
+            raise AssertionError("saturation lost inside larger step")
+        new_rows = [
+            [sum(c * rows[j][i] for j, c in enumerate(y)) for i in range(n)]
+            for y in extra
+        ]
         parts.append(tuple(tuple(r) for r in new_rows))
         adapted.extend(new_rows)
     tail = complete_to_basis(adapted, n)
@@ -445,9 +443,15 @@ def b_complex_truncated(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET) -> Truncate
     Each witness is checked once, by completion_witness as it is made.
 
     Raises ValueError for height < 1 or m < 2, and BudgetExceededError as
-    soon as the simplex count, vertices included, passes budget.  A
-    certified k-set brings k! ordered simplices, so each size is counted
-    set by set, before any of its orderings is listed.
+    soon as the simplex count, vertices included, passes budget.  Vertices
+    are counted before they are certified, from two sets known to hold
+    only vertices: the (2 height + 1)^(n-1) vectors (x, 1), completed by
+    e_1, ..., e_{n-1}, before any vector is listed; and the primitive
+    vectors with last coordinate 1 mod m, as they are listed (complete one
+    to a basis, then subtract multiples of it from the completion rows).
+    For n = 1 the only primitive vectors are +-1.  A certified k-set
+    brings k! ordered simplices, so each size is counted set by set,
+    before any of its orderings is listed.
     """
     if n < 1:
         raise ValueError("rank must be positive")
@@ -455,20 +459,35 @@ def b_complex_truncated(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET) -> Truncate
         raise ValueError("modulus must be at least 2")
     if height < 1:
         raise ValueError("height bound must be at least 1")
+    if n == 1:
+        vectors = [(-1,), (1,)]  # the primitive vectors of Z^1
+    else:
+        # The vertices (x, 1), one factor at a time, before product lists
+        # the range.
+        count = 1
+        for _ in range(n - 1):
+            count = _within_budget(count * (2 * height + 1), budget, "B complex")
+        vectors = product(range(-height, height + 1), repeat=n)
+    candidates = []
+    one_count = 0  # primitive, last coordinate 1 mod m: vertices uncertified
+    for vec in vectors:
+        if not any(vec) or math.gcd(*(abs(x) for x in vec)) != 1:
+            continue
+        last = _last_mod(vec, m)
+        if last == 1:
+            one_count = _within_budget(one_count + 1, budget, "B complex")
+        elif last != 0:
+            continue
+        candidates.append(vec)
     labels = []
     vertex_witnesses = []
-    for vec in product(range(-height, height + 1), repeat=n):
-        if not any(vec):
-            continue
-        if math.gcd(*(abs(x) for x in vec)) != 1:
-            continue
-        if _last_mod(vec, m) not in (0, 1):
-            continue
+    for vec in candidates:
         wit = completion_witness([vec], n, m)
         if wit is None:
             continue
         vertex_witnesses.append(wit)
         labels.append(tuple(vec))
+        _within_budget(len(labels), budget, "B complex")
     nv = len(labels)
     one = [_last_mod(v, m) == 1 for v in labels]
     ones = [i for i in range(nv) if one[i]]

@@ -206,10 +206,6 @@ class QuadraticOrder:
     def signature(self):
         return (2, 0) if self.d > 0 else (0, 1)
 
-    @property
-    def is_real(self) -> bool:
-        return self.d > 0
-
     def element(self, a, b) -> RingElement:
         return RingElement(self.d, a, b)
 
@@ -223,7 +219,6 @@ class RationalIntegers:
     d = None
     discriminant = 1
     signature = (1, 0)
-    is_real = True
 
     def __repr__(self):
         return "RationalIntegers()"

@@ -44,13 +44,13 @@ class LinearAction:
 
 @dataclass(frozen=True)
 class CharacterTwist:
-    """Signs (+1/-1), one per generator, defining a sign character twist."""
+    """Signs, the ints 1 and -1 (not True or 1.0), one per generator."""
 
     signs: tuple
 
     def __post_init__(self):
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("twist signs must be +1 or -1")
+        if any(type(s) is not int or s not in (1, -1) for s in self.signs):
+            raise ValueError("twist signs must be the integers 1 and -1")
 
 
 class SteinbergModule:
@@ -62,7 +62,8 @@ class SteinbergModule:
     other basis cycle is 0, so a cycle's coordinates are its values at
     the free columns.  coordinates() checks that a chain handed in is a
     cycle; action() needs no such check, since a simplicial automorphism
-    maps cycles to cycles.  Only the top boundary is kept, by column.
+    maps cycles to cycles.  No boundary matrix is kept: the cycle check
+    reads the building's top face lists.
     """
 
     def __init__(self, n, q, budget=DEFAULT_SIMPLEX_BUDGET):
@@ -70,23 +71,23 @@ class SteinbergModule:
         self.q = q
         self.building = tits_building(n, q, budget=budget)
         self.top = n - 2
-        boundary = chain_complex(self.building).boundaries[self.top]
-        self.supports = kernel_basis(boundary)
+        self.supports = kernel_basis(chain_complex(self.building).boundaries[self.top])
         self.dim = len(self.supports)
-        # The top boundary by column: (row, value) pairs.
-        self._boundary_cols = [[] for _ in range(boundary.cols)]
-        for i, row in enumerate(boundary.row_dicts):
-            for j, v in row.items():
-                self._boundary_cols[j].append((i, v))
         # The coordinate column of each basis cycle: its free column.
         self._coord_index = {support[-1][0]: j for j, support in enumerate(self.supports)}
 
     def _is_cycle(self, chain) -> bool:
-        """Whether a top chain {column: value} has zero boundary, over Z."""
+        """Whether a top chain {column: value} has zero boundary, over Z.
+
+        Face i enters with sign (-1)^i; in degree 0 the boundary is the sum.
+        """
+        if self.top == 0:
+            return sum(chain.values()) == 0
+        faces = self.building.faces[self.top]
         acc = {}
         for s, v in chain.items():
-            for r, b in self._boundary_cols[s]:
-                acc[r] = acc.get(r, 0) + b * v
+            for i, f in enumerate(faces[s]):
+                acc[f] = acc.get(f, 0) + (v if i % 2 == 0 else -v)
         return not any(acc.values())
 
     def coordinates(self, chain):
@@ -98,7 +99,7 @@ class SteinbergModule:
         equals the combination of basis cycles with the coordinates read
         off.
         """
-        ncols = len(self._boundary_cols)
+        ncols = len(self.building.cells[self.top])
         if not all(0 <= s < ncols for s in chain):
             raise ValueError(f"chain columns must lie in range({ncols})")
         if not self._is_cycle(chain):
@@ -166,9 +167,10 @@ def apartment_class(module: SteinbergModule, frame_lines):
     frame_lines: n vectors over F_q, one spanning each line.  Returns the
     class as a sparse top chain {top-simplex index: +1 or -1}, the format
     SteinbergModule.coordinates takes: one flag of nested spans per
-    ordering of the frame, signed by the ordering's sign.  The class is
-    checked to be a cycle.  Reordering the frame by an odd permutation
-    negates the class.
+    ordering of the frame in _orderings(n) order, signed by the ordering's
+    sign; the reversed ordering's flag comes last.  The class is checked to
+    be a cycle.  Reordering the frame by an odd permutation negates the
+    class.
     """
     n, q = module.n, module.q
     field = ff.finite_field(q)
@@ -210,9 +212,10 @@ def apartment_span_rank(module: SteinbergModule) -> int:
     finite group with BN-pair", 1969; Abramenko & Brown, Buildings, GTM
     248, ch. 4): one class per upper unitriangular u over F_q, for the
     frame of u's columns, whose designated chamber is the flag of spans of
-    u's last 1, ..., n-1 columns.  Checked exactly: the designated chambers
-    are distinct, and each class's support meets exactly one of them, its
-    own.  The number of classes returned is exact because:
+    u's last 1, ..., n-1 columns, the last key of its class.  Checked
+    exactly: the designated chambers are distinct, and none lies in the
+    support of another class.  The number of classes returned is exact
+    because:
     - each class is +1 or -1 on its own designated chamber and 0 on the
       others, so the classes are independent;
     - every apartment class is a top cycle, so the span rank is at most
@@ -223,26 +226,22 @@ def apartment_span_rank(module: SteinbergModule) -> int:
     Raises AssertionError if a check fails.
     """
     n = module.n
-    field = ff.finite_field(module.q)
-    X = module.building
-    frames = []
+    count = 0
+    designated = set()
+    others = set()
     for entries in product(range(module.q), repeat=n * (n - 1) // 2):
         above = iter(entries)
         # column j of u: its j entries above the diagonal, 1, then zeros
-        frames.append(
-            [[next(above) for _ in range(j)] + [1] + [0] * (n - 1 - j) for j in range(n)]
-        )
-    designated = {}
-    for k, frame in enumerate(frames):
-        flag = tuple(X.label_index[ff.rref(field, frame[n - size:])] for size in range(1, n))
-        designated[X.index[module.top][flag]] = k
-    if len(designated) != len(frames):
+        frame = [[next(above) for _ in range(j)] + [1] + [0] * (n - 1 - j) for j in range(n)]
+        *rest, own = apartment_class(module, frame)
+        designated.add(own)
+        others.update(rest)
+        count += 1
+    if len(designated) != count:
         raise AssertionError("designated chambers are not distinct")
-    for k, frame in enumerate(frames):
-        met = [designated[s] for s in apartment_class(module, frame) if s in designated]
-        if met != [k]:
-            raise AssertionError(f"apartment class {k} meets designated chambers {met}")
-    return len(frames)
+    if not designated.isdisjoint(others):
+        raise AssertionError("an apartment class meets another class's designated chamber")
+    return count
 
 
 def _signed_permutation(mat):

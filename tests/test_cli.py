@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import sys
 import time
 
 import pytest
 
 import steinberg.cli as cli
+import steinberg.quadratic as quadratic
 import steinberg.stmodule as stmodule
 import steinberg.verify as verify
 from steinberg.cli import main
@@ -569,3 +571,71 @@ def test_survey_budget_counts_cells_before_listing_any(capsys):
     code, payload = run_json(capsys, "survey", "--d", "2,2,3", "--n", "2..3", "--budget", "6",
                              "--json")
     assert code == 0 and len(payload["rows"]) == 6
+
+
+def _huge_unit(order):
+    # (1 + sqrt 2)^12001 has norm -1, as the true unit of Z[sqrt 2] does,
+    # and coefficients of 4,594 digits, past Python's default str limit
+    return quadratic.RingElement(2, 1, 1) ** 12001
+
+
+def test_ring_info_prints_a_huge_unit(capsys, monkeypatch):
+    monkeypatch.setattr(quadratic, "fundamental_unit", _huge_unit)
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    limit = get_limit()
+    code, out = run(capsys, "ring", "info", "--d", "2", "--json")
+    assert code == 0
+    # main lifts the limit only while it runs; reading the digits back
+    # lifts it here
+    assert get_limit() == limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        unit = _huge_unit(None)
+        assert len(str(unit.a)) > 4300
+        assert json.loads(out)["fundamental_unit"] == {
+            "a": unit.a, "b": unit.b, "denom": 1, "norm": -1
+        }
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flags", "probe", "--n", "1", "--m", "2", "--height", "99999999999"],
+        ["flags", "probe", "--n", "2", "--m", "2", "--height", "99999999999"],
+        ["flags", "probe", "--n", "2", "--m", "2", "--height", "400"],
+        ["ring", "info", "--d", "2"],
+        ["ring", "info", "--d", "2", "--json"],
+        ["survey", "--d", "2,3", "--n", "2", "--json"],
+        ["bounds", "--d", "2", "--n", "2", "--json"],
+        ["steinberg", "coinv", "--n", "2", "--q", "3", "--group", "json:" + "[" * 100000],
+        ["steinberg", "coinv", "--n", "2", "--q", "3", "--group", "gl",
+         "--twist", "json:" + "[" * 100000],
+        ["steinberg", "coinv", "--n", "2", "--q", "3", "--group", "gl",
+         "--twist", "json:[true,1,-1]"],
+        ["steinberg", "coinv", "--n", "1", "--q", "3", "--group", "gl"],
+        ["steinberg", "coinv", "--n", "4", "--q", "5", "--group", "gl", "--twist", "json:5"],
+        ["survey", "--d", f"1..{10**12}", "--n", "2"],
+        ["survey", "--d", "5..2", "--n", "2"],
+        ["bounds", "--d", "12", "--n", "2"],
+        ["building", "homology", "--n", "7", "--q", "2"],
+    ],
+    ids=lambda argv: " ".join(argv)[:60],
+)
+def test_edge_inputs_exit_cleanly(capsys, monkeypatch, argv):
+    # d = 2 answers with a unit past the default int-to-str digit limit.
+    # Each input answers at once: flags probe counts its vertices against
+    # the budget before product lists a huge range, and before (2,2,400)
+    # certifies its 390,000 or so vertices
+    monkeypatch.setattr(quadratic, "fundamental_unit", _huge_unit)
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert err.count("\n") <= 1
+    assert elapsed < 1.0

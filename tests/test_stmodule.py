@@ -1,5 +1,6 @@
 """Top homology of the building: basis, actions, coinvariants, characters."""
 
+import random
 from itertools import combinations, permutations, product
 from math import factorial
 
@@ -150,6 +151,24 @@ def test_apartment_span_rank_rejects_a_repeated_class(monkeypatch):
     standard = apartment_class(m, [(1, 0), (0, 1)])
     monkeypatch.setattr(stmodule, "apartment_class", lambda module, frame: standard)
     with pytest.raises(AssertionError):
+        apartment_span_rank(m)
+
+
+def test_apartment_span_rank_rejects_a_class_meeting_another_designated_chamber(monkeypatch):
+    # each class also holds the designated chamber of the frame before it;
+    # its own designated chamber stays its last key
+    m = steinberg_module(3, 2)
+    designated = []
+
+    def leaky_class(module, frame):
+        *rest, own = apartment_class(module, frame)
+        leaked = dict.fromkeys(rest + designated[-1:], 1)
+        leaked[own] = 1
+        designated.append(own)
+        return leaked
+
+    monkeypatch.setattr(stmodule, "apartment_class", leaky_class)
+    with pytest.raises(AssertionError, match="designated chamber"):
         apartment_span_rank(m)
 
 
@@ -351,6 +370,44 @@ def test_coordinates_reject_columns_outside_the_top_simplices():
         m.coordinates(wrapped)
     with pytest.raises(ValueError, match=f"range\\({ncols}\\)"):
         m.coordinates({ncols: 1})
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (3, 2), (3, 3), (4, 2)])
+def test_cycle_check_agrees_with_the_top_boundary(n, q):
+    # coordinates reads the building's face lists (the augmentation for
+    # n = 2); a chain passes exactly when the boundary matrix kills it
+    m = steinberg_module(n, q)
+    boundary = chain_complex(m.building).boundaries[m.top]
+    ncols = m.building.n_cells(m.top)
+    rng = random.Random(10 * n + q)
+    chains = []
+    for _ in range(40):
+        chain = {}
+        for j in rng.sample(range(m.dim), min(3, m.dim)):
+            c = rng.choice((-2, -1, 1, 3))
+            for s, v in m.supports[j]:
+                chain[s] = chain.get(s, 0) + c * v
+        chains.append(chain)
+        broken = dict(chain)
+        s = rng.randrange(ncols)
+        broken[s] = broken.get(s, 0) + 1
+        chains.append(broken)
+    for chain in chains:
+        image = [sum(v * chain.get(j, 0) for j, v in row.items()) for row in boundary.row_dicts]
+        try:
+            m.coordinates(chain)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (not any(image))
+
+
+@pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, 2, 0, "1"])
+def test_character_twist_takes_only_the_ints_one_and_minus_one(sign):
+    # True and 1.0 compare equal to 1, so a membership test alone lets them in
+    with pytest.raises(ValueError, match="integers 1 and -1"):
+        CharacterTwist((sign, -1))
+    assert CharacterTwist((1, -1)).signs == (1, -1)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
