@@ -5,8 +5,9 @@ hashable labels, and a k-simplex is a (k+1)-tuple of vertex label indices.
 Face maps drop one position.  Closure under faces is checked on every
 built instance; the semisimplicial identities d_i d_j = d_{j-1} d_i
 (i < j) need no check, since both sides drop the same two positions and
-name the same tuple.  Builders enforce their simplex budgets while they
-enumerate.
+name the same tuple.  Each level's face lists are read with one
+operator.itemgetter per dropped position.  Builders enforce their simplex
+budgets while they enumerate.
 
 The building of GL_n(F_q) has one vertex per proper nonzero subspace of
 F_q^n and one k-simplex per flag V_0 < ... < V_k of such subspaces,
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 
 from . import fields as ff
 from .errors import DEFAULT_SIMPLEX_BUDGET, BudgetExceededError
@@ -44,22 +46,34 @@ class SemisimplicialSet:
         for k, c in enumerate(self.cells):
             if len(self.index[k]) != len(c):
                 raise ValueError(f"duplicate {k}-simplex")
-            for s in c:
-                if len(s) != k + 1:
-                    raise ValueError(f"{k}-simplex of arity {len(s)}")
+            if not set(map(len, c)) <= {k + 1}:
+                arity = next(len(s) for s in c if len(s) != k + 1)
+                raise ValueError(f"{k}-simplex of arity {arity}")
         self.faces = [None]
         for k in range(1, len(self.cells)):
-            level = []
-            for s in self.cells[k]:
-                row = []
-                for i in range(k + 1):
-                    f = s[:i] + s[i + 1 :]
-                    fi = self.index[k - 1].get(f)
-                    if fi is None:
-                        raise ValueError(f"face {f} of {s} missing (closure violated)")
-                    row.append(fi)
-                level.append(tuple(row))
-            self.faces.append(level)
+            # One getter per dropped position; slices keep an edge's faces 1-tuples.
+            if k == 1:
+                getters = [itemgetter(slice(1, 2)), itemgetter(slice(0, 1))]
+            else:
+                getters = [
+                    itemgetter(*(p for p in range(k + 1) if p != i)) for i in range(k + 1)
+                ]
+            idx = self.index[k - 1]
+            cells_k = self.cells[k]
+            try:
+                columns = [[idx[g(s)] for s in cells_k] for g in getters]
+            except KeyError:
+                self._raise_missing_face(k)
+            self.faces.append(list(zip(*columns)))
+
+    def _raise_missing_face(self, k):
+        """Raise the ValueError naming the first missing face of a k-simplex."""
+        idx = self.index[k - 1]
+        for s in self.cells[k]:
+            for i in range(k + 1):
+                f = s[:i] + s[i + 1 :]
+                if f not in idx:
+                    raise ValueError(f"face {f} of {s} missing (closure violated)")
 
     @property
     def dimension(self) -> int:
@@ -158,11 +172,14 @@ def tits_building(n: int, q: int, budget=DEFAULT_SIMPLEX_BUDGET) -> Semisimplici
     by increasing dimension.  For n=2 the building is the discrete set of
     the q+1 lines.
 
-    Containment is a test on point sets.  Each nonzero vector of F_q^n is
-    indexed by its line, the position of its RREF key among the
-    dimension-1 labels; each subspace gets the bitmask of the lines its
-    nonzero vectors lie on, listed once from its RREF rows.  Then V is in W
-    iff mask(V) & ~mask(W) == 0.
+    Containment is read off line incidences.  Each nonzero vector of F_q^n
+    is indexed by its line, the position of its RREF key among the
+    dimension-1 labels.  Each subspace's lines are its tail's lines (the
+    label of its RREF rows after the first) and one new line per vector of
+    the tail's span, with no field arithmetic beyond one table add per
+    entry.  Each line gets the bitmask of the labels containing it, and V's
+    successors are the AND of the masks of V's RREF rows, read above V's
+    own dimension.
     """
     if n < 2:
         raise ValueError("building needs n >= 2")
@@ -181,36 +198,59 @@ def tits_building(n: int, q: int, budget=DEFAULT_SIMPLEX_BUDGET) -> Semisimplici
         for v in product(field.elements(), repeat=n)
         if any(v)
     }
-    masks = [_point_mask(field, key, point) for key in labels]
-    # Successor lists: all strictly larger subspaces containing V_i, in
-    # label order.  Labels of one dimension are never nested.
+    # W's RREF rows after the first, r1, are a label T one dimension down,
+    # and W's lines are T's lines and the lines of r1 + w for w in span(T).
+    # Each r1 + w has leading entry 1 at r1's pivot, left of every pivot of
+    # T, so it is already the normalised vector of its line.  Spans are kept
+    # only where a larger label can have them as a tail.
+    add, mul = field._add, field._mul
+    lines_of = {(): []}
+    span_of = {(): [(0,) * n]}
+    for key in labels:
+        r1, tail = key[0], key[1:]
+        tail_span = span_of[tail]
+        r1_add = [add[x] for x in r1]
+        r1_plus = [tuple(map(list.__getitem__, r1_add, w)) for w in tail_span]
+        lines_of[key] = lines_of[tail] + [point[v] for v in r1_plus]
+        if len(key) <= n - 2:
+            span = tail_span + r1_plus
+            for c in range(2, q):
+                c_add = [add[mul[c][x]] for x in r1]
+                span += [tuple(map(list.__getitem__, c_add, w)) for w in tail_span]
+            span_of[key] = span
+    # incident[l] has bit j set iff label j contains line l.  V is in W iff
+    # W contains each of V's RREF rows, so V's successors are the AND of the
+    # masks of its rows, above its own dimension.  Labels of one dimension
+    # are never nested.
+    incident = [0] * starts[1]
+    for j in range(starts[1], nv):
+        bit = 1 << j
+        for line in lines_of[labels[j]]:
+            incident[line] |= bit
     succ = []
-    for i, key in enumerate(labels):
-        inside = masks[i]
-        succ.append([j for j in range(starts[len(key)], nv) if not inside & ~masks[j]])
+    for key in labels:
+        inside = -1
+        for row in key:
+            inside &= incident[point[row]]
+        succ.append(_bit_positions(inside >> starts[len(key)], starts[len(key)]))
     cells = [[(i,) for i in range(nv)]]
     while True:
-        prev = cells[-1]
-        nxt = []
-        for s in prev:
-            for j in succ[s[-1]]:
-                nxt.append(s + (j,))
+        nxt = [s + (j,) for s in cells[-1] for j in succ[s[-1]]]
         if not nxt:
             break
         cells.append(nxt)
     return SemisimplicialSet(labels, cells)
 
 
-def _point_mask(field, key, point) -> int:
-    """OR of 1 << point[v] over the nonzero F_q-combinations v of key's rows."""
-    span = [(0,) * len(key[0])]
-    for row in key:
-        multiples = [tuple(field.mul(c, x) for x in row) for c in range(1, field.q)]
-        span += [tuple(map(field.add, u, m)) for u in span for m in multiples]
-    mask = 0
-    for v in span[1:]:
-        mask |= 1 << point[v]
-    return mask
+def _bit_positions(mask, offset) -> list:
+    """offset + i for each set bit i of mask >= 0, increasing."""
+    digits = bin(mask)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(offset + i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 def _gaussian_binomial(n, k, q) -> int:

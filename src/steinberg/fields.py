@@ -10,8 +10,10 @@ Subspaces of F_q^n are canonicalized by reduced row echelon form: the RREF
 basis of a subspace is unique, so equal subspaces get equal keys.  A line's
 key rref(field, [v]) names the line through any nonzero v, so it indexes
 the points of the projective space.  Containment between subspaces is a
-test on point sets (complexes.tits_building): V is in W iff every line of
-V is a line of W, with no elimination on the stacked keys.
+test on lines (complexes.tits_building): V is in W iff W contains the line
+of each of V's RREF rows, with no elimination on the stacked keys.  The
+lines of W are listed from its key alone: the rows after the first are the
+key of a subspace one dimension down.
 """
 
 from __future__ import annotations

@@ -47,17 +47,29 @@ LOG_KEEP_BITS = 1024
 
 
 def is_squarefree(d: int) -> bool:
+    """Whether d is squarefree, by trial division up to the cube root of |d|.
+
+    0 and 1 count as not squarefree: neither names a quadratic field.
+    Once every prime f with f^3 <= r is divided out of the cofactor r (each
+    at most once, or d is not squarefree), the primes left in r all exceed
+    its cube root, so r is 1, a prime, a product of two primes or a prime
+    square, and only the last is a square.
+    """
     if d in (0, 1):
         return False
-    n = abs(d)
-    if n % 4 == 0:
+    r = abs(d)
+    if r % 4 == 0:
         return False
+    if r % 2 == 0:
+        r //= 2
     f = 3
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
+    while f * f * f <= r:
+        if r % f == 0:
+            r //= f
+            if r % f == 0:
+                return False
         f += 2
-    return True
+    return not (r > 1 and isqrt(r) ** 2 == r)
 
 
 @dataclass(frozen=True)

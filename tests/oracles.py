@@ -23,8 +23,12 @@ echelon form, which is rebuilt in Fractions from echelon_reference.
 ring_determinant_reference is the package's Bareiss determinant over a
 quadratic order as it was before chi shared lattices.integer_determinant.
 tits_building_reference is the package's Tits building as it was before
-containment became a point-bitmask test (pairwise RREF stacking), kept to
-check that the new build lists the same labels, cells and faces.
+containment was read off line incidences (pairwise RREF stacking), kept to
+check that the new build lists the same labels and cells in the same
+order; its faces come from the package's SemisimplicialSet, whose face
+lists test_complexes checks against tuple slicing.
+is_squarefree_reference is the package's squarefree test as it was before
+it stopped trial division at the cube root: every odd f up to sqrt(|d|).
 reduced_definite_forms_reference and reduced_indefinite_forms_reference
 are the package's reduced-form enumerators as they were before they
 walked b and then only the divisors the reduction bounds allow (every
@@ -762,7 +766,7 @@ def ring_determinant_reference(order, rows):
 
 
 def tits_building_reference(n, q):
-    """The package's Tits building as built before point-set containment.
+    """The package's Tits building as built before line-incidence containment.
 
     Same labels and cell order as complexes.tits_building, with "V_i in
     V_j" decided by stacking the two RREF keys and checking that the rank
@@ -795,6 +799,21 @@ def tits_building_reference(n, q):
             break
         cells.append(nxt)
     return SemisimplicialSet(labels, cells)
+
+
+def is_squarefree_reference(d: int) -> bool:
+    """Squarefree test by trial division with f^2 for every odd f <= sqrt(|d|)."""
+    if d in (0, 1):
+        return False
+    n = abs(d)
+    if n % 4 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % (f * f) == 0:
+            return False
+        f += 2
+    return True
 
 
 def reduced_definite_forms_reference(D: int):

@@ -1,6 +1,7 @@
 """Semisimplicial sets, chain complexes, and the building construction."""
 
 import itertools
+import re
 import time
 
 import pytest
@@ -36,6 +37,21 @@ def test_constructor_rejects_bad_input():
     with pytest.raises(ValueError):
         # edge (0, 1) has no vertex 1 in the 0-cells
         SemisimplicialSet(["a", "b"], [[(0,)], [(0, 1)]])
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ([[(0,), (2,)], [(0, 2), (0, 1)]], "face (1,) of (0, 1) missing"),
+        (
+            [[(0,), (1,), (2,)], [(0, 1), (1, 2)], [(0, 1, 2)]],
+            "face (0, 2) of (0, 1, 2) missing",
+        ),
+    ],
+)
+def test_missing_face_names_the_face_and_its_simplex(cells, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SemisimplicialSet(["a", "b", "c"], cells)
 
 
 def assert_face_identities(X):
@@ -101,6 +117,9 @@ def test_reduced_homology_matches_dense_oracle(drawn):
         for k in range(max(len(c) for c in cells))
     ]
     X = SemisimplicialSet(range(nv), by_dim)
+    for k in range(1, len(by_dim)):
+        for s, row in zip(by_dim[k], X.faces[k]):
+            assert row == tuple(X.index[k - 1][s[:i] + s[i + 1 :]] for i in range(k + 1))
     assert_face_identities(X)
     assert o.first_nonzero_composite(chain_complex(X)) is None
     # Dense reduced boundaries, built straight from the tuples: the
@@ -150,7 +169,10 @@ def test_building_cell_counts(n, q, counts):
 
 @pytest.mark.parametrize(
     "n,q",
-    [(2, 2), (2, 9), (3, 2), (3, 3), (3, 4), (3, 5), (3, 7), (3, 8), (3, 9), (4, 2), (4, 3)],
+    [
+        (2, 2), (2, 9), (3, 2), (3, 3), (3, 4), (3, 5), (3, 7), (3, 8), (3, 9),
+        (4, 2), (4, 3), (4, 4), (5, 2),
+    ],
 )
 def test_building_matches_pairwise_rref_reference(n, q):
     X = tits_building(n, q)

@@ -1,5 +1,6 @@
 """Quadratic orders: units, class numbers, characters, embeddings."""
 
+import itertools
 import math
 import random
 
@@ -31,6 +32,33 @@ def test_make_order_rejects_bad_d():
     for d in (0, 1, 4, 12, -4, 18):
         with pytest.raises(ValueError):
             make_order(d)
+
+
+def test_is_squarefree_matches_reference_on_small_d():
+    for d in range(-20_000, 20_001):
+        assert is_squarefree(d) == o.is_squarefree_reference(d), d
+
+
+# Primes near 10^6, whose products are past what trial division to the
+# square root can reach quickly.
+BIG_PRIMES = [999_953, 999_959, 999_961, 999_979, 999_983, 1_000_003, 1_000_033]
+
+
+def test_is_squarefree_on_products_of_primes_near_a_million():
+    for p in BIG_PRIMES:
+        assert all(p % f for f in range(2, math.isqrt(p) + 1)), p
+    for p, r in itertools.combinations(BIG_PRIMES, 2):
+        for c in (1, -1, 2, -2, 3, -6):
+            assert not is_squarefree(c * p * p)
+            assert is_squarefree(c * p * r)
+            assert not is_squarefree(c * 9 * p * r)
+    # The square factor is found only when trial division reaches it, near
+    # the cube root of d.
+    for p, r in [(999_953, 1_000_033), (1_000_033, 999_953), (999_979, 999_983)]:
+        assert not is_squarefree(p * p * r)
+        assert not is_squarefree(-2 * p * p * r)
+    p, r = BIG_PRIMES[:2]
+    assert o.is_squarefree_reference(p * r) and not o.is_squarefree_reference(p * p)
 
 
 @pytest.mark.parametrize("d", SQUAREFREE_REAL)
