@@ -7,7 +7,9 @@ Z^n extendable to a basis in which every vector has last coordinate 0 or 1
 mod m and exactly one has last coordinate 1.  Membership is decided
 exactly: a completion certificate is constructed (or proven impossible)
 by unimodular row reduction on the last-coordinate values, so no witness
-search can run out of budget.
+search can run out of budget.  A set of n vectors needs no completion: it
+is a basis exactly when its determinant, expanded along the last vector
+by the cofactors of its (n-1)-face, is +-1.
 
 In both models membership is a property of the unordered set, closed
 under faces.  So both builders share one loop (_ordered_simplices): it
@@ -16,7 +18,9 @@ certifies each set once, tries only vertices paired with every member,
 counts the k! orderings of each certified k-set against the budget, and
 only then lists the orderings.  The line complex lists every pair; the
 basis complex lists only pairs of the right residue classes whose 2x2
-minors have gcd 1, so its certify sees no pair rule.
+minors have gcd 1 (for n = 2, the solutions of det = +-1, read off by
+extended Euclid), so its certify sees no pair rule.  verify_witnesses
+re-checks each distinct (vertex set, witness) pair once.
 
 case1_retraction implements the vertex map v -> v - w (for v with last
 coordinate 1 mod m) on the link of a 1-vertex w inside the relaxed
@@ -37,6 +41,7 @@ from .errors import BudgetExceededError, DEFAULT_SIMPLEX_BUDGET
 from .linalg.lattices import (
     complete_to_basis,
     in_row_lattice,
+    integer_determinant,
     is_saturated,
     solve_row_combination,
 )
@@ -339,11 +344,11 @@ class TruncatedBComplex:
     (dim, simplex index) to completion rows certifying extendability
     (completions ignore the height bound).  Every ordering of a set carries
     the witness made for the set in increasing index order: the rows
-    complete the set in any order.  completion_witness checked each
-    witness when it made it; verify_witnesses checks them all again, for
-    every ordering, on demand.  witness_failures counts candidates whose certification
-    could not be decided; the constructive decision procedure never leaves
-    any, so it is always 0.
+    complete the set in any order.  Each witness was checked when it was
+    made; verify_witnesses checks them all again on demand, once per
+    distinct (vertex set, witness) pair.  witness_failures counts
+    candidates whose certification could not be decided; the constructive
+    decision procedure never leaves any, so it is always 0.
     """
 
     n: int
@@ -393,14 +398,77 @@ class TruncatedBComplex:
         return counts
 
     def verify_witnesses(self):
-        """Recheck every stored certificate: unimodular and mod-m sound."""
+        """Recheck every stored certificate: unimodular and mod-m sound.
+
+        Whether the vertices and witness rows form such a basis does not
+        depend on the order of the vertices (|det| and the multiset of
+        last coordinates do not), so each distinct (vertex set, witness)
+        pair is checked once.  The key holds the witness, so a wrong
+        witness on any single ordering is still checked, and caught.
+        """
         X = self.complex
+        checked = set()
         for k, cell in enumerate(X.cells):
             for s, simplex in enumerate(cell):
+                wit = self.witnesses[(k, s)]
+                key = (tuple(sorted(simplex)), wit)
+                if key in checked:
+                    continue
+                checked.add(key)
                 full = [list(X.labels[i]) for i in simplex]
-                full.extend(list(w) for w in self.witnesses[(k, s)])
+                full.extend(list(w) for w in wit)
                 _check_certificate(full, self.n, self.m)
         return True
+
+
+def _cofactors(rows):
+    """Cofactors along a last row appended to the n-1 rows of length n.
+
+    Entry j is (-1)^(n-1+j) times the minor of rows with column j deleted,
+    so the determinant of rows + [v] is the dot product with v.
+    """
+    n = len(rows) + 1
+    return [
+        (-1) ** (n - 1 + j) * integer_determinant([r[:j] + r[j + 1:] for r in rows])
+        for j in range(n)
+    ]
+
+
+def _unimodular_partners(u, height):
+    """The v of sup-norm <= height with u_0 v_1 - u_1 v_0 = +-1, for primitive u.
+
+    Extended Euclid gives a u_0 + b u_1 = 1, so (x, y) = (-b, a) has
+    determinant 1 against u.  The kernel of v -> det(u, v) is Z u, so the
+    solutions of det = e (e = +-1) are e (x, y) + t u.  Each coordinate k
+    with u_k != 0 bounds t by |e c_k + t u_k| <= height.
+    """
+    a, b = _bezout(u[0], u[1])
+    out = []
+    for e in (1, -1):
+        c = (-e * b, e * a)
+        lo, hi = None, None
+        for ck, uk in zip(c, u):
+            if uk == 0:
+                continue
+            if uk < 0:
+                ck, uk = -ck, -uk
+            t_lo, t_hi = -((height + ck) // uk), (height - ck) // uk
+            lo = t_lo if lo is None else max(lo, t_lo)
+            hi = t_hi if hi is None else min(hi, t_hi)
+        out.extend((c[0] + t * u[0], c[1] + t * u[1]) for t in range(lo, hi + 1))
+    return out
+
+
+def _bezout(p, q):
+    """(a, b) with a p + b q = gcd(p, q) >= 0, by extended Euclid."""
+    a0, b0, r0 = 1, 0, p
+    a1, b1, r1 = 0, 1, q
+    while r1:
+        k = r0 // r1
+        a0, a1 = a1, a0 - k * a1
+        b0, b1 = b1, b0 - k * b1
+        r0, r1 = r1, r0 - k * r1
+    return (a0, b0) if r0 >= 0 else (-a0, -b0)
 
 
 def b_complex_truncated(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET) -> TruncatedBComplex:
@@ -414,33 +482,46 @@ def b_complex_truncated(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET) -> Truncate
     Whether a set of vectors extends to such a basis does not depend on
     their order (unimodularity, the mod-m rule and the count of
     1-vertices are properties of the set), so each set is certified once,
-    and every ordering of it carries its witness.  Exact rules reject a
+    and every ordering of it carries its witness.  Exact rules decide a
     set with no completion_witness call, each in one place:
 
     - where pairs are listed (partners), by residue class: two 1-vertices
       never pair, and for n = 2 neither do two 0-vertices (a whole basis
       with no 1-vertex to carry the one 1);
     - there too, by minors: a pair {u, v} whose 2x2 minors
-      u_i v_j - u_j v_i have a gcd other than 1 (for n = 2, |det| != 1) is
-      not listed.  If u, v and completion rows form a basis, the Laplace
-      expansion of its determinant along the rows u and v is an integer
-      combination of these minors, so their gcd divides the determinant
-      +-1;
-    - in certify: a set of n vectors with no 1-vertex, which for n = 2 is
-      never listed, so this rule fires only for n >= 3.
+      u_i v_j - u_j v_i have a gcd other than 1 is not listed.  If u, v
+      and completion rows form a basis, the Laplace expansion of its
+      determinant along the rows u and v is an integer combination of
+      these minors, so their gcd divides the determinant +-1.  For n = 2
+      the one minor is det(u, v), and the pairs with det +-1 are listed
+      directly: extended Euclid gives (x, y) with u_0 y - u_1 x = 1, the
+      solutions of det = +-1 are +-(x, y) + t u, and those that are
+      vertices of index above u's and of the other residue class are
+      listed in increasing order;
+    - in certify, every set of n vectors: with no 1-vertex it is rejected
+      (for n = 2 such a pair is never listed, so this fires only for
+      n >= 3); otherwise it is a whole basis, with the one 1-vertex, and
+      certified with witness () exactly when its determinant is +-1.  The
+      determinant is the dot product of the new vector with the cofactor
+      vector of the set's certified (n-1)-face s[:-1] (Laplace expansion
+      along the last row); the cofactors, the signed (n-1)-minors of the
+      face, are computed once per face by integer_determinant.
 
     A set with two 1-vertices holds an unlisted pair, so it is never
-    formed.  Every other set is decided by one completion_witness call on
-    its vectors in increasing index order, which builds the witness and
-    checks it; the rules only skip sets that call would reject, so the
-    cells and witnesses are those of a call on every set.
+    formed.  Every smaller set is decided by one completion_witness call
+    on its vectors in increasing index order, which builds the witness and
+    checks it.  completion_witness gives a set of n vectors () exactly
+    when it has one 1-vertex and determinant +-1, and the rules skip only
+    sets it would reject, so the cells and witnesses are those of a call
+    on every set.
 
     A face of a simplex is a simplex: the vectors dropped from a basis
     obeying the exactly-one rule join the completion rows, and the basis
     is unchanged.  So every pair inside a simplex certifies, and from
     size 3 on a set is extended only by vertices that certify in a pair
     with each of its members.
-    Each witness is checked once, by completion_witness as it is made.
+    Each witness is checked once as it is made: by completion_witness, or
+    for a set of n vectors by its determinant.
 
     Raises ValueError for height < 1 or m < 2, and BudgetExceededError as
     soon as the simplex count, vertices included, passes budget.  Vertices
@@ -490,18 +571,16 @@ def b_complex_truncated(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET) -> Truncate
         _within_budget(len(labels), budget, "B complex")
     nv = len(labels)
     one = [_last_mod(v, m) == 1 for v in labels]
-    ones = [i for i in range(nv) if one[i]]
     zeros = [i for i in range(nv) if not one[i]]
     index_pairs = list(combinations(range(n), 2))
+    label_index = {v: i for i, v in enumerate(labels)}
 
     def partners(i):
-        if one[i]:
-            above = zeros[bisect_right(zeros, i):]
-        elif n == 2:
-            above = ones[bisect_right(ones, i):]
-        else:
-            above = range(i + 1, nv)
         u = labels[i]
+        if n == 2:
+            found = (label_index.get(v) for v in _unimodular_partners(u, height))
+            return sorted(j for j in found if j is not None and j > i and one[j] != one[i])
+        above = zeros[bisect_right(zeros, i):] if one[i] else range(i + 1, nv)
         out = []
         for j in above:
             v = labels[j]
@@ -509,10 +588,19 @@ def b_complex_truncated(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET) -> Truncate
                 out.append(j)
         return out
 
+    cofactors = {}  # certified (n-1)-face -> its cofactor vector
+
     def certify(s):
-        if len(s) == n and not any(one[i] for i in s):
+        if len(s) < n:
+            return completion_witness([labels[i] for i in s], n, m)
+        if not any(one[i] for i in s):
             return None
-        return completion_witness([labels[i] for i in s], n, m)
+        face = s[:-1]
+        cof = cofactors.get(face)
+        if cof is None:
+            cof = cofactors[face] = _cofactors([labels[i] for i in face])
+        det = sum(c * x for c, x in zip(cof, labels[s[-1]]))
+        return () if det in (1, -1) else None
 
     cells, certs = _ordered_simplices(
         vertex_witnesses, n, partners, certify, budget, "B complex"

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context
 from math import gcd, isqrt
 
+from .errors import BudgetExceededError
 from .linalg.lattices import integer_determinant
 
 CF_STEP_CAP = 10**6
@@ -254,8 +255,9 @@ def _cf_surd_step(P, Q, d, s):
 def fundamental_unit(order: QuadraticOrder) -> RingElement:
     """Smallest unit greater than 1, by continued-fraction convergents.
 
-    Raises ValueError for imaginary orders (unit rank 0) and RuntimeError
-    if the expansion exceeds the step cap.
+    Raises ValueError for imaginary orders (unit rank 0) and
+    BudgetExceededError (a RuntimeError) if the expansion exceeds the step
+    cap.
     """
     d = order.d
     if d < 0:
@@ -286,7 +288,7 @@ def fundamental_unit(order: QuadraticOrder) -> RingElement:
         x = 2 * p - q if half else p
         if abs(x * x - d * q * q) == target:
             return RingElement(d, x, q)
-    raise RuntimeError("continued fraction period exceeds step cap")
+    raise BudgetExceededError(f"continued fraction period exceeds step cap {CF_STEP_CAP}")
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,16 @@ def test_ring_info_rejects_non_squarefree(capsys):
     assert "input error" in captured.err
 
 
+def test_ring_info_past_the_step_cap_exits_2(capsys, monkeypatch):
+    # a unit whose continued fraction outruns the step cap is a budget
+    # error: exit 2 with one line, no traceback
+    monkeypatch.setattr(quadratic, "CF_STEP_CAP", 2)
+    code = main(["ring", "info", "--d", "94"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "budget error: continued fraction period exceeds step cap 2\n"
+
+
 def test_building_homology(capsys):
     code, payload = run_json(capsys, "--json", "building", "homology", "--n", "3", "--q", "2")
     assert code == 0

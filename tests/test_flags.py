@@ -3,6 +3,7 @@
 import math
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -301,50 +302,125 @@ def test_pair_minor_rule_is_saturation(pair):
     assert (minors_gcd(u, v) == 1) == is_saturated([u, v])
 
 
-@pytest.mark.parametrize("n,m,height", [(2, 2, 12), (2, 3, 5), (3, 3, 2), (3, 2, 2)])
-def test_pair_stage_lists_only_pairs_the_rules_keep(monkeypatch, n, m, height):
-    # the pairs handed to certify are exactly the index pairs i < j that
-    # pass the residue rule (at most one 1-vertex, and for n = 2 at least
-    # one) and the minor rule, in increasing order of (i, j); each of them
-    # reaches completion_witness, on its vectors in index order
-    listed = []
+def spy_build(monkeypatch, n, m, height):
+    """Build (n, m, height), recording each set handed to certify with its
+    answer, and the vectors of each completion_witness call."""
+    decided = []
     completed = []
     real_ordered = flags._ordered_simplices
     real_witness = flags.completion_witness
 
     def ordered(vertex_certs, n, partners, certify, budget, what):
         def spy_certify(s):
-            if len(s) == 2:
-                listed.append(s)
-            return certify(s)
+            cert = certify(s)
+            decided.append((s, cert))
+            return cert
 
         return real_ordered(vertex_certs, n, partners, spy_certify, budget, what)
 
     def witness(vectors, n, m, unique=True):
-        if len(vectors) == 2:
-            completed.append(tuple(vectors))
+        completed.append(tuple(vectors))
         return real_witness(vectors, n, m, unique)
 
     monkeypatch.setattr(flags, "_ordered_simplices", ordered)
     monkeypatch.setattr(flags, "completion_witness", witness)
     bx = b_complex_truncated(n, m, height)
-    labels = bx.complex.labels
+    monkeypatch.undo()
+    return bx, decided, completed
+
+
+def expected_pairs(labels, n, m):
     one = [v[-1] % m == 1 for v in labels]
-    for i, j in listed:
-        assert not (one[i] and one[j])
-        assert n > 2 or one[i] or one[j]
-        assert minors_gcd(labels[i], labels[j]) == 1
-    expected = [
+    return [
         (i, j)
         for i, j in combinations(range(len(labels)), 2)
         if one[i] + one[j] < 2
         and (n > 2 or one[i] + one[j] == 1)
         and minors_gcd(labels[i], labels[j]) == 1
     ]
+
+
+@pytest.mark.parametrize("n,m,height", [(2, 2, 12), (2, 3, 5), (3, 3, 2), (3, 2, 2)])
+def test_pair_stage_lists_only_pairs_the_rules_keep(monkeypatch, n, m, height):
+    # the pairs handed to certify are exactly the index pairs i < j that
+    # pass the residue rule (at most one 1-vertex, and for n = 2 at least
+    # one) and the minor rule, in increasing order of (i, j).  For n = 3
+    # each reaches completion_witness, on its vectors in index order; for
+    # n = 2 a pair is a whole basis, decided by its determinant with no
+    # completion_witness call, and each listed pair is a 1-cell with
+    # witness ()
+    bx, decided, completed = spy_build(monkeypatch, n, m, height)
+    labels = bx.complex.labels
+    listed = [s for s, _ in decided if len(s) == 2]
+    expected = expected_pairs(labels, n, m)
     assert listed == expected
-    assert completed == [(labels[i], labels[j]) for i, j in expected]
-    if (n, m, height) == (2, 2, 12):
-        assert len(completed) == 980
+    if n == 2:
+        assert not [c for c in completed if len(c) == 2]
+        assert all(cert == () for s, cert in decided)
+        edges = {tuple(sorted(c)): bx.witnesses[(1, k)] for k, c in enumerate(bx.complex.cells[1])}
+        assert all(edges[s] == () for s in listed)
+        if (n, m, height) == (2, 2, 12):
+            assert len(listed) == 980
+    else:
+        pairs = [c for c in completed if len(c) == 2]
+        assert pairs == [(labels[i], labels[j]) for i, j in expected]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 7])
+def test_rank_two_pairs_are_the_unimodular_pairs(monkeypatch, m):
+    # for n = 2 the pairs read off the solutions of det = +-1 are the
+    # brute-force minor and residue filter over all index pairs, in order
+    # (np.nonzero lists the pairs i < j by row, then column; the one 2x2
+    # minor of a pair is its determinant)
+    for height in range(1, 21):
+        bx, decided, _ = spy_build(monkeypatch, 2, m, height)
+        labels = bx.complex.labels
+        L = np.array(labels, dtype=np.int64)
+        det = np.outer(L[:, 0], L[:, 1]) - np.outer(L[:, 1], L[:, 0])
+        one = L[:, 1] % m == 1
+        keep = np.triu((np.abs(det) == 1) & (one[:, None] != one[None, :]), 1)
+        expected = list(zip(*(a.tolist() for a in np.nonzero(keep))))
+        if height <= 4:
+            assert expected == expected_pairs(labels, 2, m)
+        assert [s for s, _ in decided] == expected, height
+
+
+@pytest.mark.parametrize("n,m,height", [(2, 2, 12), (3, 3, 2), (3, 2, 2), (3, 5, 2)])
+def test_full_sets_get_the_completion_answer(monkeypatch, n, m, height):
+    # every set of n vectors is decided by its determinant, cofactor
+    # expanded along its last vector, with no completion_witness call; the
+    # answer, certified or rejected, is the one completion_witness gives
+    bx, decided, completed = spy_build(monkeypatch, n, m, height)
+    labels = bx.complex.labels
+    assert not [c for c in completed if len(c) == n]
+    full = [(s, cert) for s, cert in decided if len(s) == n]
+    assert full
+    for s, cert in full:
+        assert cert == completion_witness([labels[i] for i in s], n, m), s
+    certified = sum(cert is not None for _, cert in full)
+    assert certified * math.factorial(n) == bx.complex.n_cells(n - 1)
+    if n == 3:
+        assert certified < len(full)
+
+
+def test_verify_witnesses_checks_every_distinct_witness():
+    # witnesses are re-checked once per (vertex set, witness), so a
+    # corrupted witness on the second ordering of a set is still caught
+    bx = b_complex_truncated(3, 2, 1)
+    assert bx.verify_witnesses() is True
+    first = {}
+    for s, simplex in enumerate(bx.complex.cells[1]):
+        key = tuple(sorted(simplex))
+        if key in first:
+            break
+        first[key] = s
+    assert bx.witnesses[(1, first[key])] == bx.witnesses[(1, s)]
+    witnesses = dict(bx.witnesses)
+    (row,) = witnesses[(1, s)]
+    witnesses[(1, s)] = (tuple(2 * x for x in row),)
+    bad = flags.TruncatedBComplex(bx.n, bx.m, bx.height, bx.complex, witnesses)
+    with pytest.raises(AssertionError, match="not unimodular"):
+        bad.verify_witnesses()
 
 
 def test_rules_reject_only_uncompletable_sets_in_rank_four():

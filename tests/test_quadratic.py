@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as o
 from steinberg import quadratic
+from steinberg.errors import BudgetExceededError
 from steinberg.quadratic import (
     ZZ,
     RingElement,
@@ -82,6 +83,15 @@ def test_negative_pell_verdicts():
 def test_fundamental_unit_imaginary_raises():
     with pytest.raises(ValueError):
         fundamental_unit(make_order(-7))
+
+
+def test_fundamental_unit_past_the_step_cap_raises_budget_error(monkeypatch):
+    # the period of sqrt(94) takes more than two steps; the budget error
+    # is a RuntimeError, as documented
+    monkeypatch.setattr(quadratic, "CF_STEP_CAP", 2)
+    with pytest.raises(BudgetExceededError, match="step cap 2$"):
+        fundamental_unit(make_order(94))
+    assert issubclass(BudgetExceededError, RuntimeError)
 
 
 @pytest.mark.parametrize("d", SQUAREFREE_REAL + SQUAREFREE_IMAG)
