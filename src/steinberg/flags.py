@@ -8,8 +8,7 @@ mod m and exactly one has last coordinate 1.  Membership is decided
 exactly: a completion certificate is constructed (or proven impossible)
 by unimodular row reduction on the last-coordinate values, so no witness
 search can run out of budget.  A set of n vectors needs no completion: it
-is a basis exactly when its determinant, expanded along the last vector
-by the cofactors of its (n-1)-face, is +-1.
+is a basis exactly when its determinant is +-1.
 
 In both models membership is a property of the unordered set, closed
 under faces.  So both builders share one loop (_ordered_simplices): it
@@ -18,9 +17,9 @@ certifies each set once, tries only vertices paired with every member,
 counts the k! orderings of each certified k-set against the budget, and
 only then lists the orderings.  The line complex lists every pair; the
 basis complex lists only pairs of the right residue classes whose 2x2
-minors have gcd 1 (for n = 2, the solutions of det = +-1, read off by
-extended Euclid), so its certify sees no pair rule.  verify_witnesses
-re-checks each distinct (vertex set, witness) pair once.
+minors have gcd 1 (for n = 2, the solutions of det = +-1, read off the
+vertex's own completion row), so its certify sees no pair rule.
+verify_witnesses re-checks each distinct (vertex set, witness) pair once.
 
 case1_retraction implements the vertex map v -> v - w (for v with last
 coordinate 1 mod m) on the link of a 1-vertex w inside the relaxed
@@ -421,31 +420,16 @@ class TruncatedBComplex:
         return True
 
 
-def _cofactors(rows):
-    """Cofactors along a last row appended to the n-1 rows of length n.
+def _unimodular_partners(u, w, height):
+    """The v of sup-norm <= height with det(u, v) = +-1, given one such w.
 
-    Entry j is (-1)^(n-1+j) times the minor of rows with column j deleted,
-    so the determinant of rows + [v] is the dot product with v.
+    The kernel of v -> det(u, v) is Z u, so the solutions of det = +-1
+    are e w + t u for e = +-1.  Each coordinate k with u_k != 0 bounds t
+    by |e w_k + t u_k| <= height.
     """
-    n = len(rows) + 1
-    return [
-        (-1) ** (n - 1 + j) * integer_determinant([r[:j] + r[j + 1:] for r in rows])
-        for j in range(n)
-    ]
-
-
-def _unimodular_partners(u, height):
-    """The v of sup-norm <= height with u_0 v_1 - u_1 v_0 = +-1, for primitive u.
-
-    Extended Euclid gives a u_0 + b u_1 = 1, so (x, y) = (-b, a) has
-    determinant 1 against u.  The kernel of v -> det(u, v) is Z u, so the
-    solutions of det = e (e = +-1) are e (x, y) + t u.  Each coordinate k
-    with u_k != 0 bounds t by |e c_k + t u_k| <= height.
-    """
-    a, b = _bezout(u[0], u[1])
     out = []
     for e in (1, -1):
-        c = (-e * b, e * a)
+        c = (e * w[0], e * w[1])
         lo, hi = None, None
         for ck, uk in zip(c, u):
             if uk == 0:
@@ -457,18 +441,6 @@ def _unimodular_partners(u, height):
             hi = t_hi if hi is None else min(hi, t_hi)
         out.extend((c[0] + t * u[0], c[1] + t * u[1]) for t in range(lo, hi + 1))
     return out
-
-
-def _bezout(p, q):
-    """(a, b) with a p + b q = gcd(p, q) >= 0, by extended Euclid."""
-    a0, b0, r0 = 1, 0, p
-    a1, b1, r1 = 0, 1, q
-    while r1:
-        k = r0 // r1
-        a0, a1 = a1, a0 - k * a1
-        b0, b1 = b1, b0 - k * b1
-        r0, r1 = r1, r0 - k * r1
-    return (a0, b0) if r0 >= 0 else (-a0, -b0)
 
 
 def b_complex_truncated(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET) -> TruncatedBComplex:
@@ -494,18 +466,16 @@ def b_complex_truncated(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET) -> Truncate
       determinant along the rows u and v is an integer combination of
       these minors, so their gcd divides the determinant +-1.  For n = 2
       the one minor is det(u, v), and the pairs with det +-1 are listed
-      directly: extended Euclid gives (x, y) with u_0 y - u_1 x = 1, the
-      solutions of det = +-1 are +-(x, y) + t u, and those that are
-      vertices of index above u's and of the other residue class are
-      listed in increasing order;
-    - in certify, every set of n vectors: with no 1-vertex it is rejected
-      (for n = 2 such a pair is never listed, so this fires only for
-      n >= 3); otherwise it is a whole basis, with the one 1-vertex, and
-      certified with witness () exactly when its determinant is +-1.  The
-      determinant is the dot product of the new vector with the cofactor
-      vector of the set's certified (n-1)-face s[:-1] (Laplace expansion
-      along the last row); the cofactors, the signed (n-1)-minors of the
-      face, are computed once per face by integer_determinant.
+      directly: u's vertex witness is one row w with det(u, w) = +-1, the
+      solutions of det = +-1 are +-w + t u, and those that are vertices
+      of index above u's and of the other residue class are listed in
+      increasing order;
+    - in certify, every set of n vectors, which can only be a whole
+      basis: it is certified with witness () exactly when it has a
+      1-vertex and its determinant, one integer_determinant call, is +-1.  With no
+      1-vertex its last column is 0 mod m, so its determinant is too; the
+      set is rejected without computing it (for n = 2 such a pair is
+      never listed, so this fires only for n >= 3).
 
     A set with two 1-vertices holds an unlisted pair, so it is never
     formed.  Every smaller set is decided by one completion_witness call
@@ -573,12 +543,13 @@ def b_complex_truncated(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET) -> Truncate
     one = [_last_mod(v, m) == 1 for v in labels]
     zeros = [i for i in range(nv) if not one[i]]
     index_pairs = list(combinations(range(n), 2))
-    label_index = {v: i for i, v in enumerate(labels)}
+    label_index = {v: i for i, v in enumerate(labels)} if n == 2 else None
 
     def partners(i):
         u = labels[i]
         if n == 2:
-            found = (label_index.get(v) for v in _unimodular_partners(u, height))
+            w = vertex_witnesses[i][0]
+            found = (label_index.get(v) for v in _unimodular_partners(u, w, height))
             return sorted(j for j in found if j is not None and j > i and one[j] != one[i])
         above = zeros[bisect_right(zeros, i):] if one[i] else range(i + 1, nv)
         out = []
@@ -588,19 +559,12 @@ def b_complex_truncated(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET) -> Truncate
                 out.append(j)
         return out
 
-    cofactors = {}  # certified (n-1)-face -> its cofactor vector
-
     def certify(s):
         if len(s) < n:
             return completion_witness([labels[i] for i in s], n, m)
-        if not any(one[i] for i in s):
-            return None
-        face = s[:-1]
-        cof = cofactors.get(face)
-        if cof is None:
-            cof = cofactors[face] = _cofactors([labels[i] for i in face])
-        det = sum(c * x for c, x in zip(cof, labels[s[-1]]))
-        return () if det in (1, -1) else None
+        if any(one[i] for i in s) and abs(integer_determinant([labels[i] for i in s])) == 1:
+            return ()
+        return None
 
     cells, certs = _ordered_simplices(
         vertex_witnesses, n, partners, certify, budget, "B complex"

@@ -387,9 +387,9 @@ def test_rank_two_pairs_are_the_unimodular_pairs(monkeypatch, m):
 
 @pytest.mark.parametrize("n,m,height", [(2, 2, 12), (3, 3, 2), (3, 2, 2), (3, 5, 2)])
 def test_full_sets_get_the_completion_answer(monkeypatch, n, m, height):
-    # every set of n vectors is decided by its determinant, cofactor
-    # expanded along its last vector, with no completion_witness call; the
-    # answer, certified or rejected, is the one completion_witness gives
+    # every set of n vectors is decided by its determinant, with no
+    # completion_witness call; the answer, certified or rejected, is the
+    # one completion_witness gives
     bx, decided, completed = spy_build(monkeypatch, n, m, height)
     labels = bx.complex.labels
     assert not [c for c in completed if len(c) == n]
