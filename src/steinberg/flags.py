@@ -42,6 +42,7 @@ from .linalg.lattices import (
     in_row_lattice,
     integer_determinant,
     is_saturated,
+    snf_transform,
     solve_row_combination,
 )
 
@@ -269,49 +270,36 @@ def completion_witness(vectors, n, m, unique=True):
     comp = complete_to_basis(rows, n)
     if comp is None:
         return None
-    if t >= 1:
-        # Subtract multiples of a 1-vertex to zero every completion value.
-        base = rows[lasts.index(1)]
-        out = []
-        for u in comp:
-            c = u[-1]
-            out.append([a - c * b for a, b in zip(u, base)])
-        witness = out
+    if t:
+        base, witness = rows[lasts.index(1)], []
     else:
-        # Euclid on the last coordinates of the completion rows: reduce to
-        # a single value g (their gcd), carried by the first row.
-        while True:
-            nz = [i for i, r in enumerate(comp) if r[-1] != 0]
-            if len(nz) <= 1:
-                break
-            p = min(nz, key=lambda i: (abs(comp[i][-1]), i))
-            for i in nz:
-                if i == p:
-                    continue
-                qq = comp[i][-1] // comp[p][-1]
-                if qq:
-                    comp[i] = [a - qq * b for a, b in zip(comp[i], comp[p])]
-        nz = [i for i, r in enumerate(comp) if r[-1] != 0]
-        if not nz:
-            raise AssertionError("last coordinate vanishes on a full basis")
-        comp[0], comp[nz[0]] = comp[nz[0]], comp[0]
-        if comp[0][-1] < 0:
-            comp[0] = [-a for a in comp[0]]
-        g = comp[0][-1]
+        # No 1-vertex is given, so the witness makes one, base, from the
+        # completion rows.  A single row serves as base with either sign
+        # whose last coordinate is 1 mod m, the positive sign first.  For
+        # more rows, the U of the Smith reduction of their last-coordinate
+        # column gathers its gcd g > 0 into the first row and zeros the
+        # rest; then base = y * first + second, with y g = 1 mod m, and
+        # the first row stays in the witness in place of the second.
         if len(comp) == 1:
-            if g % m == 1:
-                witness = comp
-            elif (-g) % m == 1:
-                witness = [[-a for a in comp[0]]]
-            else:
-                return None
+            (u,) = comp
+            base = u if u[-1] > 0 else [-a for a in u]
+            if base[-1] % m != 1:
+                base = [-a for a in base]
+                if base[-1] % m != 1:
+                    return None
+            comp = []
         else:
+            U = snf_transform([[r[-1]] for r in comp]).U
+            comp = [[sum(c * r[j] for c, r in zip(row, comp)) for j in range(n)] for row in U]
+            g = comp[0][-1]
             if math.gcd(g, m) != 1:
                 raise AssertionError("completion gcd shares a factor with m")
-            y = pow(g % m, -1, m)
-            w1 = [y * a + b for a, b in zip(comp[0], comp[1])]
-            w2 = [a - g * b for a, b in zip(comp[0], w1)]
-            witness = [w1, w2] + comp[2:]
+            y = pow(g, -1, m)
+            base = [y * a + b for a, b in zip(comp[0], comp.pop(1))]
+        witness = [base]
+    # Subtract multiples of the 1-vertex base to zero every other last
+    # coordinate mod m.
+    witness += [[a - r[-1] * b for a, b in zip(r, base)] for r in comp]
     _check_certificate(rows + witness, n, m, unique)
     return tuple(tuple(w) for w in witness)
 

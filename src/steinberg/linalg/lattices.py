@@ -2,13 +2,16 @@
 
 Everything here is exact integer arithmetic.  The workhorse is
 snf_transform, which reduces an integer matrix M to diagonal Smith form S
-while maintaining unimodular U, V (and V^-1) with U @ M @ V == S.  From the
-tracked inverse we get canonical answers to two lattice questions used by
-the flag machinery: membership of a vector in a row lattice, and
-completion of a saturated set to a basis of Z^n.  Saturation (primitivity)
-of a spanning set reads only the invariant factors, and a square input
-needs none of the Smith data: it is a basis of Z^n exactly when
-integer_determinant, a fraction-free Bareiss elimination, gives +-1.
+while maintaining unimodular U, V (and V^-1) with U @ M @ V == S, in one
+pivot loop per diagonal position.  It is the library's only Smith
+reduction: flags.completion_witness reuses its U on a single column to
+gather a gcd.  From the tracked transforms we get canonical answers to
+two lattice questions used by the flag machinery: membership of a vector
+in a row lattice, and completion of a saturated set to a basis of Z^n.
+Saturation (primitivity) of a spanning set reads only the invariant
+factors, and a square input needs none of the Smith data: it is a basis
+of Z^n exactly when integer_determinant, a fraction-free Bareiss
+elimination, gives +-1.
 That elimination is the library's only determinant loop: it serves any
 integral domain whose elements have exact // and truth value "nonzero",
 so quadratic.chi runs it on matrices over a quadratic order.
@@ -19,15 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def _swap_rows(m, a, b):
-    m[a], m[b] = m[b], m[a]
-
-
-def _swap_cols(m, a, b):
-    for row in m:
-        row[a], row[b] = row[b], row[a]
-
-
 @dataclass(frozen=True)
 class SmithTransform:
     """Smith data: diagonal, factors (nonzero part), and transforms.
@@ -36,8 +30,6 @@ class SmithTransform:
     V unimodular.
     """
 
-    nrows: int
-    ncols: int
     diagonal: tuple
     U: tuple
     V: tuple
@@ -58,12 +50,14 @@ def snf_transform(rows) -> SmithTransform:
     Args:
         rows: dense integer rows (list of lists); not modified.
 
-    This is the library's only Smith reduction.  Pivot choice is the
-    minimal-|value| nonzero entry of the remaining block, ties by lowest
-    (row, col).  Row/column elimination by integer division; a nonzero
-    remainder becomes the new, strictly smaller pivot, so the loop
-    terminates.  A final divisibility sweep folds any entry not divisible
-    by the pivot into the pivot row and retries.  The diagonal entries are
+    This is the library's only Smith reduction, one loop per diagonal
+    position t.  Each pass picks the smallest |entry| of the remaining
+    block, ties by lowest (row, col), moves it to (t, t) with a positive
+    sign, and reduces its column and its row by floor division.  A nonzero
+    remainder, or else a block entry the pivot does not divide (whose row
+    is then added to row t, leaving a remainder in row t), sends the loop
+    back to pick again, and the new pivot is strictly smaller, so the
+    loop terminates.  Otherwise t advances.  The diagonal entries are
     nonnegative and each nonzero one divides the next.
     """
     m = [list(r) for r in rows]
@@ -77,82 +71,54 @@ def snf_transform(rows) -> SmithTransform:
         bi = bj = -1
         bv = 0
         for i in range(t, nrows):
+            row = m[i]
             for j in range(t, ncols):
-                v = m[i][j]
+                v = row[j]
                 if v:
                     a = -v if v < 0 else v
                     if bi < 0 or a < bv:
                         bi, bj, bv = i, j, a
         if bi < 0:
             break
-        if bi != t:
-            _swap_rows(m, bi, t)
-            _swap_rows(U, bi, t)
+        m[t], m[bi] = m[bi], m[t]
+        U[t], U[bi] = U[bi], U[t]
         if bj != t:
-            _swap_cols(m, bj, t)
-            _swap_cols(V, bj, t)
-            _swap_rows(Vinv, bj, t)
+            for row in m:
+                row[t], row[bj] = row[bj], row[t]
+            for row in V:
+                row[t], row[bj] = row[bj], row[t]
+            Vinv[t], Vinv[bj] = Vinv[bj], Vinv[t]
         if m[t][t] < 0:
             m[t] = [-v for v in m[t]]
             U[t] = [-v for v in U[t]]
-        while True:
-            p = m[t][t]
-            restart = False
-            for i in range(t + 1, nrows):
-                v = m[i][t]
-                if v:
-                    q = v // p
-                    if q:
-                        for j in range(ncols):
-                            m[i][j] -= q * m[t][j]
-                        for j in range(nrows):
-                            U[i][j] -= q * U[t][j]
-                    if m[i][t]:
-                        _swap_rows(m, i, t)
-                        _swap_rows(U, i, t)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, ncols):
-                v = m[t][j]
-                if v:
-                    q = v // p
-                    if q:
-                        for i in range(nrows):
-                            m[i][j] -= q * m[i][t]
-                        for i in range(ncols):
-                            V[i][j] -= q * V[i][t]
-                        for k in range(ncols):
-                            Vinv[t][k] += q * Vinv[j][k]
-                    if m[t][j]:
-                        _swap_cols(m, j, t)
-                        _swap_cols(V, j, t)
-                        _swap_rows(Vinv, j, t)
-                        restart = True
-                        break
-            if restart:
-                continue
-            p = m[t][t]
-            fixed = True
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if m[i][j] % p:
-                        for k in range(ncols):
-                            m[t][k] += m[i][k]
-                        for k in range(nrows):
-                            U[t][k] += U[i][k]
-                        fixed = False
-                        break
-                if not fixed:
-                    break
-            if fixed:
+        top, utop, p = m[t], U[t], m[t][t]
+        left = False
+        for i in range(t + 1, nrows):
+            q = m[i][t] // p
+            if q:
+                m[i] = [a - q * b for a, b in zip(m[i], top)]
+                U[i] = [a - q * b for a, b in zip(U[i], utop)]
+            left = left or m[i][t] != 0
+        for j in range(t + 1, ncols):
+            q = top[j] // p
+            if q:
+                for row in m:
+                    row[j] -= q * row[t]
+                for row in V:
+                    row[j] -= q * row[t]
+                Vinv[t] = [a + q * b for a, b in zip(Vinv[t], Vinv[j])]
+            left = left or top[j] != 0
+        if left:
+            continue
+        for i in range(t + 1, nrows):
+            if any(v % p for v in m[i][t + 1:]):
+                m[t] = [a + b for a, b in zip(top, m[i])]
+                U[t] = [a + b for a, b in zip(utop, U[i])]
                 break
-        t += 1
+        else:
+            t += 1
     diag = tuple(m[i][i] for i in range(min(nrows, ncols)))
     return SmithTransform(
-        nrows,
-        ncols,
         diag,
         tuple(tuple(r) for r in U),
         tuple(tuple(r) for r in V),

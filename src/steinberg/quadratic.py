@@ -6,15 +6,21 @@ Elements are stored as (a + b sqrt(d)) / denom with a uniform denominator:
 arithmetic, norms, and unit tests are exact integer arithmetic.
 
 The fundamental unit comes from the continued fraction of sqrt(d)
-(d = 2, 3 mod 4) or (1 + sqrt(d))/2 (d = 1 mod 4): convergents p_k/q_k are
-scanned and the first element p_k - q_k * conj(omega) of norm +-1 is the
-fundamental unit; the negative-Pell verdict is its norm sign.  Class
-numbers come from reduced binary quadratic forms of the field discriminant
-(counted directly for D < 0; counted as reduction cycles for D > 0, which
-give the narrow class number).  Reduced forms are enumerated by b and then
-by the divisors a of (b^2 - D)/4 that the reduction bounds allow: a from
-|b| to sqrt(ac) when D < 0, and the smaller of |a|, |c| inside the window
-(sqrt(D) - b)/2 < |a| < (sqrt(D) + b)/2 when D > 0.
+(d = 2, 3 mod 4) or (1 + sqrt(d))/2 (d = 1 mod 4): the small surd state
+(P, Q) is stepped until Q returns to its start value (1, or 2 when
+d = 1 mod 4), which ends the period, within CF_STEP_CAP steps.  The
+partial quotients are then folded into the convergent p/q once, and
+p - q * conj(omega) is the fundamental unit, its norm checked once to be
++-1; the negative-Pell verdict is its norm sign.  Class numbers come from
+reduced binary quadratic forms of the field discriminant (counted
+directly for D < 0; counted as reduction cycles for D > 0, which give the
+narrow class number).  Reduced forms are enumerated by b and then by the
+divisors a of (b^2 - D)/4 that the reduction bounds allow: a from |b| to
+sqrt(ac) when D < 0, and |a| inside the window
+s + 1 - b <= 2|a| <= s + b, s = isqrt(D), with both signs, when D > 0.
+A discriminant with more than CLASS_B_CAP values of b raises
+BudgetExceededError before any form is listed, so a large d answers or
+fails at once.
 
 order_invariants bundles what the verdicts read (unit, norm -1 verdict,
 h, h_narrow) into one OrderInvariants record per order, built from one
@@ -42,6 +48,9 @@ from .errors import BudgetExceededError
 from .linalg.lattices import integer_determinant
 
 CF_STEP_CAP = 10**6
+# Values of b that class_group lists reduced forms for at most: about
+# sqrt(D)/2 of them for D > 0 and sqrt(|D|/3)/2 for D < 0.
+CLASS_B_CAP = 5000
 # Bits of |a| and |b| that log_embedding keeps of a larger unit: far more
 # than the 2 x 50 digits its decimal arithmetic can resolve.
 LOG_KEEP_BITS = 1024
@@ -244,65 +253,73 @@ def make_order(d: int) -> QuadraticOrder:
     return QuadraticOrder(d)
 
 
-def _cf_surd_step(P, Q, d, s):
-    # One continued-fraction step for (P + sqrt(d))/Q with Q | d - P^2.
-    a = (P + s) // Q
-    P2 = a * Q - P
-    Q2 = (d - P2 * P2) // Q
-    return a, P2, Q2
-
-
 def fundamental_unit(order: QuadraticOrder) -> RingElement:
     """Smallest unit greater than 1, by continued-fraction convergents.
 
     Raises ValueError for imaginary orders (unit rank 0) and
-    BudgetExceededError (a RuntimeError) if the expansion exceeds the step
+    BudgetExceededError (a RuntimeError) if the period exceeds the step
     cap.
     """
     d = order.d
     if d < 0:
         raise ValueError("imaginary quadratic orders have no fundamental unit")
     s = isqrt(d)
-    if d % 4 == 1:
-        P, Q = 1, 2
-    else:
-        P, Q = 0, 1
-    # Convergents of omega; u_k = p_k - q_k * conj(omega) lies in the order
-    # and |N(u_k)| = 1 exactly at period boundaries.  The norm is tested on
-    # the integer components, and only the unit found becomes an element:
-    # for d = 1 mod 4, u = p - q*(1 - sqrt(d))/2 = ((2p - q) + q sqrt(d)) / 2
-    # and |N(u)| = 1 is (2p - q)^2 - d q^2 = +-4; otherwise u = p + q sqrt(d)
-    # and |N(u)| = 1 is p^2 - d q^2 = +-1.
     half = d % 4 == 1
-    target = 4 if half else 1
-    p_prev, q_prev = 1, 0
-    p, q = None, None
-    for _ in range(CF_STEP_CAP):
-        if Q <= 0:
-            raise AssertionError("continued fraction left the reduced range")
-        a, P, Q = _cf_surd_step(P, Q, d, s)
-        if p is None:
-            p, q = a, 1
-        else:
-            p, q, p_prev, q_prev = a * p + p_prev, a * q + q_prev, p, q
-        x = 2 * p - q if half else p
-        if abs(x * x - d * q * q) == target:
-            return RingElement(d, x, q)
-    raise BudgetExceededError(f"continued fraction period exceeds step cap {CF_STEP_CAP}")
+    P, Q = (1, 2) if half else (0, 1)
+    start = Q
+    # The period of omega ends when Q returns to its start value; only the
+    # small surd state (P + sqrt(d))/Q, with Q | d - P^2, is stepped until
+    # then.
+    quotients = []
+    while True:
+        if len(quotients) == CF_STEP_CAP:
+            raise BudgetExceededError(f"continued fraction period exceeds step cap {CF_STEP_CAP}")
+        a = (P + s) // Q
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        quotients.append(a)
+        if Q == start:
+            break
+    # The convergent p/q of one period gives u = p - q * conj(omega): for
+    # d = 1 mod 4, u = ((2p - q) + q sqrt(d)) / 2 with (2p - q)^2 - d q^2 =
+    # +-4; otherwise u = p + q sqrt(d) with p^2 - d q^2 = +-1.
+    p_prev, q_prev, p, q = 1, 0, quotients[0], 1
+    for a in quotients[1:]:
+        p, q, p_prev, q_prev = a * p + p_prev, a * q + q_prev, p, q
+    x = 2 * p - q if half else p
+    if abs(x * x - d * q * q) != (4 if half else 1):
+        raise AssertionError("period convergent is not a unit")
+    return RingElement(d, x, q)
 
 
 # ---------------------------------------------------------------------------
 # Binary quadratic forms and class numbers.
 
 
+def _b_values(D: int):
+    """The b of the reduced forms of discriminant D, at most CLASS_B_CAP of them.
+
+    b = D mod 2 makes 4 | b^2 - D.  For D < 0 they are 0 <= b with 3 b^2 <=
+    |D| (since b^2 <= ac); for D > 0, 0 < b <= isqrt(D).
+    """
+    if D < 0:
+        bs = range(D % 2, isqrt(-D // 3) + 1, 2)
+    else:
+        bs = range(2 - D % 2, isqrt(D) + 1, 2)
+    if len(bs) > CLASS_B_CAP:
+        raise BudgetExceededError(
+            f"reduced forms of discriminant {D} need {len(bs)} values of b, over the cap {CLASS_B_CAP}"
+        )
+    return bs
+
+
 def _reduced_definite_forms(D: int):
     # Primitive reduced positive definite forms: |b| <= a <= c with
-    # b >= 0 when |b| == a or a == c.  Enumerated by b >= 0 (3 b^2 <= |D|
-    # since b^2 <= ac) and then by the divisors a <= sqrt(ac) of
-    # ac = (b^2 - D)/4 with a >= b; (a, -b, c) is reduced too when
-    # 0 < b < a < c.  D = 0 or 1 mod 4, so b = D mod 2 makes 4 | b^2 - D.
+    # b >= 0 when |b| == a or a == c.  Enumerated by b >= 0 and then by
+    # the divisors a <= sqrt(ac) of ac = (b^2 - D)/4 with a >= b;
+    # (a, -b, c) is reduced too when 0 < b < a < c.
     out = []
-    for b in range(D % 2, isqrt(-D // 3) + 1, 2):
+    for b in _b_values(D):
         m = (b * b - D) // 4
         for a in range(max(b, 1), isqrt(m) + 1):
             if m % a:
@@ -315,36 +332,24 @@ def _reduced_definite_forms(D: int):
     return sorted(out)
 
 
-def _is_reduced_indefinite(a, b, D):
-    # 0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b, all exact.
-    if b <= 0 or b * b >= D:
-        return False
-    t = 2 * abs(a)
-    if t - b >= 0 and (t - b) * (t - b) >= D:
-        return False
-    if (t + b) * (t + b) <= D:
-        return False
-    return True
-
-
 def _reduced_indefinite_forms(D: int):
-    # For each b, |a| |c| = m = (D - b^2)/4 and both |a| and |c| lie in
-    # the reduced window (sqrt(D) - b)/2 < f < (sqrt(D) + b)/2, so the
-    # smaller of them is a divisor f of m with (2f + b)^2 > D and f^2 <= m.
+    # Reduced: 0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b.  D is
+    # not a square, so with s = isqrt(D) that is b <= s and
+    # s + 1 - b <= 2|a| <= s + b, and |a| is a divisor of m = (D - b^2)/4
+    # = -ac in that window, with both signs.  |a| and |c| both lie in the
+    # window, so trial division runs from its lower end up to sqrt(m);
+    # each divisor f found there is in the window (f <= sqrt(m) <
+    # (sqrt(D) + b)/2), and so is m/f >= f when m/f <= (s + b)/2.
     s = isqrt(D)
     out = []
-    for b in range(2 - D % 2, s + 1, 2):
+    for b in _b_values(D):
         m = (D - b * b) // 4
-        # The least f with 2f + b >= s + 1, that is with 2f + b > sqrt(D).
+        hi = (s + b) // 2
         for f in range((s - b) // 2 + 1, isqrt(m) + 1):
-            if m % f:
-                continue
-            for aa in {f, m // f}:
-                for a in (aa, -aa):
-                    c = -m // a
-                    if _is_reduced_indefinite(a, b, D):
-                        if gcd(gcd(abs(a), b), abs(c)) == 1:
-                            out.append((a, b, c))
+            if m % f == 0 and gcd(gcd(f, b), m // f) == 1:
+                for a in {f, m // f}:
+                    if a <= hi:
+                        out += [(a, b, -(m // a)), (-a, b, m // a)]
     return sorted(out)
 
 
@@ -381,9 +386,9 @@ def class_group(order: QuadraticOrder) -> ClassGroupData:
 
     The forms are listed by b, then by divisors of ac = (b^2 - D)/4: for
     D < 0, b >= 0 with 3b^2 <= |D| and b <= a <= sqrt(ac), adding
-    (a, -b, c) when 0 < b < a < c; for D > 0, 0 < b <= sqrt(D) and trial
-    division only over the reduced window (2f + b)^2 > D, f^2 <= |ac|,
-    each candidate then passing the exact reduction test.
+    (a, -b, c) when 0 < b < a < c; for D > 0, 0 < b <= sqrt(D) and the
+    divisors |a| of |ac| in the reduced window, each with both signs.
+    More than CLASS_B_CAP values of b raise BudgetExceededError first.
     """
     D = order.discriminant
     if D < 0:
@@ -450,8 +455,10 @@ def order_invariants(order) -> OrderInvariants:
     """
     if isinstance(order, RationalIntegers):
         return OrderInvariants(None, 1, order.signature, None, True, 1, 1)
-    unit = fundamental_unit(order) if order.d > 0 else None
+    # The class group's cap on b decides a large d before the unit's
+    # convergents, whose size grows with the period, are formed.
     h_narrow = class_group(order).h_narrow
+    unit = fundamental_unit(order) if order.d > 0 else None
     minus = unit is not None and unit.norm() == -1
     h = h_narrow
     if unit is not None and not minus:

@@ -840,10 +840,20 @@ def reduced_definite_forms_reference(D: int):
     return sorted(out)
 
 
+def _is_reduced_indefinite(a, b, D):
+    # 0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b, all exact.
+    if b <= 0 or b * b >= D:
+        return False
+    t = 2 * abs(a)
+    if t - b >= 0 and (t - b) * (t - b) >= D:
+        return False
+    if (t + b) * (t + b) <= D:
+        return False
+    return True
+
+
 def reduced_indefinite_forms_reference(D: int):
     """Reduced indefinite forms of discriminant D > 0, divisors from f = 1."""
-    from steinberg.quadratic import _is_reduced_indefinite
-
     s = isqrt(D)
     out = []
     for b in range(1, s + 1):

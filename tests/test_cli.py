@@ -619,6 +619,8 @@ def test_ring_info_prints_a_huge_unit(capsys, monkeypatch):
         ["flags", "probe", "--n", "2", "--m", "2", "--height", "400"],
         ["ring", "info", "--d", "2"],
         ["ring", "info", "--d", "2", "--json"],
+        ["ring", "info", "--d", "1000000000000000003"],
+        ["ring", "info", "--d", "1000000000001"],
         ["survey", "--d", "2,3", "--n", "2", "--json"],
         ["bounds", "--d", "2", "--n", "2", "--json"],
         ["steinberg", "coinv", "--n", "2", "--q", "3", "--group", "json:" + "[" * 100000],

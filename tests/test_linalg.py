@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles as o
 from steinberg import linalg
@@ -112,6 +112,7 @@ def test_kernel_basis_of_building_boundary_matches_reference():
 
 
 @given(dense_matrices(ints, max_dim=4))
+@example([[2, 0], [0, 3]])  # a diagonal that is not yet in Smith form
 @settings(max_examples=100, deadline=None)
 def test_smith_factors_divide_and_match_minor_gcds(dense):
     factors = snf_transform(dense).factors
@@ -281,6 +282,16 @@ def test_snf_transform_certifies_itself(dense):
             assert prod[i][j] == expected
     assert abs(int(o.det_leibniz(tr.U))) == 1
     assert abs(int(o.det_leibniz(tr.V))) == 1
+    # complete_to_basis reads only V^-1: U M = S V^-1 and V V^-1 = I
+    um = [[sum(tr.U[i][k] * dense[k][j] for k in range(n)) for j in range(c)] for i in range(n)]
+    s_vinv = [
+        [tr.diagonal[i] * tr.Vinv[i][j] if i < len(tr.diagonal) else 0 for j in range(c)]
+        for i in range(n)
+    ]
+    assert um == s_vinv
+    assert [
+        [sum(tr.V[i][k] * tr.Vinv[k][j] for k in range(c)) for j in range(c)] for i in range(c)
+    ] == [[int(i == j) for j in range(c)] for i in range(c)]
 
 
 def test_row_combination_solving():

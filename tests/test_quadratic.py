@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +93,15 @@ def test_fundamental_unit_past_the_step_cap_raises_budget_error(monkeypatch):
     with pytest.raises(BudgetExceededError, match="step cap 2$"):
         fundamental_unit(make_order(94))
     assert issubclass(BudgetExceededError, RuntimeError)
+
+
+def test_fundamental_unit_at_a_huge_d_meets_the_step_cap_at_once():
+    # the period of sqrt(10^18 + 3) outruns the cap; only the small surd
+    # state is stepped, so the budget error comes within seconds
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=f"step cap {quadratic.CF_STEP_CAP}$"):
+        fundamental_unit(make_order(10**18 + 3))
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("d", SQUAREFREE_REAL + SQUAREFREE_IMAG)
