@@ -11,15 +11,18 @@ The fundamental unit comes from the continued fraction of sqrt(d)
 d = 1 mod 4), which ends the period, within CF_STEP_CAP steps.  The
 partial quotients are then folded into the convergent p/q once, and
 p - q * conj(omega) is the fundamental unit, its norm checked once to be
-+-1; the negative-Pell verdict is its norm sign.  Class numbers come from
-reduced binary quadratic forms of the field discriminant (counted
-directly for D < 0; counted as reduction cycles for D > 0, which give the
-narrow class number).  Reduced forms are enumerated by b and then by the
-divisors a of (b^2 - D)/4 that the reduction bounds allow: a from |b| to
-sqrt(ac) when D < 0, and |a| inside the window
-s + 1 - b <= 2|a| <= s + b, s = isqrt(D), with both signs, when D > 0.
-A discriminant with more than CLASS_B_CAP values of b raises
-BudgetExceededError before any form is listed, so a large d answers or
++-1; the negative-Pell verdict is its norm sign.  The quotients are
+folded in a balanced product tree of 2x2 matrices, so a long period costs
+quasi-linear time, not quadratic.  Class numbers come from reduced binary
+quadratic forms of the field discriminant, counted, not listed: for
+D < 0 each reduced form is counted as it is found; for D > 0 the
+reduction cycles, which give the narrow class number, are counted as
+orbits of the double step rho^2 on the reduced forms with a > 0.
+Reduced forms are found by b and then by the divisors a of (b^2 - D)/4
+that the reduction bounds allow: a from |b| to sqrt(ac) when D < 0, and
+a > 0 inside the window s + 1 - b <= 2a <= s + b, s = isqrt(D), when
+D > 0.  A discriminant with more than CLASS_B_CAP values of b raises
+BudgetExceededError before any form is counted, so a large d answers or
 fails at once.
 
 order_invariants bundles what the verdicts read (unit, norm -1 verdict,
@@ -48,8 +51,12 @@ from .errors import BudgetExceededError
 from .linalg.lattices import integer_determinant
 
 CF_STEP_CAP = 10**6
-# Values of b that class_group lists reduced forms for at most: about
-# sqrt(D)/2 of them for D > 0 and sqrt(|D|/3)/2 for D < 0.
+# Partial quotients folded one by one before _convergent multiplies the
+# folds in a balanced tree.
+FOLD_LEAF = 32
+# Values of b that class_group counts reduced forms for at most: about
+# sqrt(D)/2 of them for D > 0 and sqrt(|D|/3)/2 for D < 0.  For D > 0 it
+# walks rho^2 only over the forms with a > 0.
 CLASS_B_CAP = 5000
 # Bits of |a| and |b| that log_embedding keeps of a larger unit: far more
 # than the 2 x 50 digits its decimal arithmetic can resolve.
@@ -253,6 +260,33 @@ def make_order(d: int) -> QuadraticOrder:
     return QuadraticOrder(d)
 
 
+def _convergent(quotients):
+    """(p, q) with p/q the continued fraction [a_0; a_1, ..., a_k] of the quotients.
+
+    The product of the matrices ((a, 1), (1, 0)) over the quotients is
+    ((p, p'), (q, q')), with p'/q' the convergent before p/q.  Runs of
+    FOLD_LEAF quotients are folded one by one into such a matrix, and the
+    runs' matrices are multiplied in a balanced tree, so the large factors
+    of a long period are multiplied in pairs of equal size instead of
+    growing one quotient at a time.
+    """
+    level = []
+    for i in range(0, len(quotients), FOLD_LEAF):
+        p, p_prev, q, q_prev = 1, 0, 0, 1
+        for a in quotients[i:i + FOLD_LEAF]:
+            p, p_prev, q, q_prev = a * p + p_prev, p, a * q + q_prev, q
+        level.append((p, p_prev, q, q_prev))
+    while len(level) > 1:
+        paired = []
+        for i in range(0, len(level) - 1, 2):
+            (p, pp, q, qp), (r, rp, t, tp) = level[i], level[i + 1]
+            paired.append((p * r + pp * t, p * rp + pp * tp, q * r + qp * t, q * rp + qp * tp))
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return level[0][0], level[0][2]
+
+
 def fundamental_unit(order: QuadraticOrder) -> RingElement:
     """Smallest unit greater than 1, by continued-fraction convergents.
 
@@ -283,9 +317,7 @@ def fundamental_unit(order: QuadraticOrder) -> RingElement:
     # The convergent p/q of one period gives u = p - q * conj(omega): for
     # d = 1 mod 4, u = ((2p - q) + q sqrt(d)) / 2 with (2p - q)^2 - d q^2 =
     # +-4; otherwise u = p + q sqrt(d) with p^2 - d q^2 = +-1.
-    p_prev, q_prev, p, q = 1, 0, quotients[0], 1
-    for a in quotients[1:]:
-        p, q, p_prev, q_prev = a * p + p_prev, a * q + q_prev, p, q
+    p, q = _convergent(quotients)
     x = 2 * p - q if half else p
     if abs(x * x - d * q * q) != (4 if half else 1):
         raise AssertionError("period convergent is not a unit")
@@ -313,105 +345,89 @@ def _b_values(D: int):
     return bs
 
 
-def _reduced_definite_forms(D: int):
-    # Primitive reduced positive definite forms: |b| <= a <= c with
-    # b >= 0 when |b| == a or a == c.  Enumerated by b >= 0 and then by
-    # the divisors a <= sqrt(ac) of ac = (b^2 - D)/4 with a >= b;
-    # (a, -b, c) is reduced too when 0 < b < a < c.
-    out = []
+def _definite_forms(D: int):
+    # Primitive reduced forms (a, b, c) with b >= 0: |b| <= a <= c, found
+    # by b and then by the divisors a <= sqrt(ac) of ac = (b^2 - D)/4 with
+    # a >= b.  (a, -b, c) is reduced too exactly when 0 < b < a < c.
     for b in _b_values(D):
         m = (b * b - D) // 4
         for a in range(max(b, 1), isqrt(m) + 1):
-            if m % a:
-                continue
-            c = m // a
-            if gcd(gcd(a, b), c) == 1:
-                out.append((a, b, c))
-                if 0 < b < a < c:
-                    out.append((a, -b, c))
-    return sorted(out)
+            if m % a == 0 and gcd(gcd(a, b), m // a) == 1:
+                yield a, b, m // a
 
 
-def _reduced_indefinite_forms(D: int):
-    # Reduced: 0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b.  D is
-    # not a square, so with s = isqrt(D) that is b <= s and
-    # s + 1 - b <= 2|a| <= s + b, and |a| is a divisor of m = (D - b^2)/4
-    # = -ac in that window, with both signs.  |a| and |c| both lie in the
-    # window, so trial division runs from its lower end up to sqrt(m);
-    # each divisor f found there is in the window (f <= sqrt(m) <
-    # (sqrt(D) + b)/2), and so is m/f >= f when m/f <= (s + b)/2.
+def _indefinite_forms(D: int):
+    # Primitive reduced forms (a, b, c) with a > 0.  Reduced: 0 < b <
+    # sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b; D is not a square, so
+    # with s = isqrt(D) that is b <= s and s + 1 - b <= 2|a| <= s + b.  The
+    # window bounds only |a|, so (-a, b, -c) is reduced exactly when
+    # (a, b, c) is.  |a| and |c| divide m = (D - b^2)/4 = -ac inside the
+    # window, so trial division runs from its lower end up to sqrt(m): each
+    # f found there is in it (f <= sqrt(m) < (sqrt(D) + b)/2), and so is
+    # m/f >= f when m/f <= (s + b)/2.
     s = isqrt(D)
-    out = []
     for b in _b_values(D):
         m = (D - b * b) // 4
         hi = (s + b) // 2
         for f in range((s - b) // 2 + 1, isqrt(m) + 1):
             if m % f == 0 and gcd(gcd(f, b), m // f) == 1:
-                for a in {f, m // f}:
-                    if a <= hi:
-                        out += [(a, b, -(m // a)), (-a, b, m // a)]
-    return sorted(out)
-
-
-def _rho(form, D, s):
-    # Reduction neighbor: (a, b, c) -> (c, b', (b'^2 - D) / 4c) with
-    # b' = -b mod 2|c| chosen maximal below sqrt(D).
-    a, b, c = form
-    tc = 2 * abs(c)
-    # Largest b2 = -b mod 2|c| with b2 <= s: floor division by tc gives
-    # b2 <= s < b2 + tc directly.
-    b2 = -b + tc * ((s + b) // tc)
-    c2 = (b2 * b2 - D) // (4 * c)
-    return (c, b2, c2)
+                yield f, b, -(m // f)
+                if f * f != m and m // f <= hi:
+                    yield m // f, b, -f
 
 
 @dataclass(frozen=True)
 class ClassGroupData:
-    """Narrow class number with reduced form representatives."""
+    """Narrow class number of the order's discriminant."""
 
     d: int
     discriminant: int
     h_narrow: int
-    representatives: tuple
 
 
 def class_group(order: QuadraticOrder) -> ClassGroupData:
-    """Narrow class number from reduced binary quadratic forms of discriminant D.
+    """Narrow class number, by counting reduced binary quadratic forms of discriminant D.
 
     D < 0: reduced primitive positive definite forms biject with the class
-    group, and the narrow and wide class numbers agree.  D > 0: cycles of
-    reduced indefinite forms under the reduction step biject with the
-    narrow class group; order_invariants halves it when the fundamental
-    unit has norm +1.
-
-    The forms are listed by b, then by divisors of ac = (b^2 - D)/4: for
-    D < 0, b >= 0 with 3b^2 <= |D| and b <= a <= sqrt(ac), adding
-    (a, -b, c) when 0 < b < a < c; for D > 0, 0 < b <= sqrt(D) and the
-    divisors |a| of |ac| in the reduced window, each with both signs.
-    More than CLASS_B_CAP values of b raise BudgetExceededError first.
+    group (narrow and wide agree); a form with b >= 0 counts twice when
+    0 < b < a < c, for itself and (a, -b, c).  D > 0: cycles of reduced
+    forms under the reduction step rho biject with the narrow class group
+    (order_invariants halves it when the unit has norm +1).  Each step
+    flips the sign of a, so the forms with a > 0 of one cycle are one orbit
+    of rho^2, and those orbits are counted, two steps per turn.  A step
+    that leaves the reduced forms raises AssertionError: the first by the
+    window inequalities, the second by membership among the forms not yet
+    walked.  More than CLASS_B_CAP values of b raise BudgetExceededError
+    before any form is counted.
     """
     D = order.discriminant
     if D < 0:
-        forms = _reduced_definite_forms(D)
-        return ClassGroupData(order.d, D, len(forms), tuple(forms))
+        h = sum(2 if 0 < b < a < c else 1 for a, b, c in _definite_forms(D))
+        return ClassGroupData(order.d, D, h)
     s = isqrt(D)
-    forms = _reduced_indefinite_forms(D)
-    form_set = set(forms)
-    seen = set()
-    reps = []
-    for f in forms:
-        if f in seen:
-            continue
-        cycle = []
-        g = f
-        while g not in seen:
-            seen.add(g)
-            cycle.append(g)
-            g = _rho(g, D, s)
-            if g not in form_set:
-                raise AssertionError(f"reduction left the reduced set: {g}")
-        reps.append(min(cycle))
-    return ClassGroupData(order.d, D, len(reps), tuple(sorted(reps)))
+    todo = set(_indefinite_forms(D))
+    h = 0
+    while todo:
+        a, b, c = start = todo.pop()
+        h += 1
+        while True:
+            # rho: (a, b, c) -> (c, b2, (b2^2 - D) / 4c), b2 the largest
+            # value -b mod 2|c| below sqrt(D); here c < 0, then c2 > 0.
+            t = -2 * c
+            b = t * ((s + b) // t) - b
+            a, c = c, (b * b - D) // (4 * c)
+            if not s + 1 - b <= t <= s + b:
+                raise AssertionError(f"reduction left the reduced set: {(a, b, c)}")
+            t = 2 * c
+            b = t * ((s + b) // t) - b
+            a, c = c, (b * b - D) // (4 * c)
+            form = (a, b, c)
+            if form == start:
+                break
+            if form not in todo:
+                raise AssertionError(f"reduction left the reduced set: {form}")
+            todo.remove(form)
+    return ClassGroupData(order.d, D, h)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ Reports serialize to JSON and back without loss.
 
 The survey keeps a JSON-lines cache keyed by (d, n) behind an advisory
 file lock; cached cells are returned byte-identically to fresh ones, and
-per-cell failures become error rows instead of aborting the run.
+per-cell failures become error rows instead of aborting the run.  Fresh
+rows are encoded by one shared JSON encoder and flushed once per d that
+wrote any.
 """
 
 from __future__ import annotations
@@ -263,6 +265,10 @@ def _cached_row(line):
     return row
 
 
+# Encodes a cache row to the same text as json.dumps(row, sort_keys=True).
+_encode_row = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
+
 def survey(d_values, n_values, cache_path=None):
     """One verdict row per (d, n), cached across runs when a path is given.
 
@@ -293,6 +299,7 @@ def survey(d_values, n_values, cache_path=None):
     try:
         for d in d_values:
             inv = None
+            wrote = False
             for n in n_values:
                 key = _cell_key(d, n)
                 if key in cache:
@@ -321,9 +328,11 @@ def survey(d_values, n_values, cache_path=None):
                         # Keep the fresh row off the damaged last line.
                         handle.write("\n")
                         unterminated = False
-                    handle.write(json.dumps(row, sort_keys=True) + "\n")
-                    handle.flush()
+                    handle.write(_encode_row(row) + "\n")
+                    wrote = True
                     cache[key] = row
+            if wrote:
+                handle.flush()
     finally:
         if handle is not None:
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)

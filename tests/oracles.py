@@ -35,6 +35,13 @@ walked b and then only the divisors the reduction bounds allow (every
 pair |b| <= a for D < 0; trial division of (D - b^2)/4 from 1 for D > 0),
 kept to check that the new enumeration returns the same sorted lists;
 the indefinite one shares the package's exact reduction test.
+class_group_reference is the package's class group as it was before it
+counted forms instead of listing them: the sorted lists of both
+enumerators above, every indefinite form (both signs of a) walked one
+reduction step at a time, and one representative kept per cycle.
+period_convergent_reference is the package's fold of a unit's period as
+it was before the quotients were multiplied in a product tree: one
+quotient at a time, quadratic in the period's length.
 apartment_span_rank_reference is the package's apartment span rank as it
 was before the Solomon-Tits basis certified it: one class per unordered
 frame, built by the package's apartment_class, and the exact rank of all
@@ -74,6 +81,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, isqrt
@@ -873,6 +881,67 @@ def reduced_indefinite_forms_reference(D: int):
                                 out.append((a, b, c))
             f += 1
     return sorted(out)
+
+
+def _rho(form, D, s):
+    # Reduction neighbor: (a, b, c) -> (c, b', (b'^2 - D) / 4c) with
+    # b' = -b mod 2|c| chosen maximal below sqrt(D).
+    a, b, c = form
+    tc = 2 * abs(c)
+    # Largest b2 = -b mod 2|c| with b2 <= s: floor division by tc gives
+    # b2 <= s < b2 + tc directly.
+    b2 = -b + tc * ((s + b) // tc)
+    c2 = (b2 * b2 - D) // (4 * c)
+    return (c, b2, c2)
+
+
+@dataclass(frozen=True)
+class ClassGroupReference:
+    """Narrow class number with reduced form representatives."""
+
+    d: int
+    discriminant: int
+    h_narrow: int
+    representatives: tuple
+
+
+def class_group_reference(order) -> ClassGroupReference:
+    """Narrow class number from sorted lists of reduced forms, one rho step at a time.
+
+    D < 0: the reduced definite forms, listed and counted.  D > 0: every
+    reduced indefinite form, both signs of a, is walked one reduction step
+    at a time, and each cycle gives one representative.
+    """
+    D = order.discriminant
+    if D < 0:
+        forms = reduced_definite_forms_reference(D)
+        return ClassGroupReference(order.d, D, len(forms), tuple(forms))
+    s = isqrt(D)
+    forms = reduced_indefinite_forms_reference(D)
+    form_set = set(forms)
+    seen = set()
+    reps = []
+    for f in forms:
+        if f in seen:
+            continue
+        cycle = []
+        g = f
+        while g not in seen:
+            seen.add(g)
+            cycle.append(g)
+            g = _rho(g, D, s)
+            if g not in form_set:
+                raise AssertionError(f"reduction left the reduced set: {g}")
+        reps.append(min(cycle))
+    return ClassGroupReference(order.d, D, len(reps), tuple(sorted(reps)))
+
+
+def period_convergent_reference(quotients):
+    """(p, q) of the continued fraction of the quotients, folded one quotient at a time."""
+    p_prev, q_prev, p, q = 1, 0, quotients[0], 1
+    for a in quotients[1:]:
+        p, q, p_prev, q_prev = a * p + p_prev, a * q + q_prev, p, q
+    return p, q
 
 
 def lines_complex_fq_reference(n, q, budget=None):

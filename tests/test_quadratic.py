@@ -120,15 +120,81 @@ FORM_SPOT_D = [99989, 99991, 99998, 100001, -100007, -100006, -100005, -99998]
 
 
 def test_reduced_forms_match_the_reference_enumeration():
+    # The counted definite forms (b >= 0), with (a, -b, c) added where
+    # they count twice, and the walked indefinite forms (a > 0), with their
+    # negations, are exactly the reference lists.
     sweep = [d for d in range(-2000, 2001) if is_squarefree(d)]
     for d in sweep + FORM_SPOT_D:
         D = make_order(d).discriminant
         if D < 0:
-            got = quadratic._reduced_definite_forms(D)
-            assert got == o.reduced_definite_forms_reference(D), d
+            found = list(quadratic._definite_forms(D))
+            assert all(b >= 0 for _, b, _ in found), d
+            full = found + [(a, -b, c) for a, b, c in found if 0 < b < a < c]
+            expected = o.reduced_definite_forms_reference(D)
+            assert sorted(full) == expected, d
+            assert class_group(make_order(d)).h_narrow == len(expected), d
         else:
-            got = quadratic._reduced_indefinite_forms(D)
-            assert got == o.reduced_indefinite_forms_reference(D), d
+            found = list(quadratic._indefinite_forms(D))
+            assert all(a > 0 for a, _, _ in found), d
+            full = found + [(-a, b, -c) for a, b, c in found]
+            assert sorted(full) == o.reduced_indefinite_forms_reference(D), d
+
+
+def test_class_numbers_match_the_reference_walk():
+    for d in range(-2000, 2001):
+        if is_squarefree(d):
+            order = make_order(d)
+            assert class_group(order).h_narrow == o.class_group_reference(order).h_narrow, d
+
+
+def test_class_group_refuses_a_walk_that_leaves_the_reduced_forms(monkeypatch):
+    # 79 has narrow class number 6 (h = 3): its forms make several rho^2
+    # orbits.  Dropping one form, or adding a form outside the reduced
+    # window, breaks the walk through it.
+    order = make_order(79)
+    forms = list(quadratic._indefinite_forms(order.discriminant))
+    assert class_group(order).h_narrow == 6 and len(forms) > 6
+    for broken in (forms[1:], forms + [(1, 2, -(order.discriminant - 4) // 4)]):
+        monkeypatch.setattr(quadratic, "_indefinite_forms", lambda D, broken=broken: iter(broken))
+        with pytest.raises(AssertionError, match="left the reduced set"):
+            class_group(order)
+
+
+def _period_quotients(d):
+    # the partial quotients of one period of sqrt(d), d = 2, 3 mod 4
+    s = math.isqrt(d)
+    P, Q, out = 0, 1, []
+    while not out or Q != 1:
+        a = (P + s) // Q
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        out.append(a)
+    return out
+
+
+def test_period_convergent_matches_the_linear_fold():
+    # 20000971 = 3 mod 4 has a period of 8,906 quotients, so the product
+    # tree has 279 leaves; short lists cover one leaf, a full leaf and a
+    # leaf plus one.
+    quotients = _period_quotients(20000971)
+    assert len(quotients) == 8906
+    assert quadratic._convergent(quotients) == o.period_convergent_reference(quotients)
+    rng = random.Random(5)
+    for k in list(range(1, 70)) + [95, 96, 97, 1000]:
+        qs = [rng.randint(1, 10**rng.randint(1, 6)) for _ in range(k)]
+        assert quadratic._convergent(qs) == o.period_convergent_reference(qs), k
+
+
+def test_fundamental_unit_of_the_cattle_problem():
+    # Archimedes' cattle problem reduces to the Pell equation
+    # x^2 - 4729494 y^2 = 1 (Lenstra, Notices AMS 49, 2002).
+    u = fundamental_unit(make_order(4729494))
+    assert (u.a, u.b, u.denom) == (
+        109931986732829734979866232821433543901088049,
+        50549485234315033074477819735540408986340,
+        1,
+    )
+    assert u.norm() == 1
 
 
 @given(
