@@ -125,24 +125,8 @@ def reduced_homology_ranks(X: SemisimplicialSet) -> dict:
     """Reduced rational Betti numbers by degree, computed exactly.
 
     chain_complex(X) is built first: its boundaries hold the very rows
-    ranked here, and its augmentation gives rank ∂_0.  Each rank
-    of ∂_{k+1} is then the rank of the rows of boundaries[k+1]: row f is
-    the coboundary of the k-simplex f, over the (k+1)-simplices as
-    columns.  The degrees run from 0 up, and a degree drops the rows of the
-    simplices that were pivot columns one degree down (clearing, run as
-    cohomology: de Silva, Morozov & Vejdemo-Johansson, "Dualities in
-    persistent (co)homology", Inverse Problems 27, 2011; Bauer, "Ripser",
-    J. Appl. Comput. Topol. 5, 2021).  Degree 0 drops vertex 0, the pivot
-    of the all-ones augmentation row.
-
-    Clearing is exact:
-    - a pivot row of degree k-1 is δc for an integer cochain c; its leading
-      entry sits at σ and its other entries sit at later columns;
-    - since δδc = 0, δσ lies in the span of δτ for the later τ;
-    - by downward induction over the column order, dropping every such σ
-      leaves the rank unchanged.
-    The augmentation cocycle, the sum of all vertices, clears vertex 0 in
-    the same way.
+    ranked here, and its augmentation gives rank ∂_0.  Every higher rank
+    comes from eliminate_with_clearing over all degrees.
 
     Degree k keeps n_k - rank ∂_k rows, of which rank ∂_{k+1} become
     pivots, so exactly β̃_k rows reduce to zero.  On a building that is
@@ -150,18 +134,47 @@ def reduced_homology_ranks(X: SemisimplicialSet) -> dict:
     """
     cc = chain_complex(X)
     dims = cc.dims
-    bnd_rank = [rank(cc.boundaries[0])] + [0] * len(dims)
     boundaries = list(cc.boundaries)
     del cc
+    bnd_rank = [rank(boundaries[0]), *eliminate_with_clearing(boundaries, len(dims) - 1)[0], 0]
+    return {k: dims[k] - bnd_rank[k] - bnd_rank[k + 1] for k in range(len(dims))}
+
+
+def eliminate_with_clearing(boundaries, degrees):
+    """Ranks of ∂_1..∂_degrees by cohomology elimination with clearing.
+
+    boundaries is a list in chain_complex order, which this releases as it
+    goes.  Degree k = 0..degrees-1 ranks the rows of boundaries[k+1]: row f
+    is the coboundary of the k-simplex f, over the (k+1)-simplices as
+    columns.  A degree drops the rows of the simplices that were pivot
+    columns one degree down (clearing, run as cohomology: de Silva, Morozov
+    & Vejdemo-Johansson, "Dualities in persistent (co)homology", Inverse
+    Problems 27, 2011; Bauer, "Ripser", J. Appl. Comput. Topol. 5, 2021).
+    Degree 0 drops vertex 0, the pivot of the all-ones augmentation row.
+
+    Returns (ranks, cleared): ranks[k] is rank ∂_{k+1}, and cleared is the
+    set of rows of boundaries[degrees+1] that the next degree would drop.
+
+    Clearing is exact:
+    - a pivot row of degree k-1 is δc for an integer cochain c; its leading
+      entry sits at σ and its other entries sit at later columns;
+    - since δδc = 0, δσ lies in the span of δτ for the later τ;
+    - by downward induction over the column order, dropping every such σ
+      leaves the row space unchanged, and so the rank and the null space.
+    The augmentation cocycle, the sum of all vertices, clears vertex 0 in
+    the same way.
+    """
     cleared = {0}
-    for k in range(len(dims) - 1):
+    ranks = []
+    for k in range(degrees):
         # The kernel reduces its rows in place, so it gets copies; the
         # boundary is released before its rows are eliminated.
+        ncols = boundaries[k + 1].cols
         rows = [dict(r) for f, r in enumerate(boundaries[k + 1].row_dicts) if f not in cleared]
         boundaries[k + 1] = None
-        cleared = set(pivot_columns(dims[k + 1], rows))
-        bnd_rank[k + 1] = len(cleared)
-    return {k: dims[k] - bnd_rank[k] - bnd_rank[k + 1] for k in range(len(dims))}
+        cleared = set(pivot_columns(ncols, rows))
+        ranks.append(len(cleared))
+    return ranks, cleared
 
 
 def tits_building(n: int, q: int, budget=DEFAULT_SIMPLEX_BUDGET) -> SemisimplicialSet:

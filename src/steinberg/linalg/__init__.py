@@ -12,15 +12,16 @@ there directly.
 
 A row that holds a Fraction is scaled to integers before elimination.
 Scaling a row by a nonzero constant changes neither the rank nor the right
-null space; kernel bases come from the integer echelon rows by
-fraction-free back-substitution.
+null space.  A kernel basis comes from one fraction-free back-elimination
+of the integer echelon rows, bottom up, after which each row holds only
+its pivot and free columns; the basis is the transpose of those rows, and
+a Fraction appears only where a pivot entry does not divide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from . import _core_py as _impl
@@ -83,6 +84,19 @@ class ExactMatrix:
             out.append(clean)
         object.__setattr__(self, "row_dicts", tuple(out))
 
+    def without_rows(self, drop) -> ExactMatrix:
+        """This matrix without the rows whose indices are in drop.
+
+        The kept rows were normalised when this matrix was built, so they
+        are shared, not copied or checked again.
+        """
+        kept = tuple(r for i, r in enumerate(self.row_dicts) if i not in drop)
+        out = object.__new__(ExactMatrix)
+        object.__setattr__(out, "rows", len(kept))
+        object.__setattr__(out, "cols", self.cols)
+        object.__setattr__(out, "row_dicts", kept)
+        return out
+
 
 def _integer_row(row):
     """A fresh dict: the row times the least scale that makes it integral."""
@@ -128,49 +142,74 @@ def kernel_basis(matrix: ExactMatrix):
     Values are ints where integral, else Fractions.  Always satisfies
     M v = 0 exactly and len(result) == cols - rank(M).
 
-    Each vector comes from fraction-free back-substitution on the integer
-    echelon rows: it is kept as integers y over one common denominator, and
-    a pivot row is solved only once a column it holds has become nonzero,
-    bottom row first.
+    The integer echelon rows are back-eliminated (_back_eliminate) until
+    each holds only its pivot and free columns, a multiple a of its
+    reduced row echelon form row.  The basis is then their transpose:
+    the vector of free column f is -v / a at the pivot of each row holding
+    v at f.  The rows are read top down, so each vector's entries arrive
+    in column order, and each row is released once it is read.
     """
     pivot_cols, pivot_rows = _echelon(matrix)
-    # holders[c]: the pivot rows holding column c off their pivot.
-    holders = [[] for _ in range(matrix.cols)]
-    for r, (p, row) in enumerate(zip(pivot_cols, pivot_rows)):
-        for j in row:
-            if j != p:
-                holders[j].append(r)
+    _back_eliminate(pivot_cols, pivot_rows)
+    vectors = [[] for _ in range(matrix.cols)]
+    for r, p in enumerate(pivot_cols):
+        row = pivot_rows[r]
+        pivot_rows[r] = None
+        a = row.pop(p)
+        if a == 1 or a == -1:
+            # -v / a is -v * a; the entries +-1 share one tuple per row.
+            one, minus_one = (p, 1), (p, -1)
+            for f, v in row.items():
+                if v == a:
+                    vectors[f].append(minus_one)
+                elif v == -a:
+                    vectors[f].append(one)
+                else:
+                    vectors[f].append((p, -v * a))
+        else:
+            for f, v in row.items():
+                vectors[f].append((p, _value(Fraction(-v, a))))
     pivot_set = set(pivot_cols)
     basis = []
     for f in range(matrix.cols):
-        if f in pivot_set:
-            continue
-        y = {f: 1}
-        den = 1
-        heap = [-r for r in holders[f]]
-        heapify(heap)
-        queued = set(holders[f])
-        while heap:
-            r = -heappop(heap)
-            p, row = pivot_cols[r], pivot_rows[r]
-            s = -sum(v * y[j] for j, v in row.items() if j in y)
-            if not s:
-                continue
-            a = row[p]
-            g = gcd(s, a)
-            s, a = s // g, a // g
-            if a < 0:
-                s, a = -s, -a
-            if a != 1:
-                for j in y:
-                    y[j] *= a
-                den *= a
-            y[p] = s
-            for k in holders[p]:
-                if k not in queued:
-                    queued.add(k)
-                    heappush(heap, -k)
-        basis.append(
-            tuple((j, y[j] if den == 1 else _value(Fraction(y[j], den))) for j in sorted(y))
-        )
+        if f not in pivot_set:
+            vector = vectors[f]
+            vector.append((f, 1))
+            basis.append(tuple(vector))
     return tuple(basis)
+
+
+def _back_eliminate(pivot_cols, pivot_rows):
+    """Reduce integer echelon rows, in place, to multiples of the reduced form.
+
+    pivot_cols and pivot_rows are the kernel's echelon output.  The rows
+    are reduced bottom up, fraction-free: each pivot column c of a lower,
+    already reduced row is cleared by row = s * row - m * lower, where
+    s / m = a / v in lowest terms with s > 0, for a the lower row's pivot
+    entry and v the row's entry at c.  A reduced row holds only its pivot
+    and free columns, so a step adds only free columns, and the columns to
+    clear are listed before the first is cleared.  Each row ends divided
+    by the gcd of its entries: the primitive integer multiple, up to sign,
+    of its reduced row echelon form row.
+    """
+    where = {c: r for r, c in enumerate(pivot_cols)}
+    for r in range(len(pivot_rows) - 1, -1, -1):
+        row = pivot_rows[r]
+        p = pivot_cols[r]
+        for c in [c for c in row if c != p and c in where]:
+            lower = pivot_rows[where[c]]
+            a, v = lower[c], row[c]
+            g = gcd(a, v)
+            s, m = a // g, v // g
+            if s < 0:
+                s, m = -s, -m
+            if s != 1:
+                for j in row:
+                    row[j] *= s
+            for j, w in lower.items():
+                x = row.get(j, 0) - m * w
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+        _impl._gcd_reduce_dict(row)

@@ -7,7 +7,11 @@ sparse {top-simplex index: value} dict.  The canonical basis is
 linalg.kernel_basis of the top boundary, kept as sparse supports: one
 basis cycle per free column, 1 there and 0 at the other free columns.
 The free column is the last entry of its support, so a cycle's
-coordinates are its values at the free columns.
+coordinates are its values at the free columns.  The basis is read from
+the top boundary's rows less those that the eliminations of the lower
+degrees clear (complexes.eliminate_with_clearing): the cleared rows lie
+in the span of the kept ones, so the null space, and with it the reduced
+row echelon basis, is that of the whole boundary.
 
 Apartment classes: a frame of n independent lines L_1..L_n spans one
 apartment, the barycentric (n-2)-sphere on the proper nonempty index
@@ -28,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from . import fields as ff
-from .complexes import chain_complex, group_action, tits_building
+from .complexes import chain_complex, eliminate_with_clearing, group_action, tits_building
 from .errors import DEFAULT_SIMPLEX_BUDGET
 from .linalg import ExactMatrix, kernel_basis, rank
 from .linalg.lattices import integer_determinant
@@ -64,6 +68,12 @@ class SteinbergModule:
     cycle; action() needs no such check, since a simplicial automorphism
     maps cycles to cycles.  No boundary matrix is kept: the cycle check
     reads the building's top face lists.
+
+    The basis is kernel_basis of the top boundary's rows less those the
+    eliminations of degrees 0..top-2 clear (_cleared_top_boundary).
+    Clearing keeps the rank, and the kept rows are a subset, so they span
+    the same row space: the null space and its canonical basis are those
+    of the whole boundary, bit for bit.
     """
 
     def __init__(self, n, q, budget=DEFAULT_SIMPLEX_BUDGET):
@@ -71,7 +81,7 @@ class SteinbergModule:
         self.q = q
         self.building = tits_building(n, q, budget=budget)
         self.top = n - 2
-        self.supports = kernel_basis(chain_complex(self.building).boundaries[self.top])
+        self.supports = kernel_basis(_cleared_top_boundary(self.building, self.top))
         self.dim = len(self.supports)
         # The coordinate column of each basis cycle: its free column.
         self._coord_index = {support[-1][0]: j for j, support in enumerate(self.supports)}
@@ -131,6 +141,19 @@ class SteinbergModule:
                         rows[i][j] = v
             mats.append(ExactMatrix(self.dim, self.dim, tuple(rows)))
         return LinearAction(self.dim, tuple(mats))
+
+
+def _cleared_top_boundary(building, top) -> ExactMatrix:
+    """The building's top boundary less the rows that clearing drops.
+
+    The lower boundaries are eliminated (eliminate_with_clearing) and
+    released; in degree 0 the top boundary is the augmentation, whole.
+    """
+    boundaries = list(chain_complex(building).boundaries)
+    if not top:
+        return boundaries[0]
+    _, cleared = eliminate_with_clearing(boundaries, top - 1)
+    return boundaries[top].without_rows(cleared)
 
 
 def steinberg_module(n, q, budget=DEFAULT_SIMPLEX_BUDGET) -> SteinbergModule:

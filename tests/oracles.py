@@ -20,6 +20,8 @@ here only to check that the indexed kernel returns exactly its output.
 kernel_basis_reference is the package's kernel basis as it was before it
 returned sparse supports: dense Fraction vectors read off the reduced row
 echelon form, which is rebuilt in Fractions from echelon_reference.
+primitive_rref_reference scales the rows of that same reduced form to
+primitive integer rows, which the package's back-elimination must reach.
 ring_determinant_reference is the package's Bareiss determinant over a
 quadratic order as it was before chi shared lattices.integer_determinant.
 tits_building_reference is the package's Tits building as it was before
@@ -721,6 +723,23 @@ def free_columns_reference(matrix):
     """Non-pivot columns of the reduced row echelon form, increasing."""
     pivot_set = set(_ref_rref(matrix)[0])
     return [j for j in range(matrix.cols) if j not in pivot_set]
+
+
+def primitive_rref_reference(matrix):
+    """Pivot columns and reduced row echelon rows scaled to primitive integers.
+
+    Each row of the reduced row echelon form is multiplied by the least
+    common denominator of its entries and divided by their gcd, so it is
+    the primitive integer row on its line with a positive pivot entry.
+    """
+    pivot_cols, rows = _ref_rref(matrix)
+    out = []
+    for row in rows:
+        scale = math.lcm(*(v.denominator for v in row.values()))
+        ints = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
+        g = gcd(*ints.values())
+        out.append({j: v // g for j, v in ints.items()})
+    return pivot_cols, out
 
 
 def kernel_basis_reference(matrix):

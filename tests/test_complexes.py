@@ -13,13 +13,14 @@ from steinberg.complexes import (
     ChainComplex,
     SemisimplicialSet,
     chain_complex,
+    eliminate_with_clearing,
     group_action,
     reduced_homology_ranks,
     tits_building,
 )
 from steinberg.errors import BudgetExceededError
 from steinberg.flags import b_complex_truncated, lines_complex_fq
-from steinberg.linalg import ExactMatrix
+from steinberg.linalg import ExactMatrix, rank
 from steinberg.stmodule import gl_generators
 
 
@@ -290,6 +291,21 @@ def test_clearing_keeps_only_the_rows_it_must(monkeypatch):
     kept = [len(rows) for rows, _ in calls]
     assert kept == [372 - 1, 4650 - 371, 13020 - 4279] == [371, 4279, 8741]
     assert [len(pivots) for _, pivots in calls] == kept
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (4, 3), (5, 2)])
+def test_clearing_releases_what_it_eliminates_and_keeps_the_next_rank(n, q):
+    # degrees n-3 eliminates up to the degree below the top; the rows it
+    # clears from the top boundary lie in the span of the rows it keeps
+    full = chain_complex(tits_building(n, q)).boundaries
+    boundaries = list(full)
+    ranks, cleared = eliminate_with_clearing(boundaries, n - 3)
+    assert ranks == [rank(full[k]) for k in range(1, n - 2)]
+    assert boundaries[1 : n - 2] == [None] * (n - 3)
+    assert boundaries[0] is full[0] and boundaries[n - 2] is full[n - 2]
+    top = full[n - 2]
+    assert len(cleared) == (ranks[-1] if ranks else 1)
+    assert rank(top.without_rows(cleared)) == rank(top)
 
 
 @pytest.mark.parametrize(

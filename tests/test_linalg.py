@@ -107,6 +107,31 @@ def test_kernel_basis_of_empty_or_zero_matrix(rows, cols):
     assert_kernel_basis_matches_reference(m)
 
 
+def test_kernel_basis_scales_a_row_to_clear_a_pivot_other_than_one():
+    # The second echelon row has pivot entry 2, so clearing its column from
+    # the first row scales that row by 2: [2, 0, 1], and the basis vector
+    # has -1/2 at column 0.
+    m = o.matrix_from_dense([[1, 1, 1], [0, 2, 1]])
+    assert kernel_basis(m) == (((0, Fraction(-1, 2)), (1, Fraction(-1, 2)), (2, 1)),)
+    assert_kernel_basis_matches_reference(m)
+
+
+@given(st.one_of(dense_matrices(ints, max_dim=6), dense_matrices(fracs, max_dim=6)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_appended_row_combinations_leave_the_kernel_basis(dense, data):
+    # rows in the span of the others change neither the null space nor its
+    # reduced row echelon basis, wherever they stand
+    coefficients = data.draw(
+        st.lists(st.lists(ints, min_size=len(dense), max_size=len(dense)), max_size=4)
+    )
+    extra = [
+        [sum(c * row[j] for c, row in zip(cs, dense)) for j in range(len(dense[0]))]
+        for cs in coefficients
+    ]
+    rows = data.draw(st.permutations(dense + extra))
+    assert kernel_basis(o.matrix_from_dense(rows)) == kernel_basis(o.matrix_from_dense(dense))
+
+
 def test_kernel_basis_of_building_boundary_matches_reference():
     assert_kernel_basis_matches_reference(chain_complex(tits_building(3, 3)).boundaries[1])
 
@@ -213,6 +238,21 @@ def test_echelon_matches_reference_on_building_boundary():
     assert_kernel_matches_reference(d2.rows, d2.cols, d2.row_dicts)
 
 
+@given(sparse_integer_rows())
+@settings(max_examples=200, deadline=None)
+def test_back_elimination_leaves_primitive_reduced_rows(drawn):
+    nrows, ncols, rows = drawn
+    pivot_cols, pivot_rows = linalg._impl.echelon(nrows, ncols, [dict(r) for r in rows])
+    linalg._back_eliminate(pivot_cols, pivot_rows)
+    want_cols, want_rows = o.primitive_rref_reference(ExactMatrix(nrows, ncols, tuple(rows)))
+    assert pivot_cols == want_cols
+    # each row is its reduced row echelon form row times a nonzero int,
+    # divided down to gcd 1: the primitive row, up to sign
+    for p, row, want in zip(pivot_cols, pivot_rows, want_rows):
+        sign = 1 if row[p] > 0 else -1
+        assert {j: sign * v for j, v in row.items()} == want
+
+
 @given(st.one_of(dense_matrices(ints, max_dim=6), dense_matrices(fracs, max_dim=6)))
 @settings(max_examples=100, deadline=None)
 def test_rank_and_kernel_basis_leave_the_matrix_unchanged(dense):
@@ -242,6 +282,15 @@ def test_matrix_validation():
     with pytest.raises(ValueError, match="row count"):
         ExactMatrix(2, 2, ({}, {}, {0: 1}))
     assert ExactMatrix(2, 2, ({0: 0}, {})).row_dicts == ({}, {})
+
+
+def test_without_rows_shares_the_kept_rows():
+    m = o.matrix_from_dense([[1, 0, 2], [0, 0, 0], [3, Fraction(1, 2), 0]])
+    kept = m.without_rows({1})
+    assert (kept.rows, kept.cols) == (2, 3)
+    assert kept.row_dicts[0] is m.row_dicts[0] and kept.row_dicts[1] is m.row_dicts[2]
+    assert m.without_rows(set()) == m
+    assert m.without_rows({0, 1, 2}) == ExactMatrix(0, 3, ())
 
 
 def test_matrix_rows_are_normalised_once():

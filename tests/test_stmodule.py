@@ -11,6 +11,7 @@ import oracles as o
 from steinberg import fields as ff
 from steinberg import stmodule
 from steinberg.complexes import chain_complex, tits_building
+from steinberg.linalg import kernel_basis
 from steinberg.quadratic import ZZ, make_order, order_invariants
 from steinberg.stmodule import (
     CharacterTwist,
@@ -310,7 +311,7 @@ def test_boundaries_and_basis_hold_plain_ints(n, q):
         assert all(type(v) is int for row in mat.row_dicts for v in row.values())
 
 
-@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 3), (2, 9)])
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 3), (2, 9), (4, 2)])
 def test_supports_match_reference_kernel(n, q):
     m = steinberg_module(n, q)
     boundary = chain_complex(m.building).boundaries[m.top]
@@ -321,6 +322,15 @@ def test_supports_match_reference_kernel(n, q):
             vec[c] = v
         dense.append(tuple(vec))
     assert dense == list(o.kernel_basis_reference(boundary))
+
+
+@pytest.mark.parametrize("n,q", [(4, 3), (5, 2)])
+def test_supports_are_the_kernel_basis_of_the_whole_top_boundary(n, q):
+    # the module's basis comes from the top boundary without its cleared
+    # rows; at these sizes clearing drops rows beyond vertex 0's, and the
+    # dense reference kernel is too slow
+    m = steinberg_module(n, q)
+    assert m.supports == kernel_basis(chain_complex(m.building).boundaries[m.top])
 
 
 GENERATOR_SETS = {
