@@ -1,24 +1,22 @@
-"""Flags of direct summands of Z^n, line complexes, and truncated B complexes.
+"""Truncated B complexes over Z^n: certified bases under a mod-m rule.
 
-Two finite models live here.  lines_complex_fq is the ordered complex of
-independent line tuples in F_q^n.  b_complex_truncated is a height
-truncation of the complex whose simplices are ordered tuples of vectors in
-Z^n extendable to a basis in which every vector has last coordinate 0 or 1
-mod m and exactly one has last coordinate 1.  Membership is decided
-exactly: a completion certificate is constructed (or proven impossible)
-by unimodular row reduction on the last-coordinate values, so no witness
-search can run out of budget.  A set of n vectors needs no completion: it
-is a basis exactly when its determinant is +-1.
+b_complex_truncated is a height truncation of the complex whose simplices
+are ordered tuples of vectors in Z^n extendable to a basis in which every
+vector has last coordinate 0 or 1 mod m and exactly one has last
+coordinate 1.  Membership is decided exactly: a completion certificate is
+constructed (or proven impossible) by unimodular row reduction on the
+last-coordinate values, so no witness search can run out of budget.  A
+set of n vectors needs no completion: it is a basis exactly when its
+determinant is +-1.
 
-In both models membership is a property of the unordered set, closed
-under faces.  So both builders share one loop (_ordered_simplices): it
-tries as pairs only the partners each builder lists for a vertex,
-certifies each set once, tries only vertices paired with every member,
-counts the k! orderings of each certified k-set against the budget, and
-only then lists the orderings.  The line complex lists every pair; the
-basis complex lists only pairs of the right residue classes whose 2x2
-minors have gcd 1 (for n = 2, the solutions of det = +-1, read off the
-vertex's own completion row), so its certify sees no pair rule.
+Membership is a property of the unordered set, closed under faces.  So
+the builder's loop (_ordered_simplices) tries as pairs only the partners
+listed for a vertex, certifies each set once, tries only vertices paired
+with every member, counts the k! orderings of each certified k-set
+against the budget, and only then lists the orderings.  The basis
+complex lists only pairs of the right residue classes whose 2x2 minors
+have gcd 1 (for n = 2, the solutions of det = +-1, read off the vertex's
+own completion row), so its certify sees no pair rule.
 verify_witnesses re-checks each distinct (vertex set, witness) pair once.
 
 case1_retraction implements the vertex map v -> v - w (for v with last
@@ -34,124 +32,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from . import fields as ff
 from .complexes import SemisimplicialSet, reduced_homology_ranks
 from .errors import BudgetExceededError, DEFAULT_SIMPLEX_BUDGET
-from .linalg.lattices import (
-    complete_to_basis,
-    in_row_lattice,
-    integer_determinant,
-    is_saturated,
-    snf_transform,
-    solve_row_combination,
-)
+from .linalg.lattices import complete_to_basis, integer_determinant, is_saturated, snf_transform
 
 # Certified link vertices and pairs that case1_retraction checks at most.
 CASE1_PAIR_BUDGET = 20000
-
-
-@dataclass(frozen=True)
-class IntegerFlag:
-    """Strictly increasing chain of proper nonzero direct summands of Z^n.
-
-    Each step is a tuple of integer basis rows.  Validation: rows are
-    independent, the row lattice is a direct summand (all Smith invariant
-    factors 1), ranks strictly increase, and each step is contained in the
-    next.
-    """
-
-    n: int
-    steps: tuple
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("ambient rank must be positive")
-        prev_rows = None
-        prev_rank = 0
-        for step in self.steps:
-            rows = [list(r) for r in step]
-            if not rows or any(len(r) != self.n for r in rows):
-                raise ValueError("each step needs rows of length n")
-            if not (prev_rank < len(rows) < self.n):
-                raise ValueError("step ranks must strictly increase and stay proper")
-            if not is_saturated(rows):
-                raise ValueError("step is not a direct summand of Z^n")
-            if prev_rows is not None:
-                for r in prev_rows:
-                    if not in_row_lattice(rows, r):
-                        raise ValueError("steps are not nested")
-            prev_rows = rows
-            prev_rank = len(rows)
-
-
-def integer_flag(n, steps) -> IntegerFlag:
-    return IntegerFlag(n, tuple(tuple(tuple(int(x) for x in r) for r in s) for s in steps))
-
-
-def projective_splitting(flag: IntegerFlag):
-    """Summands (P_0, ..., P_r) with step_i = P_0 + ... + P_i (direct).
-
-    The last summand completes the final step to all of Z^n; the empty
-    flag returns the single summand Z^n.  Construction guarantees that the
-    stacked summand rows form a basis of Z^n and that each prefix spans
-    exactly its step: each summand completes the previous adapted basis,
-    written in coordinates of the step's basis, by a unimodular
-    completion, and complete_to_basis completes the last step to Z^n.
-    """
-    n = flag.n
-    adapted = []
-    parts = []
-    for step in flag.steps:
-        rows = [list(r) for r in step]
-        # Coordinates of the previous adapted basis inside this step's
-        # basis form a saturated matrix; complete it and push back.  For
-        # the first step there are none, and the completion is the identity.
-        coords = []
-        for b in adapted:
-            x = solve_row_combination(rows, b)
-            if x is None:
-                raise AssertionError("flag nesting lost during splitting")
-            coords.append(x)
-        extra = complete_to_basis(coords, len(rows))
-        if extra is None:
-            raise AssertionError("saturation lost inside larger step")
-        new_rows = [
-            [sum(c * rows[j][i] for j, c in enumerate(y)) for i in range(n)]
-            for y in extra
-        ]
-        parts.append(tuple(tuple(r) for r in new_rows))
-        adapted.extend(new_rows)
-    tail = complete_to_basis(adapted, n)
-    if tail is None:
-        raise AssertionError("adapted basis failed to complete")
-    parts.append(tuple(tuple(r) for r in tail))
-    return tuple(parts)
-
-
-def lines_complex_fq(n, q, budget=DEFAULT_SIMPLEX_BUDGET) -> SemisimplicialSet:
-    """Ordered tuples of independent lines in F_q^n as a semisimplicial set.
-
-    A (k-1)-simplex is an ordered k-tuple of distinct lines whose
-    generators are linearly independent; over a field this is exactly
-    extendability to a full direct-sum line decomposition.  Independence
-    is a property of the set, so each set gets one rank test and every
-    ordering of an independent set is a simplex (see _ordered_simplices).
-    Raises BudgetExceededError as soon as the simplex count, vertices
-    included, passes budget; each size is counted before its orderings
-    are listed.
-    """
-    field = ff.finite_field(q)
-    labels = ff.all_subspaces(field, n, 1)
-    gens = [list(k[0]) for k in labels]
-
-    def independent(s):
-        return True if ff.matrix_rank(field, [gens[i] for i in s]) == len(s) else None
-
-    nv = len(labels)
-    cells, _ = _ordered_simplices(
-        [True] * nv, n, lambda i: range(i + 1, nv), independent, budget, "line complex"
-    )
-    return SemisimplicialSet(labels, cells)
 
 
 def _within_budget(total, budget, what) -> int:
@@ -561,12 +447,6 @@ def b_complex_truncated(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET) -> Truncate
     return TruncatedBComplex(n, m, height, SemisimplicialSet(labels, cells), witnesses)
 
 
-def connectivity_probe(X: SemisimplicialSet, k_max):
-    """Reduced homology ranks of X in degrees 0..k_max (missing = 0)."""
-    ranks = reduced_homology_ranks(X)
-    return {k: ranks.get(k, 0) for k in range(0, k_max + 1)}
-
-
 def probe_report(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET):
     """Connectivity evidence for growing truncations up to the given height.
 
@@ -586,8 +466,8 @@ def probe_report(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET):
     if n >= 2:
         counts = bx.component_counts()
         minimal_connected = next((h for h, c in enumerate(counts, 1) if c == 1), None)
-        probe = connectivity_probe(bx.complex, n - 2)
-        ranks = [probe[k] for k in sorted(probe)]
+        homology = reduced_homology_ranks(bx.complex)
+        ranks = [homology.get(k, 0) for k in range(n - 1)]
     return {
         "n": n,
         "m": m,

@@ -2,12 +2,12 @@
 
 Everything here is exact integer arithmetic.  The workhorse is
 snf_transform, which reduces an integer matrix M to diagonal Smith form S
-while maintaining unimodular U, V (and V^-1) with U @ M @ V == S, in one
+while maintaining unimodular U and Vinv with U @ M == S @ Vinv, in one
 pivot loop per diagonal position.  It is the library's only Smith
 reduction: flags.completion_witness reuses its U on a single column to
-gather a gcd.  From the tracked transforms we get canonical answers to
-two lattice questions used by the flag machinery: membership of a vector
-in a row lattice, and completion of a saturated set to a basis of Z^n.
+gather a gcd.  The rows of Vinv give a canonical answer to the lattice
+question the flag machinery asks: completion of a saturated set to a
+basis of Z^n.
 Saturation (primitivity) of a spanning set reads only the invariant
 factors, and a square input needs none of the Smith data: it is a basis
 of Z^n exactly when integer_determinant, a fraction-free Bareiss
@@ -26,13 +26,11 @@ from dataclasses import dataclass
 class SmithTransform:
     """Smith data: diagonal, factors (nonzero part), and transforms.
 
-    Satisfies U @ M @ V == S (diagonal) and V @ Vinv == identity, with U and
-    V unimodular.
+    Satisfies U @ M == S @ Vinv with S diagonal, and U and Vinv unimodular.
     """
 
     diagonal: tuple
     U: tuple
-    V: tuple
     Vinv: tuple
 
     @property
@@ -59,12 +57,16 @@ def snf_transform(rows) -> SmithTransform:
     back to pick again, and the new pivot is strictly smaller, so the
     loop terminates.  Otherwise t advances.  The diagonal entries are
     nonnegative and each nonzero one divides the next.
+
+    Returns U and Vinv with U @ M == S @ Vinv.  Each row operation on the
+    working copy W of M is applied to U, and each column operation
+    W -> W E to Vinv as Vinv -> E^-1 Vinv, so U @ M == W @ Vinv holds
+    throughout and W ends as S.  The inverse of Vinv is never formed.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     U = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    V = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     Vinv = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     t = 0
     while t < nrows and t < ncols:
@@ -85,8 +87,6 @@ def snf_transform(rows) -> SmithTransform:
         if bj != t:
             for row in m:
                 row[t], row[bj] = row[bj], row[t]
-            for row in V:
-                row[t], row[bj] = row[bj], row[t]
             Vinv[t], Vinv[bj] = Vinv[bj], Vinv[t]
         if m[t][t] < 0:
             m[t] = [-v for v in m[t]]
@@ -104,8 +104,6 @@ def snf_transform(rows) -> SmithTransform:
             if q:
                 for row in m:
                     row[j] -= q * row[t]
-                for row in V:
-                    row[j] -= q * row[t]
                 Vinv[t] = [a + q * b for a, b in zip(Vinv[t], Vinv[j])]
             left = left or top[j] != 0
         if left:
@@ -118,12 +116,7 @@ def snf_transform(rows) -> SmithTransform:
         else:
             t += 1
     diag = tuple(m[i][i] for i in range(min(nrows, ncols)))
-    return SmithTransform(
-        diag,
-        tuple(tuple(r) for r in U),
-        tuple(tuple(r) for r in V),
-        tuple(tuple(r) for r in Vinv),
-    )
+    return SmithTransform(diag, tuple(tuple(r) for r in U), tuple(tuple(r) for r in Vinv))
 
 
 def integer_determinant(rows):
@@ -163,43 +156,6 @@ def integer_determinant(rows):
     return sign * m[n - 1][n - 1]
 
 
-def solve_row_combination(basis_rows, target):
-    """Integer x with x @ B == target, or None if no integer solution.
-
-    B is the matrix whose rows are basis_rows (they need not be
-    independent).  The returned x is one canonical solution.
-    """
-    basis_rows = [list(r) for r in basis_rows]
-    target = list(target)
-    if not basis_rows:
-        return () if all(v == 0 for v in target) else None
-    ncols = len(basis_rows[0])
-    if len(target) != ncols:
-        raise ValueError("target length mismatch")
-    st = snf_transform(basis_rows)
-    # x B = t  <=>  (x U^-1) S = t V, with S = U B V.
-    w = [sum(target[i] * st.V[i][j] for i in range(ncols)) for j in range(ncols)]
-    r = st.rank
-    y = []
-    for j in range(len(basis_rows)):
-        if j < len(st.diagonal) and st.diagonal[j]:
-            if w[j] % st.diagonal[j]:
-                return None
-            y.append(w[j] // st.diagonal[j])
-        else:
-            y.append(0)
-    for j in range(r, ncols):
-        if w[j]:
-            return None
-    nb = len(basis_rows)
-    x = [sum(y[i] * st.U[i][j] for i in range(nb)) for j in range(nb)]
-    return tuple(x)
-
-
-def in_row_lattice(basis_rows, vector) -> bool:
-    return solve_row_combination(basis_rows, vector) is not None
-
-
 def is_saturated(rows) -> bool:
     """True when the rows span a direct summand of Z^n of rank len(rows).
 
@@ -234,6 +190,6 @@ def complete_to_basis(rows, n):
     st = snf_transform(rows)
     if st.rank != k or any(f != 1 for f in st.factors):
         return None
-    # Row lattice of M equals the lattice of the first k rows of V^-1 when
-    # all invariant factors are 1, so the remaining rows of V^-1 complete it.
+    # Row lattice of M equals the lattice of the first k rows of Vinv when
+    # all invariant factors are 1, so the remaining rows of Vinv complete it.
     return [list(st.Vinv[i]) for i in range(k, n)]

@@ -211,12 +211,6 @@ def from_int(d: int, n: int) -> RingElement:
     return RingElement(d, n, 0)
 
 
-def sqrt_element(d: int) -> RingElement:
-    if d % 4 == 1:
-        return RingElement(d, 0, 2)
-    return RingElement(d, 0, 1)
-
-
 @dataclass(frozen=True)
 class QuadraticOrder:
     """Maximal order of Q(sqrt(d)) for squarefree d not in {0, 1}."""

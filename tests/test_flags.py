@@ -1,5 +1,6 @@
-"""Integer flags, line complexes, and truncated basis complexes."""
+"""Truncated basis complexes, the ordered-simplex loop, and the reference line complex."""
 
+import hashlib
 import math
 from itertools import combinations, product
 
@@ -9,77 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as o
 import steinberg.flags as flags
-from steinberg.errors import BudgetExceededError
+from steinberg.errors import BudgetExceededError, DEFAULT_SIMPLEX_BUDGET
 from steinberg.flags import (
     b_complex_truncated,
     case1_retraction,
     completion_witness,
-    connectivity_probe,
-    integer_flag,
-    lines_complex_fq,
     probe_report,
-    projective_splitting,
 )
 from steinberg.complexes import reduced_homology_ranks
-from steinberg.linalg.lattices import (
-    in_row_lattice,
-    integer_determinant,
-    is_saturated,
-    snf_transform,
-)
-
-
-def test_flag_validation():
-    with pytest.raises(ValueError):
-        integer_flag(2, [[(1, 0)], [(1, 0)]])  # not strictly increasing
-    with pytest.raises(ValueError):
-        integer_flag(2, [[(2, 0)]])  # not saturated
-    with pytest.raises(ValueError):
-        integer_flag(2, [[(1, 0), (0, 1)]])  # full rank is not proper
-    with pytest.raises(ValueError):
-        integer_flag(3, [[(0, 0, 1)], [(1, 0, 0)]])  # steps not nested
-
-
-def test_splitting_of_a_two_step_flag():
-    flag = integer_flag(3, [[(1, 2, 3)], [(1, 2, 3), (0, 1, 1)]])
-    parts = projective_splitting(flag)
-    assert len(parts) == 3
-    assert [len(p) for p in parts] == [1, 1, 1]
-    assert parts[0] == ((1, 2, 3),)
-
-
-def test_splitting_of_empty_flag():
-    parts = projective_splitting(integer_flag(3, []))
-    assert len(parts) == 1
-    st_ = snf_transform([list(r) for r in parts[0]])
-    assert st_.rank == 3 and all(f == 1 for f in st_.factors)
-
-
-@given(
-    o.unimodular_matrices(4, st.integers(0, 10**6)),
-    st.sets(st.integers(1, 3), min_size=1, max_size=3),
-)
-@settings(max_examples=60, deadline=None)
-def test_splitting_random_flags(mat, sizes):
-    # prefixes of a unimodular matrix give saturated nested steps
-    steps = [[tuple(r) for r in mat[:k]] for k in sorted(sizes)]
-    flag = integer_flag(4, steps)
-    parts = projective_splitting(flag)
-    ranks = [len(p) for p in parts]
-    boundaries = sorted(sizes) + [4]
-    assert ranks == [boundaries[0]] + [
-        b - a for a, b in zip(boundaries, boundaries[1:])
-    ]
-    # the stacked summands are a basis of Z^4
-    stacked = [list(r) for part in parts for r in part]
-    assert abs(integer_determinant(stacked)) == 1
-    # each prefix of summands spans the matching step exactly
-    prefix = []
-    for part, step in zip(parts, steps):
-        prefix.extend(list(p) for p in part)
-        rows = [list(r) for r in step]
-        assert all(in_row_lattice(rows, p) for p in prefix)
-        assert all(in_row_lattice(prefix, r) for r in rows)
+from steinberg.linalg.lattices import integer_determinant, is_saturated, snf_transform
 
 
 @pytest.mark.parametrize(
@@ -87,20 +26,19 @@ def test_splitting_random_flags(mat, sizes):
     [(1, 5, [1]), (2, 2, [3, 6]), (2, 3, [4, 12]), (3, 2, [7, 42, 168])],
 )
 def test_lines_complex_counts(n, q, counts):
-    X = lines_complex_fq(n, q)
+    # the line complex the homology tests rank: ordered tuples of
+    # independent lines, (q^n - 1)(q^n - q)...(q^n - q^(k-1)) / (q - 1)^k
+    X = o.lines_complex_fq_reference(n, q)
     assert [X.n_cells(k) for k in range(X.dimension + 1)] == counts
 
 
 def test_lines_complex_budget():
     with pytest.raises(BudgetExceededError):
-        lines_complex_fq(3, 3, budget=100)
+        o.lines_complex_fq_reference(3, 3, budget=100)
 
 
 def test_builders_count_vertices_against_budget():
-    # vertices only: the single line of F_2^1, and the two vertices +-1 of Z^1
-    with pytest.raises(BudgetExceededError):
-        lines_complex_fq(1, 2, budget=0)
-    assert lines_complex_fq(1, 2, budget=1).total_cells() == 1
+    # vertices only: the two vertices +-1 of Z^1
     with pytest.raises(BudgetExceededError):
         b_complex_truncated(1, 2, 3, budget=1)
     assert b_complex_truncated(1, 2, 3, budget=2).complex.total_cells() == 2
@@ -116,11 +54,17 @@ def test_builders_count_vertices_against_budget():
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_lines_complex_matches_the_reference(n, q):
-    # one rank test per set lists the cells the per-ordering scan listed
-    X = lines_complex_fq(n, q)
+    # with every pair listed and a certify that is not decided by pairs
+    # (three lines can be pairwise but not jointly independent), one test
+    # per set lists the cells the per-ordering scan listed, in its order
     ref = o.lines_complex_fq_reference(n, q)
-    assert X.labels == ref.labels
-    assert X.cells == ref.cells
+    simplices = {tuple(sorted(c)) for cell in ref.cells for c in cell}
+    nv = len(ref.labels)
+    cells, _ = flags._ordered_simplices(
+        [True] * nv, n, lambda i: range(i + 1, nv),
+        lambda s: True if s in simplices else None, DEFAULT_SIMPLEX_BUDGET, "line complex",
+    )
+    assert cells == ref.cells
 
 
 def test_b_complex_budget_is_counted_before_listing():
@@ -280,6 +224,21 @@ def test_b_complex_matches_the_reference(n, m, height):
                 increasing += 1
     assert increasing > len(bx.complex.labels)
     assert bx.verify_witnesses() is True
+
+
+def test_witnesses_are_pinned():
+    # the reference shares completion_witness, so pin its rows as built when
+    # the Smith reduction also tracked V: a composite m, and for n = 3 two
+    # completion rows per 0-vertex, read off V^-1 and gathered by U
+    witnesses = sorted(b_complex_truncated(3, 4, 2).witnesses.items())
+    assert len(witnesses) == 8745
+    assert witnesses[:3] == [
+        ((0, 0), ((0, 1, 0), (1, 0, 0))),
+        ((0, 1), ((1, 0, 1), (-1, 0, 0))),
+        ((0, 2), ((1, 0, 0), (2, 1, 0))),
+    ]
+    digest = hashlib.sha256(repr(witnesses).encode()).hexdigest()
+    assert digest == "4bc3d2ba1d454b0dd92af622f318e4257d2fc1b1e39a06642c83976c387a22f9"
 
 
 def minors_gcd(u, v):
@@ -473,8 +432,7 @@ def test_probe_report_matches_per_height_builds(n, m, height, ranks, minimal):
 
 def test_connectivity_probe_and_report():
     bx = b_complex_truncated(2, 2, 2)
-    probe = connectivity_probe(bx.complex, 0)
-    assert probe == {0: 0}
+    assert reduced_homology_ranks(bx.complex) == {0: 0, 1: 57}
     report = probe_report(2, 2, 3)
     assert report["minimal_connected_H"] == 1
     assert report["ranks"] == [0]
