@@ -294,23 +294,13 @@ def _check_building_budget(n, q, budget):
             )
 
 
-@dataclass(frozen=True)
-class ComplexAction:
-    """Simplicial action of a list of invertible matrices on a complex.
-
-    perms[g][k][s] is the image index of k-simplex s under generator g.
-    Each perms[g][k] is a bijection commuting with every face map: the
-    vertex map is injective, and the image of (s with position i dropped)
-    is (the image of s) with position i dropped.
-    """
-
-    complex: SemisimplicialSet
-    generators: tuple
-    perms: tuple
-
-
-def group_action(X: SemisimplicialSet, q: int, generators) -> ComplexAction:
+def group_action(X: SemisimplicialSet, q: int, generators) -> tuple:
     """Action of invertible matrices over F_q on a subspace-labelled complex.
+
+    Returns perms, with perms[g][k][s] the image index of k-simplex s under
+    generator g.  Each perms[g][k] is a bijection commuting with every face
+    map: the vertex map is injective, and the image of (s with position i
+    dropped) is (the image of s) with position i dropped.
 
     Each generator must be invertible; vertex labels must be RREF subspace
     keys (as produced by tits_building or the finite-field line complexes).
@@ -349,7 +339,7 @@ def group_action(X: SemisimplicialSet, q: int, generators) -> ComplexAction:
                 level.append(tgt)
             levels.append(tuple(level))
         perms.append(tuple(levels))
-    return ComplexAction(X, gens, tuple(perms))
+    return tuple(perms)
 
 
 def _is_square_int_matrix(g, n) -> bool:

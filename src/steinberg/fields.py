@@ -2,7 +2,7 @@
 
 Elements are integers 0..q-1 whose base-p digits are the coefficients of
 a polynomial over F_p, reduced modulo a fixed irreducible polynomial (x for
-a prime field), so 0 and 1 are the field's 0 and 1.  Addition, negation,
+a prime field), so 0 and 1 are the field's 0 and 1.  Addition,
 subtraction and multiplication are explicit q x q tables built from that
 digit arithmetic, the same path for prime and prime-power q <= 9.
 
@@ -71,8 +71,8 @@ class FiniteField:
             [_undigits([(x + y) % p for x, y in zip(da, db)], p) for db in digits]
             for da in digits
         ]
-        self._neg = [_undigits([(-x) % p for x in da], p) for da in digits]
-        self._sub = [[self._add[a][self._neg[b]] for b in range(q)] for a in range(q)]
+        neg = [_undigits([(-x) % p for x in da], p) for da in digits]
+        self._sub = [[self._add[a][neg[b]] for b in range(q)] for a in range(q)]
         mul = [[0] * q for _ in range(q)]
         for a, da in enumerate(digits):
             for b, db in enumerate(digits):
@@ -102,9 +102,6 @@ class FiniteField:
 
     def add(self, a, b):
         return self._add[a][b]
-
-    def neg(self, a):
-        return self._neg[a]
 
     def sub(self, a, b):
         return self._sub[a][b]

@@ -11,10 +11,8 @@ basis of Z^n.
 Saturation (primitivity) of a spanning set reads only the invariant
 factors, and a square input needs none of the Smith data: it is a basis
 of Z^n exactly when integer_determinant, a fraction-free Bareiss
-elimination, gives +-1.
-That elimination is the library's only determinant loop: it serves any
-integral domain whose elements have exact // and truth value "nonzero",
-so quadratic.chi runs it on matrices over a quadratic order.
+elimination, gives +-1.  That elimination is the library's only
+determinant loop.
 """
 
 from __future__ import annotations
@@ -120,17 +118,15 @@ def snf_transform(rows) -> SmithTransform:
 
 
 def integer_determinant(rows):
-    """Determinant of a square matrix over Z, or any integral domain, by Bareiss.
+    """Determinant of a square integer matrix, by Bareiss elimination.
 
     Args:
-        rows: dense rows (list of lists); not modified.  Entries are ints,
-            or elements of an integral domain that support +, -, *, exact
-            // (also by the int 1) and bool (False exactly for zero).
+        rows: dense integer rows (list of lists); not modified.
 
     Fraction-free (Bareiss, Math. Comp. 22, 1968): each step divides
     exactly by the previous pivot, so every intermediate entry is a minor
-    of the input and stays in the ring.  The empty matrix has determinant
-    the int 1, and a matrix whose pivot search fails gives the int 0.
+    of the input and stays an integer.  The empty matrix has determinant
+    1, and a matrix whose pivot search fails gives 0.
     """
     m = [list(r) for r in rows]
     n = len(m)

@@ -1,9 +1,9 @@
-"""Quadratic orders: exact elements, units, class groups, characters.
+"""Quadratic orders: exact units, class numbers and unit log embeddings.
 
 Orders are the maximal orders Z[omega] of Q(sqrt(d)) for squarefree d.
 Elements are stored as (a + b sqrt(d)) / denom with a uniform denominator:
-2 when d = 1 mod 4 (with a = b mod 2), otherwise 1.  All element
-arithmetic, norms, and unit tests are exact integer arithmetic.
+2 when d = 1 mod 4 (with a = b mod 2), otherwise 1.  Norms and unit
+tests are exact integer arithmetic.
 
 The fundamental unit comes from the continued fraction of sqrt(d)
 (d = 2, 3 mod 4) or (1 + sqrt(d))/2 (d = 1 mod 4): the small surd state
@@ -37,8 +37,7 @@ imaginary order it is (0.0,), since every unit has absolute value 1.
 
 The d-absent integer specialization (the ring Z, signature (1,0)) is
 provided for the rational case; its norm is the identity, so -1 is a unit
-of norm -1 and the determinant-norm character is the determinant sign.
-order_invariants and chi are the two places that specialize it.
+of norm -1.  order_invariants is the one place that specializes it.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from decimal import MAX_EMAX, MIN_EMIN, Context
 from math import gcd, isqrt
 
 from .errors import BudgetExceededError
-from .linalg.lattices import integer_determinant
 
 CF_STEP_CAP = 10**6
 # Partial quotients folded one by one before _convergent multiplies the
@@ -105,50 +103,6 @@ class RingElement:
     def denom(self) -> int:
         return 2 if self.d % 4 == 1 else 1
 
-    def _make(self, a, b):
-        return RingElement(self.d, a, b)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return self._make(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return self._make(self.a - other.a, self.b - other.b)
-
-    def __neg__(self):
-        return self._make(-self.a, -self.b)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        num_a = self.a * other.a + self.d * self.b * other.b
-        num_b = self.a * other.b + self.b * other.a
-        if self.denom == 2:
-            # Product of two half-integer elements: both components are
-            # even (parity argument with d odd), so the result is exact.
-            if num_a % 2 or num_b % 2:
-                raise AssertionError("parity violated in product")
-            return self._make(num_a // 2, num_b // 2)
-        return self._make(num_a, num_b)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.a or self.b)
-
-    def _coerce(self, other):
-        if isinstance(other, RingElement):
-            if other.d != self.d:
-                raise ValueError("mixed quadratic fields")
-            return other
-        if isinstance(other, int):
-            return from_int(self.d, other)
-        raise TypeError(f"cannot combine RingElement with {type(other).__name__}")
-
-    def conjugate(self):
-        return self._make(self.a, -self.b)
-
     def norm(self) -> int:
         num = self.a * self.a - self.d * self.b * self.b
         if self.denom == 2:
@@ -157,58 +111,8 @@ class RingElement:
             return num // 4
         return num
 
-    def trace(self) -> int:
-        if self.denom == 2:
-            return self.a
-        return 2 * self.a
-
     def is_unit(self) -> bool:
         return abs(self.norm()) == 1
-
-    def inverse(self):
-        n = self.norm()
-        if abs(n) != 1:
-            raise ValueError("not a unit")
-        c = self.conjugate()
-        return c if n == 1 else -c
-
-    def divexact(self, other):
-        """Exact division in the order; raises if not divisible."""
-        other = self._coerce(other)
-        n = other.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero element")
-        w = self * other.conjugate()
-        if w.a % abs(n) or w.b % abs(n):
-            raise ValueError("not divisible in the order")
-        # Exact for either sign of n, and q * other = self * N(other) / n =
-        # self; a quotient of the wrong parity fails in __post_init__.
-        return self._make(w.a // n, w.b // n)
-
-    __floordiv__ = divexact
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = from_int(self.d, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __str__(self):
-        if self.denom == 2:
-            return f"({self.a} + {self.b}*sqrt({self.d}))/2"
-        return f"{self.a} + {self.b}*sqrt({self.d})"
-
-
-def from_int(d: int, n: int) -> RingElement:
-    if d % 4 == 1:
-        return RingElement(d, 2 * n, 0)
-    return RingElement(d, n, 0)
 
 
 @dataclass(frozen=True)
@@ -228,12 +132,6 @@ class QuadraticOrder:
     @property
     def signature(self):
         return (2, 0) if self.d > 0 else (0, 1)
-
-    def element(self, a, b) -> RingElement:
-        return RingElement(self.d, a, b)
-
-    def integer(self, n) -> RingElement:
-        return from_int(self.d, n)
 
 
 class RationalIntegers:
@@ -370,16 +268,7 @@ def _indefinite_forms(D: int):
                     yield m // f, b, -f
 
 
-@dataclass(frozen=True)
-class ClassGroupData:
-    """Narrow class number of the order's discriminant."""
-
-    d: int
-    discriminant: int
-    h_narrow: int
-
-
-def class_group(order: QuadraticOrder) -> ClassGroupData:
+def class_group(order: QuadraticOrder) -> int:
     """Narrow class number, by counting reduced binary quadratic forms of discriminant D.
 
     D < 0: reduced primitive positive definite forms biject with the class
@@ -396,8 +285,7 @@ def class_group(order: QuadraticOrder) -> ClassGroupData:
     """
     D = order.discriminant
     if D < 0:
-        h = sum(2 if 0 < b < a < c else 1 for a, b, c in _definite_forms(D))
-        return ClassGroupData(order.d, D, h)
+        return sum(2 if 0 < b < a < c else 1 for a, b, c in _definite_forms(D))
     s = isqrt(D)
     todo = set(_indefinite_forms(D))
     h = 0
@@ -421,7 +309,7 @@ def class_group(order: QuadraticOrder) -> ClassGroupData:
             if form not in todo:
                 raise AssertionError(f"reduction left the reduced set: {form}")
             todo.remove(form)
-    return ClassGroupData(order.d, D, h)
+    return h
 
 
 @dataclass(frozen=True)
@@ -467,7 +355,7 @@ def order_invariants(order) -> OrderInvariants:
         return OrderInvariants(None, 1, order.signature, None, True, 1, 1)
     # The class group's cap on b decides a large d before the unit's
     # convergents, whose size grows with the period, are formed.
-    h_narrow = class_group(order).h_narrow
+    h_narrow = class_group(order)
     unit = fundamental_unit(order) if order.d > 0 else None
     minus = unit is not None and unit.norm() == -1
     h = h_narrow
@@ -481,45 +369,7 @@ def order_invariants(order) -> OrderInvariants:
 
 
 # ---------------------------------------------------------------------------
-# Characters and embeddings.
-
-
-def chi(order, matrix) -> int:
-    """Sign of the norm of the determinant for a matrix invertible over O.
-
-    matrix entries: RingElement over the order's d, or plain ints; over Z
-    (d absent) ints only.  For the integer specialization the norm is the
-    identity, so this is the sign of the determinant.  Raises ValueError
-    when the matrix is not square, an entry does not belong to the ring,
-    or the determinant is not a unit of the order.
-    """
-    d = order.d
-    n = len(matrix)
-    rows = []
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        conv = []
-        for x in row:
-            if d is None:
-                if not isinstance(x, int):
-                    raise ValueError("entry is not an integer")
-            elif isinstance(x, RingElement):
-                if x.d != d:
-                    raise ValueError("entry from a different field")
-            else:
-                x = from_int(d, int(x))
-            conv.append(x)
-        rows.append(conv)
-    det = integer_determinant(rows)
-    if d is not None:
-        if isinstance(det, int):
-            # the empty matrix, or a zero determinant found by pivot search
-            det = from_int(d, det)
-        det = det.norm()
-    if abs(det) != 1:
-        raise ValueError("determinant is not a unit of the order")
-    return 1 if det == 1 else -1
+# Embeddings.
 
 
 def log_embedding(order: QuadraticOrder, u: RingElement):

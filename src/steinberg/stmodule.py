@@ -128,10 +128,9 @@ class SteinbergModule:
         is not re-checked.  Its coordinates, its values at the free
         columns, are written straight into the matrix rows.
         """
-        act = group_action(self.building, self.q, generators)
         index = self._coord_index
         mats = []
-        for levels in act.perms:
+        for levels in group_action(self.building, self.q, generators):
             perm = levels[self.top]
             rows = [{} for _ in range(self.dim)]
             for j, support in enumerate(self.supports):
@@ -392,6 +391,9 @@ def dualizing_module_type(n: int, inv) -> DualizingType:
     inv is the order's quadratic.OrderInvariants.  Twisted exactly when n
     is even and the order has a unit of norm -1; imaginary quadratic
     orders never do, so they always land on the plain Steinberg side.
+    The twisting character g -> sign N(det g) needs no code of its own:
+    sign N(det diag(u, 1, ..., 1)) = sign N(u), so it is nontrivial exactly
+    when norm_minus_one holds.
     """
     if n < 1:
         raise ValueError("n must be positive")

@@ -22,8 +22,6 @@ returned sparse supports: dense Fraction vectors read off the reduced row
 echelon form, which is rebuilt in Fractions from echelon_reference.
 primitive_rref_reference scales the rows of that same reduced form to
 primitive integer rows, which the package's back-elimination must reach.
-ring_determinant_reference is the package's Bareiss determinant over a
-quadratic order as it was before chi shared lattices.integer_determinant.
 tits_building_reference is the package's Tits building as it was before
 containment was read off line incidences (pairwise RREF stacking), kept to
 check that the new build lists the same labels and cells in the same
@@ -78,7 +76,9 @@ the face identities make every composite zero.  euler_characteristic
 is the reduced Euler characteristic, read off the cell counts; nothing in
 the package needs it, so it lives here.  matrix_from_dense and
 dense_of convert between dense lists and the package's sparse matrices
-for the tests.
+for the tests.  pair_power raises a + b sqrt(d), given by its integer
+coordinates, to a power; the package's elements carry no arithmetic, so
+the tests build large units with it.
 """
 
 from __future__ import annotations
@@ -277,6 +277,17 @@ def pell_min_unit_search(d, cap=300_000, batch=50_000):
             q, p, sgn = min(found)
             return {"a": p, "b": q, "denom": t, "norm": sgn}
     return None
+
+
+def pair_power(d, a, b, k):
+    """(x, y) with x + y sqrt(d) = (a + b sqrt(d))^k, k >= 0, by squaring."""
+    x, y = 1, 0
+    while k:
+        if k & 1:
+            x, y = x * a + d * y * b, x * b + y * a
+        a, b = a * a + d * b * b, 2 * a * b
+        k >>= 1
+    return x, y
 
 
 def _omega_params(d):
@@ -488,9 +499,8 @@ def dense_action_matrices(module, gens):
         )
         for j, vec in enumerate(basis)
     ]
-    act = group_action(module.building, module.q, gens)
     mats = []
-    for levels in act.perms:
+    for levels in group_action(module.building, module.q, gens):
         perm = levels[top]
         cols = []
         for bvec in basis:
@@ -766,34 +776,6 @@ def kernel_basis_reference(matrix):
                 vec[c] = -coeff
         basis.append(tuple(vec))
     return tuple(basis)
-
-
-def ring_determinant_reference(order, rows):
-    """Fraction-free (Bareiss) determinant over the order."""
-    from steinberg.quadratic import from_int
-
-    n = len(rows)
-    if n == 0:
-        return from_int(order.d, 1)
-    m = [list(r) for r in rows]
-    zero = from_int(order.d, 0)
-    sign = 1
-    prev = from_int(order.d, 1)
-    for k in range(n - 1):
-        if m[k][k] == zero:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != zero), None)
-            if swap is None:
-                return zero
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.divexact(prev)
-            m[i][k] = zero
-        prev = m[k][k]
-    out = m[n - 1][n - 1]
-    return out if sign == 1 else -out
 
 
 def tits_building_reference(n, q):

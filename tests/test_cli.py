@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import oracles as o
 import steinberg.cli as cli
 import steinberg.quadratic as quadratic
 import steinberg.stmodule as stmodule
@@ -90,6 +91,25 @@ def test_building_homology(capsys):
             '{"H": 3, "m": 4, "minimal_connected_H": 1, "n": 3, "ranks": [0, 1848], '
             '"witnesses_failed": 0}\n',
         ),
+        (
+            ("ring", "info", "--d", "2"),
+            '{"D": 8, "d": 2, "float_note": "50 significant digits internally; printed at '
+            'double precision", "fundamental_unit": {"a": 1, "b": 1, "denom": 1, "norm": -1}, '
+            '"h": 1, "h_narrow": 1, "norm_minus_one": true, "signature": [2, 0], '
+            '"unit_log_embedding": [0.881373587019543, -0.881373587019543]}\n',
+        ),
+        (
+            ("ring", "info", "--d", "5"),
+            '{"D": 5, "d": 5, "float_note": "50 significant digits internally; printed at '
+            'double precision", "fundamental_unit": {"a": 1, "b": 1, "denom": 2, "norm": -1}, '
+            '"h": 1, "h_narrow": 1, "norm_minus_one": true, "signature": [2, 0], '
+            '"unit_log_embedding": [0.48121182505960347, -0.48121182505960347]}\n',
+        ),
+        (
+            ("ring", "info", "--d", "-3"),
+            '{"D": -3, "d": -3, "fundamental_unit": null, "h": 1, "h_narrow": 1, '
+            '"norm_minus_one": false, "signature": [0, 1]}\n',
+        ),
     ],
 )
 def test_homology_json_bytes_are_pinned(capsys, argv, want):
@@ -97,7 +117,9 @@ def test_homology_json_bytes_are_pinned(capsys, argv, want):
     # rows ((5,2), (3,3,2)), or the reversed coboundaries from the top
     # degree down ((4,5), (3,2,2)), or when the Smith reduction behind
     # each completion also tracked V ((3,4,3): a composite m, and two
-    # completion rows per 0-vertex gathered by U)
+    # completion rows per 0-vertex gathered by U), or when the quadratic
+    # elements carried a full ring arithmetic (ring info: an integral
+    # unit, a half-integer unit and an imaginary order)
     code, out = run(capsys, *argv, "--json")
     assert code == 0
     assert out == want
@@ -257,11 +279,16 @@ def test_coinv_json_bytes_are_pinned(capsys, n, group, twist, want):
             "4f812242614932f8776bec9b34d0caf886f0ef8e5760d3516f2d936a4561bddd",
             5946,
         ),
+        (
+            ("ring", "info", "--d", "1000003", "--json"),
+            "5d1d3edf4f84d74d90575c37cda62e6c48a6ee9308f1897f2b7029f6c9a23d6e",
+            798,
+        ),
     ],
 )
 def test_survey_json_bytes_are_pinned(capsys, argv, sha256, length):
-    # the survey lines CI runs: a change to any row, the row order or the
-    # JSON layout shows here
+    # the survey and long ring-info lines CI runs: a change to any row,
+    # the row order, a unit's digits or the JSON layout shows here
     code, out = run(capsys, *argv)
     data = out.encode()
     assert code == 0
@@ -593,7 +620,7 @@ def test_survey_budget_counts_cells_before_listing_any(capsys):
 def _huge_unit(order):
     # (1 + sqrt 2)^12001 has norm -1, as the true unit of Z[sqrt 2] does,
     # and coefficients of 4,594 digits, past Python's default str limit
-    return quadratic.RingElement(2, 1, 1) ** 12001
+    return quadratic.RingElement(2, *o.pair_power(2, 1, 1, 12001))
 
 
 def test_ring_info_prints_a_huge_unit(capsys, monkeypatch):

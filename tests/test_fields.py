@@ -27,7 +27,7 @@ def test_field_axioms_exhaustive(q):
     for a in els:
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
-        assert f.add(a, f.neg(a)) == 0
+        assert f.add(a, f.sub(0, a)) == 0
         if a != 0:
             assert f.mul(a, f.inv(a)) == 1
     # associativity and distributivity on a sample; exhaustive for q <= 4
@@ -55,7 +55,6 @@ def test_additive_tables_are_digitwise_mod_p(q, p, deg):
 
     f = finite_field(q)
     for a in range(q):
-        assert f.neg(a) == digitwise(0, a, -1)
         for b in range(q):
             assert f.add(a, b) == digitwise(a, b, 1)
             assert f.sub(a, b) == digitwise(a, b, -1)
