@@ -332,7 +332,7 @@ def group_action(X: SemisimplicialSet, q: int, generators) -> tuple:
         for k, cell in enumerate(X.cells):
             level = []
             for s in cell:
-                img = tuple(vmap[i] for i in s)
+                img = tuple(map(vmap.__getitem__, s))
                 tgt = X.index[k].get(img)
                 if tgt is None:
                     raise ValueError("generator does not permute simplices")

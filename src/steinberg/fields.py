@@ -4,16 +4,21 @@ Elements are integers 0..q-1 whose base-p digits are the coefficients of
 a polynomial over F_p, reduced modulo a fixed irreducible polynomial (x for
 a prime field), so 0 and 1 are the field's 0 and 1.  Addition,
 subtraction and multiplication are explicit q x q tables built from that
-digit arithmetic, the same path for prime and prime-power q <= 9.
+digit arithmetic, the same path for prime and prime-power q <= 9.  The
+row kernels (rref, mat_vec) read those tables one row at a time: the row
+mul[c] of a fixed scalar c, then sub[x] or add[x] per entry, with no
+method call per entry.
 
 Subspaces of F_q^n are canonicalized by reduced row echelon form: the RREF
 basis of a subspace is unique, so equal subspaces get equal keys.  A line's
 key rref(field, [v]) names the line through any nonzero v, so it indexes
-the points of the projective space.  Containment between subspaces is a
-test on lines (complexes.tits_building): V is in W iff W contains the line
-of each of V's RREF rows, with no elimination on the stacked keys.  The
-lines of W are listed from its key alone: the rows after the first are the
-key of a subspace one dimension down.
+the points of the projective space; it is v scaled by the inverse of its
+first nonzero entry, which rref returns with no elimination loop.
+Containment between subspaces is a test on lines
+(complexes.tits_building): V is in W iff W contains the line of each of
+V's RREF rows, with no elimination on the stacked keys.  The lines of W
+are listed from its key alone: the rows after the first are the key of a
+subspace one dimension down.
 """
 
 from __future__ import annotations
@@ -128,12 +133,19 @@ def finite_field(q: int) -> FiniteField:
 
 
 def mat_vec(field, m, v):
+    """m v for a matrix m and a vector v over the field, as a tuple.
+
+    Each entry v_j is read as its row of the multiplication table, so a
+    term is one lookup there and one in the addition table.
+    """
+    add = field._add
+    v_mul = [field._mul[b] for b in v]
     out = []
     for row in m:
         acc = 0
-        for a, b in zip(row, v):
-            if a and b:
-                acc = field.add(acc, field.mul(a, b))
+        for a, vm in zip(row, v_mul):
+            if a:
+                acc = add[acc][vm[a]]
         out.append(acc)
     return tuple(out)
 
@@ -142,7 +154,12 @@ def rref(field, rows):
     """Canonical reduced row echelon form; zero rows dropped.
 
     Returns a tuple of tuples.  RREF is unique per row space, so this is a
-    canonical key for the subspace spanned by the input rows.
+    canonical key for the subspace spanned by the input rows.  A pivot row
+    is scaled through the multiplication-table row of its pivot's inverse,
+    and row i is cleared through the table row of its entry c, one lookup
+    in mul[c] and one in the subtraction table per entry.  A single row is
+    the line's key: the row scaled by the inverse of its first nonzero
+    entry, or () for the zero row.
     """
     work = [list(r) for r in rows]
     if not work:
@@ -150,24 +167,34 @@ def rref(field, rows):
     ncols = len(work[0])
     if any(len(r) != ncols for r in work):
         raise ValueError("rows must share one length")
+    mul, sub, inv = field._mul, field._sub, field._inv
+    if len(work) == 1:
+        row = work[0]
+        for x in row:
+            if x:
+                scale = mul[inv[x]]
+                return (tuple([scale[y] for y in row]),)
+        return ()
+    nrows = len(work)
     r = 0
     for col in range(ncols):
         piv = None
-        for i in range(r, len(work)):
+        for i in range(r, nrows):
             if work[i][col]:
                 piv = i
                 break
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = field.inv(work[r][col])
-        work[r] = [field.mul(inv, x) for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                c = work[i][col]
-                work[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(work[i], work[r])]
+        scale = mul[inv[work[r][col]]]
+        prow = work[r] = [scale[x] for x in work[r]]
+        for i in range(nrows):
+            c = work[i][col]
+            if c and i != r:
+                c_mul = mul[c]
+                work[i] = [sub[x][c_mul[y]] for x, y in zip(work[i], prow)]
         r += 1
-        if r == len(work):
+        if r == nrows:
             break
     return tuple(tuple(row) for row in work[:r])
 

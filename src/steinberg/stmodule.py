@@ -74,6 +74,13 @@ class SteinbergModule:
     Clearing keeps the rank, and the kept rows are a subset, so they span
     the same row space: the null space and its canonical basis are those
     of the whole boundary, bit for bit.
+
+    _joins is apartment_class's memo of spans: (vertex index, line index)
+    to the vertex index of the span of the two, both indices into
+    building.labels.  It holds only spans of a vertex and a line outside
+    it, which depend on the building alone, so classes built with a warm
+    memo equal those built with an empty one.  Each class runs its own
+    cycle check.
     """
 
     def __init__(self, n, q, budget=DEFAULT_SIMPLEX_BUDGET):
@@ -85,6 +92,8 @@ class SteinbergModule:
         self.dim = len(self.supports)
         # The coordinate column of each basis cycle: its free column.
         self._coord_index = {support[-1][0]: j for j, support in enumerate(self.supports)}
+        # apartment_class's join memo: (vertex, line) -> vertex of their span.
+        self._joins = {}
 
     def _is_cycle(self, chain) -> bool:
         """Whether a top chain {column: value} has zero boundary, over Z.
@@ -186,39 +195,58 @@ def _orderings(n):
 def apartment_class(module: SteinbergModule, frame_lines):
     """Fundamental cycle of the apartment spanned by n independent lines.
 
-    frame_lines: n vectors over F_q, one spanning each line.  Returns the
-    class as a sparse top chain {top-simplex index: +1 or -1}, the format
-    SteinbergModule.coordinates takes: one flag of nested spans per
-    ordering of the frame in _orderings(n) order, signed by the ordering's
-    sign; the reversed ordering's flag comes last.  The class is checked to
-    be a cycle.  Reordering the frame by an odd permutation negates the
-    class.
+    frame_lines: n vectors over F_q, one spanning each line, each of n ints
+    (not bools) in range(q).  Returns the class as a sparse top chain
+    {top-simplex index: +1 or -1}, the format SteinbergModule.coordinates
+    takes: one flag of nested spans per ordering of the frame in
+    _orderings(n) order, signed by the ordering's sign; the reversed
+    ordering's flag comes last.  Reordering the frame by an odd permutation
+    negates the class.
+
+    The vertex of an index subset I of size 2 or more is the join of the
+    vertex of I minus its last index i and the line of frame vector i,
+    read from module._joins, which maps (vertex index, line index) to the
+    vertex index of their span.  The join is exact: span(I) is span(I - i)
+    + line(i), and on a miss the RREF of the vertex's key rows and the
+    line's row is that span's canonical key.  Only a miss runs rref.  The
+    frame entries, each frame line, the frame's independence and the
+    class's cycle condition are checked on every call.
     """
     n, q = module.n, module.q
     field = ff.finite_field(q)
-    gens = []
-    for line in frame_lines:
-        key = ff.rref(field, [list(line)])
-        if len(key) != 1:
-            raise ValueError("frame entries must be lines")
-        gens.append(list(key[0]))
-    if len(gens) != n:
+    labels, label_index = module.building.labels, module.building.label_index
+    frame = [tuple(line) for line in frame_lines]
+    if len(frame) != n:
         raise ValueError(f"frame needs exactly {n} lines")
-    if ff.matrix_rank(field, gens) != n:
+    for line in frame:
+        if len(line) != n or not all(
+            isinstance(x, int) and not isinstance(x, bool) and 0 <= x < q for x in line
+        ):
+            raise ValueError(f"frame entries must be {n} integers in range({q})")
+    line_vertex = []
+    for line in frame:
+        key = ff.rref(field, [line])
+        if not key:
+            raise ValueError("frame entries must be lines")
+        line_vertex.append(label_index[key])
+    if ff.matrix_rank(field, frame) != n:
         raise ValueError("frame lines are not independent")
-    X = module.building
+    joins = module._joins
     # Vertex index for the span of each nonempty proper index subset.
-    subset_vertex = {}
-    for size in range(1, n):
+    subset_vertex = {(i,): vi for i, vi in enumerate(line_vertex)}
+    for size in range(2, n):
         for idxs in combinations(range(n), size):
-            key = ff.rref(field, [gens[i] for i in idxs])
-            vi = X.label_index.get(key)
+            pair = (subset_vertex[idxs[:-1]], line_vertex[idxs[-1]])
+            vi = joins.get(pair)
             if vi is None:
-                raise ValueError("apartment vertex missing from building")
+                vi = label_index.get(ff.rref(field, [*labels[pair[0]], labels[pair[1]][0]]))
+                if vi is None:
+                    raise ValueError("apartment vertex missing from building")
+                joins[pair] = vi
             subset_vertex[idxs] = vi
     # Spans of nested index subsets form a flag of the building, and
     # distinct orderings give distinct flags.
-    simplices = X.index[module.top]
+    simplices = module.building.index[module.top]
     support = {}
     for subsets, sign in _orderings(n):
         support[simplices[tuple(subset_vertex[idxs] for idxs in subsets)]] = sign
@@ -318,6 +346,11 @@ def coinvariants_dim(action: LinearAction, twist: CharacterTwist | None = None) 
 
     def find(x):
         """(root, s) with e_x = s e_root; compresses the path to the root."""
+        p = parent[x]
+        if p == x:
+            return x, 1
+        if parent[p] == p:
+            return p, sign[x]
         path = []
         while parent[x] != x:
             path.append(x)

@@ -22,6 +22,10 @@ returned sparse supports: dense Fraction vectors read off the reduced row
 echelon form, which is rebuilt in Fractions from echelon_reference.
 primitive_rref_reference scales the rows of that same reduced form to
 primitive integer rows, which the package's back-elimination must reach.
+rref_reference and mat_vec_reference are the package's fields.rref and
+fields.mat_vec as they were before they read the field's tables one row at
+a time: one method call per entry, and a single row run through the
+elimination loop; the kernels must return exactly their output.
 tits_building_reference is the package's Tits building as it was before
 containment was read off line incidences (pairwise RREF stacking), kept to
 check that the new build lists the same labels and cells in the same
@@ -776,6 +780,52 @@ def kernel_basis_reference(matrix):
                 vec[c] = -coeff
         basis.append(tuple(vec))
     return tuple(basis)
+
+
+def mat_vec_reference(field, m, v):
+    """m v over the field, one add and mul call per nonzero term."""
+    out = []
+    for row in m:
+        acc = 0
+        for a, b in zip(row, v):
+            if a and b:
+                acc = field.add(acc, field.mul(a, b))
+        out.append(acc)
+    return tuple(out)
+
+
+def rref_reference(field, rows):
+    """Canonical reduced row echelon form; zero rows dropped.
+
+    Returns a tuple of tuples.  RREF is unique per row space, so this is a
+    canonical key for the subspace spanned by the input rows.
+    """
+    work = [list(r) for r in rows]
+    if not work:
+        return ()
+    ncols = len(work[0])
+    if any(len(r) != ncols for r in work):
+        raise ValueError("rows must share one length")
+    r = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(r, len(work)):
+            if work[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = field.inv(work[r][col])
+        work[r] = [field.mul(inv, x) for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                c = work[i][col]
+                work[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(work[i], work[r])]
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(row) for row in work[:r])
 
 
 def tits_building_reference(n, q):

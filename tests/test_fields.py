@@ -4,13 +4,14 @@ import functools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles as o
 from steinberg.fields import (
     all_subspaces,
     finite_field,
     is_invertible,
+    mat_vec,
     matrix_rank,
     rref,
     subspace_image,
@@ -109,6 +110,30 @@ def test_rref_key_is_basis_independent(q, dim, data):
     # each key row lies in the row space: stacking it keeps the rank
     for row in key:
         assert len(rref(f, list(key) + [list(row)])) == len(key)
+
+
+@st.composite
+def field_matrices(draw):
+    """(q, rows, v): 1-5 rows of length 1-5 over F_q, some zero or repeated."""
+    q = draw(st.sampled_from(ORDERS))
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(st.integers(0, q - 1), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(st.one_of(row, st.just([0] * ncols)), min_size=1, max_size=5))
+    if len(rows) < 5 and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    return q, rows, draw(row)
+
+
+@given(field_matrices())
+@example((4, [[0, 3, 2]], [1, 1, 1]))
+@example((9, [[0, 0]], [5, 7]))
+@example((8, [[5, 1], [5, 1], [0, 0]], [0, 3]))
+@settings(max_examples=300, deadline=None)
+def test_row_kernels_match_the_per_entry_references(case):
+    q, rows, v = case
+    f = finite_field(q)
+    assert rref(f, rows) == o.rref_reference(f, rows)
+    assert mat_vec(f, rows, v) == o.mat_vec_reference(f, rows, v)
 
 
 @pytest.mark.parametrize(

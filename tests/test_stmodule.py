@@ -112,7 +112,7 @@ def test_apartment_class_lists_every_ordering_in_order(n, q):
         want = {}
         for perm in permutations(range(n)):
             flag = tuple(
-                X.label_index[ff.rref(field, [frame[i] for i in sorted(perm[: k + 1])])]
+                X.label_index[o.rref_reference(field, [frame[i] for i in sorted(perm[: k + 1])])]
                 for k in range(n - 1)
             )
             inversions = sum(a > b for a, b in combinations(perm, 2))
@@ -138,6 +138,51 @@ def test_apartment_class_rejects_bad_frames():
         apartment_class(m, [(1, 0), (1, 0)])
     with pytest.raises(ValueError):
         apartment_class(m, [(1, 0), (0, 1), (1, 1)])
+    # entries outside range(4), bools and wrong lengths, before and after
+    # apartment_span_rank fills the join memo; -1 must not be read as the
+    # negative index of the element 3, nor 4 run past the tables
+    m = steinberg_module(3, 4)
+    bad_frames = [
+        [(1, 0, 0), (1, 4, 0), (0, 0, 1)],
+        [(1, 0, 0), (1, -1, 0), (0, 0, 1)],
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1.0)],
+        [(True, False, False), (0, 1, 0), (0, 0, 1)],
+        [(1, 0, 0), (0, 1), (0, 0, 1)],
+        [(1, 0, 0), (0, 1, 0, 0), (0, 0, 1)],
+        [(1, 0, 0), (0, 0, 0), (0, 0, 1)],
+        [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
+    ]
+    for warm in (False, True):
+        if warm:
+            assert apartment_span_rank(m) == 64 and m._joins
+        for frame in bad_frames:
+            with pytest.raises(ValueError):
+                apartment_class(m, frame)
+
+
+@pytest.mark.parametrize("n,q,count", [(3, 3, None), (4, 3, 50)])
+def test_apartment_class_is_the_same_with_a_warm_join_memo(n, q, count):
+    # every frame at (3,3), the first 50 at (4,3), most not unitriangular:
+    # the classes built after apartment_span_rank filled the memo equal
+    # those built with an empty one
+    warm = steinberg_module(n, q)
+    assert apartment_span_rank(warm) == warm.dim
+    assert warm._joins
+    cold = steinberg_module(n, q)
+    field = ff.finite_field(q)
+    frames = [
+        [list(k[0]) for k in combo]
+        for combo in combinations(ff.all_subspaces(field, n, 1), n)
+        if ff.matrix_rank(field, [list(k[0]) for k in combo]) == n
+    ][:count]
+
+    def unitriangular(frame):
+        return all(frame[j][j] == 1 and not any(frame[j][j + 1 :]) for j in range(n))
+
+    assert any(not unitriangular(frame) for frame in frames)
+    for frame in frames:
+        cold._joins.clear()
+        assert apartment_class(warm, frame) == apartment_class(cold, frame)
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2)])
