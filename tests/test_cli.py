@@ -92,16 +92,6 @@ def test_building_homology(capsys):
             '"witnesses_failed": 0}\n',
         ),
         (
-            ("steinberg", "apartments", "--n", "4", "--q", "4"),
-            '{"apartment_span_rank": 4096, "n": 4, "passes": true, "q": 4, '
-            '"steinberg_dim": 4096}\n',
-        ),
-        (
-            ("steinberg", "apartments", "--n", "3", "--q", "8"),
-            '{"apartment_span_rank": 512, "n": 3, "passes": true, "q": 8, '
-            '"steinberg_dim": 512}\n',
-        ),
-        (
             ("ring", "info", "--d", "2"),
             '{"D": 8, "d": 2, "float_note": "50 significant digits internally; printed at '
             'double precision", "fundamental_unit": {"a": 1, "b": 1, "denom": 1, "norm": -1}, '
@@ -120,6 +110,16 @@ def test_building_homology(capsys):
             '{"D": -3, "d": -3, "fundamental_unit": null, "h": 1, "h_narrow": 1, '
             '"norm_minus_one": false, "signature": [0, 1]}\n',
         ),
+        (
+            ("steinberg", "apartments", "--n", "4", "--q", "4"),
+            '{"apartment_span_rank": 4096, "n": 4, "passes": true, "q": 4, '
+            '"steinberg_dim": 4096}\n',
+        ),
+        (
+            ("steinberg", "apartments", "--n", "3", "--q", "8"),
+            '{"apartment_span_rank": 512, "n": 3, "passes": true, "q": 8, '
+            '"steinberg_dim": 512}\n',
+        ),
     ],
 )
 def test_homology_json_bytes_are_pinned(capsys, argv, want):
@@ -127,11 +127,11 @@ def test_homology_json_bytes_are_pinned(capsys, argv, want):
     # rows ((5,2), (3,3,2)), or the reversed coboundaries from the top
     # degree down ((4,5), (3,2,2)), or when the Smith reduction behind
     # each completion also tracked V ((3,4,3): a composite m, and two
-    # completion rows per 0-vertex gathered by U), or when every apartment
-    # class canonicalised each of its subset spans with its own rref
-    # (apartments over F_4 and F_8), or when the quadratic elements carried
-    # a full ring arithmetic (ring info: an integral unit, a half-integer
-    # unit and an imaginary order)
+    # completion rows per 0-vertex gathered by U), or when the quadratic
+    # elements carried a full ring arithmetic (ring info: an integral
+    # unit, a half-integer unit and an imaginary order), or when every
+    # apartment class canonicalised each of its subset spans with its own
+    # rref (apartments over F_4 and F_8)
     code, out = run(capsys, *argv, "--json")
     assert code == 0
     assert out == want
