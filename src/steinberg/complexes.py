@@ -5,9 +5,10 @@ hashable labels, and a k-simplex is a (k+1)-tuple of vertex label indices.
 Face maps drop one position.  Closure under faces is checked on every
 built instance; the semisimplicial identities d_i d_j = d_{j-1} d_i
 (i < j) need no check, since both sides drop the same two positions and
-name the same tuple.  Each level's face lists are read with one
-operator.itemgetter per dropped position.  Builders enforce their simplex
-budgets while they enumerate.
+name the same tuple.  Each level's faces are stored by position: one list
+per dropped position, read with one operator.itemgetter, indexed by
+simplex.  The boundary rows are filled from those lists one position at a
+time.  Builders enforce their simplex budgets while they enumerate.
 
 The building of GL_n(F_q) has one vertex per proper nonzero subspace of
 F_q^n and one k-simplex per flag V_0 < ... < V_k of such subspaces,
@@ -29,9 +30,13 @@ class SemisimplicialSet:
     """Simplices by dimension over an indexed vertex label set.
 
     cells[k] lists the k-simplices as (k+1)-tuples of indices into labels;
-    faces[k][s][i] is the index (in cells[k-1]) of the i-th face of simplex
-    s, the tuple with position i dropped.  Raises ValueError on duplicate
-    labels or simplices, a simplex of the wrong arity, or a missing face.
+    faces[k][i][s] is the index (in cells[k-1]) of the i-th face of simplex
+    s, the tuple with position i dropped.  So faces[k] holds k+1 lists, one
+    per position, each as long as cells[k]; faces[0] is None.  Raises
+    ValueError on duplicate labels or simplices, a simplex of the wrong
+    arity, a vertex other than (i,) for an int i in range(len(labels)), or
+    a missing face.  Closure then puts every vertex of a higher simplex in
+    range too.
     """
 
     def __init__(self, labels, cells):
@@ -49,6 +54,9 @@ class SemisimplicialSet:
             if not set(map(len, c)) <= {k + 1}:
                 arity = next(len(s) for s in c if len(s) != k + 1)
                 raise ValueError(f"{k}-simplex of arity {arity}")
+        nv = len(self.labels)
+        if self.cells and not all(type(v) is int and 0 <= v < nv for (v,) in self.cells[0]):
+            raise ValueError(f"a vertex must be (i,) for an int i in range({nv})")
         self.faces = [None]
         for k in range(1, len(self.cells)):
             # One getter per dropped position; slices keep an edge's faces 1-tuples.
@@ -64,7 +72,7 @@ class SemisimplicialSet:
                 columns = [[idx[g(s)] for s in cells_k] for g in getters]
             except KeyError:
                 self._raise_missing_face(k)
-            self.faces.append(list(zip(*columns)))
+            self.faces.append(columns)
 
     def _raise_missing_face(self, k):
         """Raise the ValueError naming the first missing face of a k-simplex."""
@@ -107,17 +115,40 @@ def chain_complex(X: SemisimplicialSet) -> ChainComplex:
     Every entry is an int.  d∘d = 0 is not re-multiplied here: faces drop
     positions, so the composite's entries cancel in pairs by the face
     identities d_i d_j = d_{j-1} d_i (i < j), which hold for every tuple.
+
+    Row f of boundaries[k] is the coboundary of the (k-1)-simplex f.  The
+    rows are filled one position at a time from X.faces[k]: position i
+    writes (-1)^i at column s of row X.faces[k][i][s].  Two positions of s
+    write to one row only when two faces of s coincide, which takes a
+    repeated vertex; those simplices are then summed face by face and their
+    zero entries dropped.  So every row holds nonzero ints at columns in
+    range, and the matrices skip the validating constructor.
     """
     dims = tuple(len(c) for c in X.cells)
-    mats = [ExactMatrix(1, dims[0], (dict.fromkeys(range(dims[0]), 1),))]
+    mats = [ExactMatrix._from_clean_rows(dims[0], (dict.fromkeys(range(dims[0]), 1),))]
     for k in range(1, len(X.cells)):
         rows = [{} for _ in range(dims[k - 1])]
-        for col, faces in enumerate(X.faces[k]):
-            for i, f in enumerate(faces):
-                row = rows[f]
-                row[col] = row.get(col, 0) + (1 if i % 2 == 0 else -1)
-        # The constructor drops the entries whose faces cancel.
-        mats.append(ExactMatrix(dims[k - 1], dims[k], tuple(rows)))
+        columns = X.faces[k]
+        # The index's values are 0..dims[k]-1 in order; every position keys
+        # its entries by those int objects rather than making its own.
+        ids = list(X.index[k].values())
+        for i, col in enumerate(columns):
+            sign = -1 if i % 2 else 1
+            for s, row in zip(ids, map(rows.__getitem__, col)):
+                row[s] = sign
+        # An entry was overwritten iff some simplex has two equal faces.
+        if sum(map(len, rows)) != (k + 1) * dims[k]:
+            for s, faces in enumerate(zip(*columns)):
+                if len(set(faces)) <= k:
+                    acc = {}
+                    for i, f in enumerate(faces):
+                        acc[f] = acc.get(f, 0) + (-1 if i % 2 else 1)
+                    for f, v in acc.items():
+                        if v:
+                            rows[f][s] = v
+                        else:
+                            del rows[f][s]
+        mats.append(ExactMatrix._from_clean_rows(dims[k], rows))
     return ChainComplex(dims, tuple(mats))
 
 

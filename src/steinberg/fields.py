@@ -105,19 +105,8 @@ class FiniteField:
                 raise AssertionError("polynomial not irreducible")
         self._inv = inv
 
-    def add(self, a, b):
-        return self._add[a][b]
-
-    def sub(self, a, b):
-        return self._sub[a][b]
-
     def mul(self, a, b):
         return self._mul[a][b]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self._inv[a]
 
     def elements(self):
         return range(self.q)

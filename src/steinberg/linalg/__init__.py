@@ -58,9 +58,11 @@ class ExactMatrix:
     row_dicts[i] maps each column of a nonzero entry of row i to its value:
     an int, or a Fraction only where the value is not integral.  The
     constructor validates and normalises once: it rejects columns out of
-    range, drops zeros and turns integral values into ints.  Readers use
-    the row dicts as they are and must not mutate them.  Empty matrices
-    (zero rows and/or columns) are legal.
+    range, drops zeros and turns integral values into ints.  Callers whose
+    rows are clean by construction build through _from_clean_rows instead,
+    which neither checks nor copies them; each such caller's docstring says
+    why its rows are clean.  Readers use the row dicts as they are and must
+    not mutate them.  Empty matrices (zero rows and/or columns) are legal.
     """
 
     rows: int
@@ -84,18 +86,30 @@ class ExactMatrix:
             out.append(clean)
         object.__setattr__(self, "row_dicts", tuple(out))
 
+    @classmethod
+    def _from_clean_rows(cls, cols, row_dicts) -> ExactMatrix:
+        """A matrix over rows that are already normalised, taken as they are.
+
+        Each row must map columns in range(cols) to nonzero ints, or to
+        Fractions that are not integral; nothing here checks that.  The
+        rows are not copied, so the caller hands them over.
+        """
+        out = object.__new__(cls)
+        row_dicts = tuple(row_dicts)
+        object.__setattr__(out, "rows", len(row_dicts))
+        object.__setattr__(out, "cols", cols)
+        object.__setattr__(out, "row_dicts", row_dicts)
+        return out
+
     def without_rows(self, drop) -> ExactMatrix:
         """This matrix without the rows whose indices are in drop.
 
         The kept rows were normalised when this matrix was built, so they
         are shared, not copied or checked again.
         """
-        kept = tuple(r for i, r in enumerate(self.row_dicts) if i not in drop)
-        out = object.__new__(ExactMatrix)
-        object.__setattr__(out, "rows", len(kept))
-        object.__setattr__(out, "cols", self.cols)
-        object.__setattr__(out, "row_dicts", kept)
-        return out
+        return ExactMatrix._from_clean_rows(
+            self.cols, [r for i, r in enumerate(self.row_dicts) if i not in drop]
+        )
 
 
 def _integer_row(row):

@@ -99,14 +99,17 @@ class SteinbergModule:
         """Whether a top chain {column: value} has zero boundary, over Z.
 
         Face i enters with sign (-1)^i; in degree 0 the boundary is the sum.
+        The building's top faces are stored by position, so the chain is
+        read once per position i, through the list of i-th faces.
         """
         if self.top == 0:
             return sum(chain.values()) == 0
-        faces = self.building.faces[self.top]
         acc = {}
-        for s, v in chain.items():
-            for i, f in enumerate(faces[s]):
-                acc[f] = acc.get(f, 0) + (v if i % 2 == 0 else -v)
+        for i, col in enumerate(self.building.faces[self.top]):
+            sign = -1 if i % 2 else 1
+            for s, v in chain.items():
+                f = col[s]
+                acc[f] = acc.get(f, 0) + sign * v
         return not any(acc.values())
 
     def coordinates(self, chain):
@@ -136,6 +139,12 @@ class SteinbergModule:
         a permuted basis cycle g.z has boundary g.(boundary of z) = 0, and
         is not re-checked.  Its coordinates, its values at the free
         columns, are written straight into the matrix rows.
+
+        The rows are clean as built, so the matrices skip the validating
+        constructor: each value is a support value, which kernel_basis
+        normalised (a nonzero int, or a Fraction that is not integral), and
+        each (row, column) pair is written at most once, since perm is a
+        bijection and a support lists distinct columns.
         """
         index = self._coord_index
         mats = []
@@ -147,7 +156,7 @@ class SteinbergModule:
                     i = index.get(perm[s])
                     if i is not None:
                         rows[i][j] = v
-            mats.append(ExactMatrix(self.dim, self.dim, tuple(rows)))
+            mats.append(ExactMatrix._from_clean_rows(self.dim, rows))
         return LinearAction(self.dim, tuple(mats))
 
 

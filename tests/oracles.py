@@ -10,9 +10,10 @@ ones).  The one exception is dense_action_matrices, which takes the
 permutation of top simplices from the package's group_action (that
 permutation commutes with the face maps by construction, and
 test_complexes checks it against the boundary matrices) and does
-everything else densely here; and probe_report_per_height, which rebuilds the
-package's truncated B complex at every height, as probe_report once did,
-to check the single build against.  unimodular_matrices is a Hypothesis
+everything else densely here, on the boundary of chain_complex_reference;
+and probe_report_per_height, which rebuilds the package's truncated B
+complex at every height, as probe_report once did, to check the single
+build against.  unimodular_matrices is a Hypothesis
 strategy of matrices with determinant +-1 by construction.
 echelon_reference is the package's elimination kernel as it was before it
 kept a column index (full row scans per column, dense-row switch), kept
@@ -24,13 +25,17 @@ primitive_rref_reference scales the rows of that same reduced form to
 primitive integer rows, which the package's back-elimination must reach.
 rref_reference and mat_vec_reference are the package's fields.rref and
 fields.mat_vec as they were before they read the field's tables one row at
-a time: one method call per entry, and a single row run through the
-elimination loop; the kernels must return exactly their output.
+a time: one table lookup per operation and entry, and a single row run
+through the elimination loop; the kernels must return exactly their
+output.
 tits_building_reference is the package's Tits building as it was before
 containment was read off line incidences (pairwise RREF stacking), kept to
 check that the new build lists the same labels and cells in the same
 order; its faces come from the package's SemisimplicialSet, whose face
-lists test_complexes checks against tuple slicing.
+lists test_complexes checks against tuple slicing.  Those lists are stored
+by position (faces[k][i][s], the index of simplex s with position i
+dropped); simplex_faces reads one simplex's faces, in position order, for
+the tests written against a face tuple per simplex.
 is_squarefree_reference is the package's squarefree test as it was before
 it stopped trial division at the cube root: every odd f up to sqrt(|d|).
 reduced_definite_forms_reference and reduced_indefinite_forms_reference
@@ -62,10 +67,14 @@ _ordered_simplices must list its cells in its order.
 log_embedding_reference is the package's unit log embedding as it was
 before it moved to the standard library's decimal module: mpmath at 50
 digits, kept to check that the decimal version returns the same floats.
-reduced_homology_ranks_reference is the package's homology as it was
-before it ranked the boundary rows with clearing: the rank of every
-boundary of the package's chain complex, all rows as built, by the
-package's elimination.  coinvariants_dim_reference is the package's
+chain_complex_reference builds the augmentation and every boundary from
+X.cells and X.index alone, dropping each position of each tuple, and
+hands the rows to the validating ExactMatrix constructor, so it shares
+neither the face lists nor the row filling of the package's
+chain_complex.  reduced_homology_ranks_reference is the package's
+homology as it was before it ranked the boundary rows with clearing: the
+rank of every boundary of chain_complex_reference, all rows as built, by
+the package's elimination.  coinvariants_dim_reference is the package's
 coinvariant dimension as it was before the generators acting as signed
 permutations were merged by a signed union-find: one relation row per
 nonzero column of eps(g) g - 1 for every generator, ranked by the
@@ -486,10 +495,10 @@ def dense_action_matrices(module, gens):
     coordinates and compared entry by entry with itself.  Returns one dense
     matrix (list of Fraction rows, basis-coordinate columns) per generator.
     """
-    from steinberg.complexes import chain_complex, group_action
+    from steinberg.complexes import group_action
 
     top = module.top
-    boundary = chain_complex(module.building).boundaries[top]
+    boundary = chain_complex_reference(module.building).boundaries[top]
     dense = [[Fraction(0)] * boundary.cols for _ in range(boundary.rows)]
     for i, row in enumerate(boundary.row_dicts):
         for j, v in row.items():
@@ -789,7 +798,7 @@ def mat_vec_reference(field, m, v):
         acc = 0
         for a, b in zip(row, v):
             if a and b:
-                acc = field.add(acc, field.mul(a, b))
+                acc = field._add[acc][field._mul[a][b]]
         out.append(acc)
     return tuple(out)
 
@@ -816,12 +825,12 @@ def rref_reference(field, rows):
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = field.inv(work[r][col])
-        work[r] = [field.mul(inv, x) for x in work[r]]
+        inv = field._inv[work[r][col]]
+        work[r] = [field._mul[inv][x] for x in work[r]]
         for i in range(len(work)):
             if i != r and work[i][col]:
                 c = work[i][col]
-                work[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(work[i], work[r])]
+                work[i] = [field._sub[x][field._mul[c][y]] for x, y in zip(work[i], work[r])]
         r += 1
         if r == len(work):
             break
@@ -1132,7 +1141,6 @@ def apartment_span_rank_reference(module):
     sparse row of the rank computation.
     """
     from steinberg import fields as ff
-    from steinberg.complexes import chain_complex
     from steinberg.linalg import ExactMatrix, rank
     from steinberg.stmodule import apartment_class
 
@@ -1144,16 +1152,42 @@ def apartment_span_rank_reference(module):
         if ff.matrix_rank(field, gens) != module.n:
             continue
         classes.append(apartment_class(module, gens))
-    cols = chain_complex(module.building).dims[module.top]
+    cols = len(module.building.cells[module.top])
     return rank(ExactMatrix(len(classes), cols, tuple(classes)))
+
+
+def simplex_faces(X, k, s):
+    """The faces of k-simplex s of X, as indices into X.cells[k-1], by position."""
+    return tuple(col[s] for col in X.faces[k])
+
+
+def chain_complex_reference(X):
+    """The augmentation and boundaries of X, read off the tuples themselves.
+
+    Column s of boundaries[k] adds (-1)^i at the row X.index[k-1] gives the
+    tuple s with position i dropped; the validating ExactMatrix constructor
+    drops the entries that cancel.
+    """
+    from steinberg.complexes import ChainComplex
+    from steinberg.linalg import ExactMatrix
+
+    dims = tuple(len(c) for c in X.cells)
+    mats = [ExactMatrix(1, dims[0], ({v: 1 for v in range(dims[0])},))]
+    for k in range(1, len(dims)):
+        rows = [{} for _ in range(dims[k - 1])]
+        for s, simplex in enumerate(X.cells[k]):
+            for i in range(k + 1):
+                row = rows[X.index[k - 1][simplex[:i] + simplex[i + 1 :]]]
+                row[s] = row.get(s, 0) + (-1) ** i
+        mats.append(ExactMatrix(dims[k - 1], dims[k], tuple(rows)))
+    return ChainComplex(dims, tuple(mats))
 
 
 def reduced_homology_ranks_reference(X):
     """Reduced Betti numbers from the rank of every boundary, as built."""
-    from steinberg.complexes import chain_complex
     from steinberg.linalg import rank
 
-    cc = chain_complex(X)
+    cc = chain_complex_reference(X)
     bnd_rank = [rank(m) for m in cc.boundaries] + [0]
     return {k: cc.dims[k] - bnd_rank[k] - bnd_rank[k + 1] for k in range(len(cc.dims))}
 

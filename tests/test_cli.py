@@ -120,6 +120,18 @@ def test_building_homology(capsys):
             '{"apartment_span_rank": 512, "n": 3, "passes": true, "q": 8, '
             '"steinberg_dim": 512}\n',
         ),
+        (
+            ("building", "homology", "--n", "4", "--q", "3"),
+            '{"cells": [210, 1560, 2080], "concentrated": true, '
+            '"expected_top_rank": 729, "n": 4, "passes": true, "q": 3, '
+            '"reduced_ranks": {"0": 0, "1": 0, "2": 729}, "top_degree": 2}\n',
+        ),
+        (
+            ("building", "homology", "--n", "4", "--q", "4"),
+            '{"cells": [527, 5355, 8925], "concentrated": true, '
+            '"expected_top_rank": 4096, "n": 4, "passes": true, "q": 4, '
+            '"reduced_ranks": {"0": 0, "1": 0, "2": 4096}, "top_degree": 2}\n',
+        ),
     ],
 )
 def test_homology_json_bytes_are_pinned(capsys, argv, want):
@@ -131,7 +143,9 @@ def test_homology_json_bytes_are_pinned(capsys, argv, want):
     # elements carried a full ring arithmetic (ring info: an integral
     # unit, a half-integer unit and an imaginary order), or when every
     # apartment class canonicalised each of its subset spans with its own
-    # rref (apartments over F_4 and F_8)
+    # rref (apartments over F_4 and F_8), or when the boundary rows were
+    # built from a face tuple per simplex and normalised again ((4,3) and
+    # (4,4), the building workload's two complexes)
     code, out = run(capsys, *argv, "--json")
     assert code == 0
     assert out == want

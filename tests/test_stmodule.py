@@ -1,6 +1,7 @@
 """Top homology of the building: basis, actions, coinvariants, characters."""
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
 
@@ -11,7 +12,7 @@ import oracles as o
 from steinberg import fields as ff
 from steinberg import stmodule
 from steinberg.complexes import chain_complex, tits_building
-from steinberg.linalg import kernel_basis
+from steinberg.linalg import ExactMatrix, kernel_basis
 from steinberg.quadratic import ZZ, make_order, order_invariants
 from steinberg.stmodule import (
     CharacterTwist,
@@ -354,6 +355,19 @@ def test_boundaries_and_basis_hold_plain_ints(n, q):
     assert all(type(v) is int for support in module.supports for _, v in support)
     for mat in module.action(gl_generators(n, q)).matrices:
         assert all(type(v) is int for row in mat.row_dicts for v in row.values())
+
+
+@pytest.mark.parametrize("gens_of", [gl_generators, sl_generators])
+@pytest.mark.parametrize("n,q", [(3, 3), (3, 4), (4, 2)])
+def test_action_matrices_are_clean_as_built(n, q, gens_of):
+    # action skips the validating constructor: a re-normalised copy of each
+    # matrix is equal to it, and every value is already in normal form
+    m = steinberg_module(n, q)
+    for mat in m.action(gens_of(n, q)).matrices:
+        assert ExactMatrix(mat.rows, mat.cols, mat.row_dicts) == mat
+        for row in mat.row_dicts:
+            for v in row.values():
+                assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 3), (2, 9), (4, 2)])
