@@ -33,10 +33,11 @@ class SemisimplicialSet:
     faces[k][i][s] is the index (in cells[k-1]) of the i-th face of simplex
     s, the tuple with position i dropped.  So faces[k] holds k+1 lists, one
     per position, each as long as cells[k]; faces[0] is None.  Raises
-    ValueError on duplicate labels or simplices, a simplex of the wrong
-    arity, a vertex other than (i,) for an int i in range(len(labels)), or
-    a missing face.  Closure then puts every vertex of a higher simplex in
-    range too.
+    ValueError on duplicate labels or simplices, a simplex that is not a
+    tuple (found when the index or face lists meet a TypeError), a simplex
+    of the wrong arity, a vertex other than (i,) for an int i in
+    range(len(labels)), or a missing face.  Closure then puts every vertex
+    of a higher simplex in range too.
     """
 
     def __init__(self, labels, cells):
@@ -47,15 +48,21 @@ class SemisimplicialSet:
         self.cells = [list(c) for c in cells]
         while self.cells and not self.cells[-1]:
             self.cells.pop()
-        self.index = [{s: i for i, s in enumerate(c)} for c in self.cells]
-        for k, c in enumerate(self.cells):
-            if len(self.index[k]) != len(c):
-                raise ValueError(f"duplicate {k}-simplex")
-            if not set(map(len, c)) <= {k + 1}:
-                arity = next(len(s) for s in c if len(s) != k + 1)
-                raise ValueError(f"{k}-simplex of arity {arity}")
+        try:
+            self.index = [{s: i for i, s in enumerate(c)} for c in self.cells]
+            for k, c in enumerate(self.cells):
+                if len(self.index[k]) != len(c):
+                    raise ValueError(f"duplicate {k}-simplex")
+                if not set(map(len, c)) <= {k + 1}:
+                    arity = next(len(s) for s in c if len(s) != k + 1)
+                    raise ValueError(f"{k}-simplex of arity {arity}")
+        except TypeError:
+            self._raise_not_a_tuple()
+            raise
         nv = len(self.labels)
-        if self.cells and not all(type(v) is int and 0 <= v < nv for (v,) in self.cells[0]):
+        if self.cells and not all(
+            isinstance(s, tuple) and type(s[0]) is int and 0 <= s[0] < nv for s in self.cells[0]
+        ):
             raise ValueError(f"a vertex must be (i,) for an int i in range({nv})")
         self.faces = [None]
         for k in range(1, len(self.cells)):
@@ -72,7 +79,17 @@ class SemisimplicialSet:
                 columns = [[idx[g(s)] for s in cells_k] for g in getters]
             except KeyError:
                 self._raise_missing_face(k)
+            except TypeError:
+                self._raise_not_a_tuple()
+                raise
             self.faces.append(columns)
+
+    def _raise_not_a_tuple(self):
+        """Raise the ValueError naming the first simplex that is not a tuple of ints."""
+        for k, c in enumerate(self.cells):
+            for s in c:
+                if not (isinstance(s, tuple) and all(isinstance(v, int) for v in s)):
+                    raise ValueError(f"{k}-simplex {s!r} is not a tuple of vertex indices")
 
     def _raise_missing_face(self, k):
         """Raise the ValueError naming the first missing face of a k-simplex."""
@@ -174,8 +191,11 @@ def reduced_homology_ranks(X: SemisimplicialSet) -> dict:
 def eliminate_with_clearing(boundaries, degrees):
     """Ranks of ∂_1..∂_degrees by cohomology elimination with clearing.
 
-    boundaries is a list in chain_complex order, which this releases as it
-    goes.  Degree k = 0..degrees-1 ranks the rows of boundaries[k+1]: row f
+    boundaries is a list in chain_complex order.  Degree k takes over the
+    rows of boundaries[k+1] and sets that entry to None: the kernel
+    reduces the rows in place, so the caller must hold no other reference
+    to boundaries[1..degrees] and must not read them afterwards.  Degree
+    k = 0..degrees-1 ranks the rows of boundaries[k+1]: row f
     is the coboundary of the k-simplex f, over the (k+1)-simplices as
     columns.  A degree drops the rows of the simplices that were pivot
     columns one degree down (clearing, run as cohomology: de Silva, Morozov
@@ -198,10 +218,8 @@ def eliminate_with_clearing(boundaries, degrees):
     cleared = {0}
     ranks = []
     for k in range(degrees):
-        # The kernel reduces its rows in place, so it gets copies; the
-        # boundary is released before its rows are eliminated.
         ncols = boundaries[k + 1].cols
-        rows = [dict(r) for f, r in enumerate(boundaries[k + 1].row_dicts) if f not in cleared]
+        rows = [r for f, r in enumerate(boundaries[k + 1].row_dicts) if f not in cleared]
         boundaries[k + 1] = None
         cleared = set(pivot_columns(ncols, rows))
         ranks.append(len(cleared))
@@ -326,21 +344,20 @@ def _check_building_budget(n, q, budget):
 
 
 def group_action(X: SemisimplicialSet, q: int, generators) -> tuple:
-    """Action of invertible matrices over F_q on a subspace-labelled complex.
+    """Permutations of a building's chambers under invertible matrices over F_q.
 
-    Returns perms, with perms[g][k][s] the image index of k-simplex s under
-    generator g.  Each perms[g][k] is a bijection commuting with every face
-    map: the vertex map is injective, and the image of (s with position i
-    dropped) is (the image of s) with position i dropped.
+    Returns perms, with perms[g][s] the index of the image of top simplex
+    (chamber) s under generator g, read off the map of vertex labels (RREF
+    subspace keys, as tits_building makes).  That is all the Steinberg
+    action needs, since the chamber map commutes with the top boundary:
+    - every simplex of a building is a face of a chamber;
+    - the i-th face of a chamber's image is the image of its i-th face,
+      as both are read through one vertex map.
 
-    Each generator must be invertible; vertex labels must be RREF subspace
-    keys (as produced by tits_building or the finite-field line complexes).
     Raises ValueError if a generator is not an n x n integer matrix (n the
-    ambient dimension of the labels), is singular, sends a vertex outside
-    the complex, or sends a simplex outside the complex.  An invertible
-    generator sends distinct subspaces to distinct subspaces, so its vertex
-    map is injective; one that also sends simplices to simplices permutes
-    each level and commutes with faces, so none of these is re-checked.
+    ambient dimension of the labels), is singular, or sends a vertex or a
+    chamber outside X.  An invertible generator's vertex map is injective,
+    and so is its chamber map, which is thus a permutation: not re-checked.
     """
     field = ff.finite_field(q)
     n = len(X.labels[0][0])
@@ -348,6 +365,7 @@ def group_action(X: SemisimplicialSet, q: int, generators) -> tuple:
         if not _is_square_int_matrix(g, n):
             raise ValueError(f"generator must be a {n} x {n} integer matrix")
     gens = tuple(tuple(tuple(x % q for x in row) for row in g) for g in generators)
+    chambers, chamber_index = X.cells[-1], X.index[-1]
     perms = []
     for g in gens:
         if not ff.is_invertible(field, g):
@@ -359,17 +377,13 @@ def group_action(X: SemisimplicialSet, q: int, generators) -> tuple:
             if tgt is None:
                 raise ValueError("generator image leaves the complex")
             vmap.append(tgt)
-        levels = []
-        for k, cell in enumerate(X.cells):
-            level = []
-            for s in cell:
-                img = tuple(map(vmap.__getitem__, s))
-                tgt = X.index[k].get(img)
-                if tgt is None:
-                    raise ValueError("generator does not permute simplices")
-                level.append(tgt)
-            levels.append(tuple(level))
-        perms.append(tuple(levels))
+        perm = []
+        for s in chambers:
+            tgt = chamber_index.get(tuple(map(vmap.__getitem__, s)))
+            if tgt is None:
+                raise ValueError("generator does not permute chambers")
+            perm.append(tgt)
+        perms.append(tuple(perm))
     return tuple(perms)
 
 

@@ -62,7 +62,10 @@ class ExactMatrix:
     rows are clean by construction build through _from_clean_rows instead,
     which neither checks nor copies them; each such caller's docstring says
     why its rows are clean.  Readers use the row dicts as they are and must
-    not mutate them.  Empty matrices (zero rows and/or columns) are legal.
+    not mutate them, with one exception: complexes.eliminate_with_clearing
+    takes over the rows of the boundaries it eliminates, which no one reads
+    again, and reduces them in place.  Empty matrices (zero rows and/or
+    columns) are legal.
     """
 
     rows: int

@@ -64,10 +64,9 @@ class SteinbergModule:
     in column order.  The coordinate column of basis cycle j is its free
     column, the last entry of its support: the cycle is 1 there and every
     other basis cycle is 0, so a cycle's coordinates are its values at
-    the free columns.  coordinates() checks that a chain handed in is a
-    cycle; action() needs no such check, since a simplicial automorphism
-    maps cycles to cycles.  No boundary matrix is kept: the cycle check
-    reads the building's top face lists.
+    the free columns.  action() reads them with no cycle check, since its
+    chamber permutations commute with the top boundary.  No boundary
+    matrix is kept: _is_cycle reads the building's top face lists.
 
     The basis is kernel_basis of the top boundary's rows less those the
     eliminations of degrees 0..top-2 clear (_cleared_top_boundary).
@@ -112,30 +111,12 @@ class SteinbergModule:
                 acc[f] = acc.get(f, 0) + sign * v
         return not any(acc.values())
 
-    def coordinates(self, chain):
-        """Coordinates {basis index: value} of a top cycle {column: value}.
-
-        Raises ValueError unless every column is a top simplex index and
-        the chain's boundary is zero.  That check is exact and complete: a
-        cycle vanishing at every coordinate column is zero, so the cycle
-        equals the combination of basis cycles with the coordinates read
-        off.
-        """
-        ncols = len(self.building.cells[self.top])
-        if not all(0 <= s < ncols for s in chain):
-            raise ValueError(f"chain columns must lie in range({ncols})")
-        if not self._is_cycle(chain):
-            raise ValueError("chain is not in the cycle space")
-        index = self._coord_index
-        return {index[s]: v for s, v in chain.items() if s in index}
-
     def action(self, generators) -> LinearAction:
         """Exact matrices of the generators acting on the cycle space.
 
         Generators act by permuting top simplices (flags map to flags with
-        preserved dimension order, so no signs appear).  group_action
-        certifies that each generator permutes every level and maps faces
-        to faces position by position, so it commutes with the boundary:
+        preserved dimension order, so no signs appear).  group_action's
+        chamber permutation commutes with the top boundary (see there), so
         a permuted basis cycle g.z has boundary g.(boundary of z) = 0, and
         is not re-checked.  Its coordinates, its values at the free
         columns, are written straight into the matrix rows.
@@ -148,8 +129,7 @@ class SteinbergModule:
         """
         index = self._coord_index
         mats = []
-        for levels in group_action(self.building, self.q, generators):
-            perm = levels[self.top]
+        for perm in group_action(self.building, self.q, generators):
             rows = [{} for _ in range(self.dim)]
             for j, support in enumerate(self.supports):
                 for s, v in support:
@@ -206,11 +186,10 @@ def apartment_class(module: SteinbergModule, frame_lines):
 
     frame_lines: n vectors over F_q, one spanning each line, each of n ints
     (not bools) in range(q).  Returns the class as a sparse top chain
-    {top-simplex index: +1 or -1}, the format SteinbergModule.coordinates
-    takes: one flag of nested spans per ordering of the frame in
-    _orderings(n) order, signed by the ordering's sign; the reversed
-    ordering's flag comes last.  Reordering the frame by an odd permutation
-    negates the class.
+    {top-simplex index: +1 or -1}: one flag of nested spans per ordering
+    of the frame in _orderings(n) order, signed by the ordering's sign; the
+    reversed ordering's flag comes last.  Reordering the frame by an odd
+    permutation negates the class.
 
     The vertex of an index subset I of size 2 or more is the join of the
     vertex of I minus its last index i and the line of frame vector i,

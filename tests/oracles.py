@@ -6,14 +6,16 @@ divisor Smith forms, Leibniz determinants, a vectorized brute-force
 search for the smallest unit of a real quadratic order, and class
 numbers via Minkowski-bounded ideal enumeration (continued-fraction
 cycle tags for real orders, bounded principality searches for imaginary
-ones).  The one exception is dense_action_matrices, which takes the
-permutation of top simplices from the package's group_action (that
-permutation commutes with the face maps by construction, and
-test_complexes checks it against the boundary matrices) and does
-everything else densely here, on the boundary of chain_complex_reference;
-and probe_report_per_height, which rebuilds the package's truncated B
-complex at every height, as probe_report once did, to check the single
-build against.  unimodular_matrices is a Hypothesis
+ones).  The one exception is probe_report_per_height, which rebuilds the
+package's truncated B complex at every height, as probe_report once did,
+to check the single build against.  action_levels maps every level of a
+subspace-labelled complex under each generator, from a vertex map built
+with rref_reference and mat_vec_reference, where the package's
+group_action maps chambers only; dense_action_matrices takes its chamber
+permutations from there and does everything else densely, on the
+boundary of chain_complex_reference.  coordinates reads a top cycle's
+coordinates in a Steinberg module's basis off the free columns, after its
+own cycle check on that boundary.  unimodular_matrices is a Hypothesis
 strategy of matrices with determinant +-1 by construction.
 echelon_reference is the package's elimination kernel as it was before it
 kept a column index (full row scans per column, dense-row switch), kept
@@ -486,17 +488,60 @@ def mulclose(gens, p, cap=100_000):
     return seen
 
 
+def action_levels(X, q, gens):
+    """levels[g][k][s]: the index of the image of k-simplex s under generator g.
+
+    Each vertex label, a tuple of RREF rows, maps to the RREF of its rows'
+    images g v; a simplex maps vertex by vertex.  Raises KeyError if an
+    image is not in X.
+    """
+    from steinberg import fields as ff
+
+    field = ff.finite_field(q)
+    out = []
+    for g in gens:
+        g = [[x % q for x in row] for row in g]
+        vmap = [
+            X.label_index[rref_reference(field, [mat_vec_reference(field, g, v) for v in lbl])]
+            for lbl in X.labels
+        ]
+        out.append(
+            tuple(
+                tuple(X.index[k][tuple(vmap[v] for v in s)] for s in cells)
+                for k, cells in enumerate(X.cells)
+            )
+        )
+    return out
+
+
+def coordinates(module, chain):
+    """Coordinates {basis index: value} of a top cycle {column: value}.
+
+    Raises ValueError unless every column is an int index of a top simplex
+    and the top boundary of chain_complex_reference kills the chain.  Basis
+    cycle j is 1 at its free column, the last entry of its support, and
+    every other basis cycle is 0 there, so a cycle's coordinates are its
+    values at the free columns.
+    """
+    boundary = chain_complex_reference(module.building).boundaries[module.top]
+    if not all(type(s) is int and 0 <= s < boundary.cols for s in chain):
+        raise ValueError(f"chain columns must lie in range({boundary.cols})")
+    if any(sum(v * chain.get(s, 0) for s, v in row.items()) for row in boundary.row_dicts):
+        raise ValueError("chain is not in the cycle space")
+    free = [support[-1][0] for support in module.supports]
+    return {j: chain[s] for j, s in enumerate(free) if s in chain}
+
+
 def dense_action_matrices(module, gens):
     """Steinberg action matrices by dense Fraction reconstruction.
 
     The canonical RREF kernel basis of the dense top boundary, its
     coordinate columns found by scanning every column of every basis
-    vector, and each permuted basis cycle rebuilt densely from its
-    coordinates and compared entry by entry with itself.  Returns one dense
-    matrix (list of Fraction rows, basis-coordinate columns) per generator.
+    vector, and each basis cycle permuted by action_levels' chamber map,
+    rebuilt densely from its coordinates and compared entry by entry with
+    itself.  Returns one dense matrix (list of Fraction rows,
+    basis-coordinate columns) per generator.
     """
-    from steinberg.complexes import group_action
-
     top = module.top
     boundary = chain_complex_reference(module.building).boundaries[top]
     dense = [[Fraction(0)] * boundary.cols for _ in range(boundary.rows)]
@@ -513,7 +558,7 @@ def dense_action_matrices(module, gens):
         for j, vec in enumerate(basis)
     ]
     mats = []
-    for levels in group_action(module.building, module.q, gens):
+    for levels in action_levels(module.building, module.q, gens):
         perm = levels[top]
         cols = []
         for bvec in basis:

@@ -42,13 +42,37 @@ def test_constructor_rejects_bad_input():
 
 @pytest.mark.parametrize(
     "labels, vertices",
-    [(["a"], [(0,), (5,)]), (["a", "b"], [(0,), (-1,)]), (["a", "b"], [(0,), (True,)])],
+    [
+        (["a"], [(0,), (5,)]),
+        (["a", "b"], [(0,), (-1,)]),
+        (["a", "b"], [(0,), (True,)]),
+        (["a"], [frozenset({0})]),
+        (["a"], [range(1)]),
+    ],
 )
 def test_constructor_rejects_vertices_that_name_no_label(labels, vertices):
     # each vertex is (i,) for an int index i of a label: (5,) would be a
-    # second vertex for one label, and (-1,) would read the last label
+    # second vertex for one label, (-1,) would read the last label, and a
+    # hashable one-element set or range is not a tuple
     with pytest.raises(ValueError, match="vertex must be"):
         SemisimplicialSet(labels, [vertices])
+
+
+@pytest.mark.parametrize(
+    "labels, cells, bad",
+    [
+        (["a"], [[[0]]], "0-simplex [0]"),
+        (["a"], [[(0,)], [[0, 0]]], "1-simplex [0, 0]"),
+        (["a"], [[0]], "0-simplex 0"),
+        (["a"], [[([0],)]], "0-simplex ([0],)"),
+        (["a", "b"], [[(0,), (1,)], [frozenset({0, 1})]], "1-simplex frozenset({0, 1})"),
+    ],
+)
+def test_constructor_rejects_simplices_that_are_not_tuples(labels, cells, bad):
+    # lists are unhashable, an int has no length, and a frozenset has no
+    # positions to drop: each is named, not left as a TypeError
+    with pytest.raises(ValueError, match=re.escape(f"{bad} is not a tuple")):
+        SemisimplicialSet(labels, cells)
 
 
 @pytest.mark.parametrize(
@@ -356,10 +380,12 @@ def test_clearing_keeps_only_the_rows_it_must(monkeypatch):
 def test_clearing_releases_what_it_eliminates_and_keeps_the_next_rank(n, q):
     # degrees n-3 eliminates up to the degree below the top; the rows it
     # clears from the top boundary lie in the span of the rows it keeps
+    # ranked first: elimination takes over the rows it ranks
     full = chain_complex(tits_building(n, q)).boundaries
+    want = [rank(full[k]) for k in range(1, n - 2)]
     boundaries = list(full)
     ranks, cleared = eliminate_with_clearing(boundaries, n - 3)
-    assert ranks == [rank(full[k]) for k in range(1, n - 2)]
+    assert ranks == want
     assert boundaries[1 : n - 2] == [None] * (n - 3)
     assert boundaries[0] is full[0] and boundaries[n - 2] is full[n - 2]
     top = full[n - 2]
@@ -416,26 +442,28 @@ def test_homology_of_random_complexes_matches_reference(X):
 )
 def test_eliminated_rows_are_the_checked_boundary_rows(make, monkeypatch):
     # the rows ranked in degree k are the rows of the boundary as built, in
-    # order, minus the cleared ones; the complex is not mutated
+    # order, minus the cleared ones; elimination takes those rows over, so
+    # they are compared with a snapshot, and the complex is not mutated
     built = []
 
     def keep(X):
         cc = chain_complex(X)
-        built.append((cc, [dict(r) for d in cc.boundaries for r in d.row_dicts]))
+        built.append([[dict(r) for r in d.row_dicts] for d in cc.boundaries])
         return cc
 
     monkeypatch.setattr(complexes, "chain_complex", keep)
     calls = spy_on_pivot_columns(monkeypatch)
     X = make()
+    cells = [list(c) for c in X.cells]
+    faces = [None] + [[list(col) for col in f] for f in X.faces[1:]]
     reduced_homology_ranks(X)
-    [(cc, before)] = built
+    [before] = built
     assert len(calls) == X.dimension
     cleared = {0}
     for k, (rows, pivots) in enumerate(calls):
-        d = cc.boundaries[k + 1]
-        assert rows == [r for f, r in enumerate(d.row_dicts) if f not in cleared]
+        assert rows == [r for f, r in enumerate(before[k + 1]) if f not in cleared]
         cleared = set(pivots)
-    assert [dict(r) for d in cc.boundaries for r in d.row_dicts] == before
+    assert X.cells == cells and X.faces == faces
 
 
 def test_building_rejects_small_rank():
@@ -481,35 +509,57 @@ def matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+CYCLE3 = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+
+
 def test_group_action_validation():
     X = tits_building(2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not invertible"):
         group_action(X, 3, [[[1, 0], [0, 0]]])
+    with pytest.raises(ValueError, match="2 x 2 integer matrix"):
+        group_action(X, 3, [[[1, 0, 0]]])
     perms = group_action(X, 3, [[[1, 1], [0, 1]]])
-    m = permutation_matrix(perms[0][0])
+    m = permutation_matrix(perms[0])
     assert sorted(sum(col) for col in zip(*m)) == [1, 1, 1, 1]
+    B = tits_building(3, 2)
+    # one line of F_2^3, which the 3-cycle moves off the complex
+    with pytest.raises(ValueError, match="leaves the complex"):
+        group_action(SemisimplicialSet(B.labels[:1], [[(0,)]]), 2, [CYCLE3])
+    # every vertex, but one chamber short: the 3-cycle fixes no flag
+    short = SemisimplicialSet(B.labels, [B.cells[0], B.cells[1][1:]])
+    with pytest.raises(ValueError, match="does not permute chambers"):
+        group_action(short, 2, [CYCLE3])
 
 
 def test_action_commutes_with_faces_in_building():
+    # the package's chamber map against the oracle's vertex-built levels
     X = tits_building(3, 2)
-    perms = group_action(X, 2, [[[0, 1, 0], [0, 0, 1], [1, 0, 0]]])
+    [perm] = group_action(X, 2, [CYCLE3])
+    [levels] = o.action_levels(X, 2, [CYCLE3])
+    assert levels[X.dimension] == perm
     cc = chain_complex(X)
     for k in range(1, X.dimension + 1):
         d = o.dense_of(cc.boundaries[k])
-        left = matmul(d, permutation_matrix(perms[0][k]))
-        right = matmul(permutation_matrix(perms[0][k - 1]), d)
+        left = matmul(d, permutation_matrix(levels[k]))
+        right = matmul(permutation_matrix(levels[k - 1]), d)
         assert left == right
 
 
 @pytest.mark.parametrize("n,q", [(3, 3), (4, 2)])
 def test_action_permutes_levels_and_commutes_with_faces(n, q):
-    # what group_action no longer re-checks at run time
+    # what group_action does not check at run time: each simplex is a face
+    # of a chamber, and the chamber map is a bijection that commutes with
+    # the faces of every level, mapped through one vertex map
     X = tits_building(n, q)
-    for levels in group_action(X, q, gl_generators(n, q)):
-        for k, perm in enumerate(levels):
-            assert sorted(perm) == list(range(X.n_cells(k)))
+    for k in range(X.dimension):
+        assert set().union(*X.faces[k + 1]) == set(range(X.n_cells(k)))
+    gens = gl_generators(n, q)
+    for perm, levels in zip(group_action(X, q, gens), o.action_levels(X, q, gens), strict=True):
+        assert levels[X.dimension] == perm
+        for k, level in enumerate(levels):
+            assert sorted(level) == list(range(X.n_cells(k)))
             if k:
                 face_rows = (o.simplex_faces(X, k, t) for t in range(X.n_cells(k)))
                 for s, row in enumerate(face_rows):
-                    image_faces = o.simplex_faces(X, k, perm[s])
+                    image_faces = o.simplex_faces(X, k, level[s])
                     assert [levels[k - 1][f] for f in row] == list(image_faces)

@@ -96,24 +96,53 @@ def _definitions(module, tree):
                     yield f"{module}.{node.name}.{method.name}", method
 
 
+def reader_names(source, python=True):
+    """Names a reader file reads.
+
+    A Python reader reads the names it loads, the attributes it reads and
+    the names it imports, and the words of its string constants other than
+    docstrings (the benchmark names attributes as strings, such as
+    "SteinbergModule.action"); its comments and docstrings do not count.
+    Any other reader, such as pyproject.toml naming the console script,
+    reads every word of its text.
+    """
+    if not python:
+        return set(re.findall(r"\w+", source))
+    tree = ast.parse(source)
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, scopes)
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    names = set(_reads(tree))
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str) and id(sub) not in docstrings:
+            names.update(re.findall(r"\w+", sub.value))
+    return names
+
+
 def unread_definitions(sources, outside):
     """Public definitions and methods that nothing outside their own body reads.
 
     sources maps a module name to its source; a definition counts as read
     when its name is loaded, as a name or an attribute, or imported
     anywhere in the sources outside the definition itself, or when its
-    name is a word of the text outside.  Names that start with _ are
-    skipped: dunders run implicitly.  A method whose name another name
-    shares counts as read, so the check never flags a method the program
-    reads, but may miss one it does not.
+    name is in outside, the set of names the other readers read
+    (reader_names).  Names that start with _ are skipped: dunders run
+    implicitly.  A method whose name another name shares counts as read,
+    so the check never flags a method the program reads, but may miss one
+    it does not.
     """
-    words = set(re.findall(r"\w+", outside))
     trees = {module: ast.parse(source) for module, source in sources.items()}
     total = sum((_reads(tree) for tree in trees.values()), Counter())
     unread = []
     for module, tree in trees.items():
         for qualified, node in _definitions(module, tree):
-            if node.name.startswith("_") or node.name in words:
+            if node.name.startswith("_") or node.name in outside:
                 continue
             if total[node.name] == _reads(node)[node.name]:
                 unread.append(qualified)
@@ -126,7 +155,9 @@ def test_every_public_definition_is_read_by_the_program():
             path.read_text(encoding="utf-8")
         for path in MODULES
     }
-    outside = "\n".join(path.read_text(encoding="utf-8") for path in READERS)
+    outside = set().union(
+        *(reader_names(path.read_text(encoding="utf-8"), path.suffix == ".py") for path in READERS)
+    )
     assert unread_definitions(sources, outside) == []
 
 
@@ -135,8 +166,8 @@ def test_definition_checker_counts_only_reads_outside_the_definition():
         "a": "def used():\n    return 1\n\n\ndef recursive(n):\n    return recursive(n - 1)\n",
         "b": "from .a import used\n\n\nclass Named:\n    pass\n\n\ndef _private():\n    pass\n",
     }
-    assert unread_definitions(sources, "") == ["a.recursive", "b.Named"]
-    assert unread_definitions(sources, "Named = 1") == ["a.recursive"]
+    assert unread_definitions(sources, set()) == ["a.recursive", "b.Named"]
+    assert unread_definitions(sources, reader_names("print(Named)")) == ["a.recursive"]
     # methods: walk is read only inside its own body, size only as x.size
     # in another module, and the dunder __len__ runs implicitly
     sources = {
@@ -148,8 +179,21 @@ def test_definition_checker_counts_only_reads_outside_the_definition():
         ),
         "b": "from .a import Tree\n\n\ndef main(x):\n    return x.size\n",
     }
-    assert unread_definitions(sources, "main") == ["a.Tree.walk"]
-    assert unread_definitions(sources, "main walk") == []
+    assert unread_definitions(sources, reader_names("main()")) == ["a.Tree.walk"]
+    assert unread_definitions(sources, reader_names("main(); walk")) == []
+    # a string constant names an attribute, as the benchmark's span table does
+    assert unread_definitions(sources, reader_names('main(["Tree.walk"])')) == []
+    assert unread_definitions(sources, reader_names("main(f'{y}.walk')")) == []
+    # comments and docstrings are words, not reads, in a Python reader ...
+    for text in (
+        "main()  # walk\n",
+        '"""walk"""\nmain()\n',
+        'class C:\n    """walk"""\n\n\nmain()\n',
+        'def f():\n    """walk"""\n    return main()\n',
+    ):
+        assert unread_definitions(sources, reader_names(text)) == ["a.Tree.walk"]
+    # ... but every word of any other reader's text counts
+    assert unread_definitions(sources, reader_names("main # walk", python=False)) == []
 
 
 def test_cli_loads_only_the_standard_library():
