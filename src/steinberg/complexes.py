@@ -239,9 +239,11 @@ def tits_building(n: int, q: int, budget=DEFAULT_SIMPLEX_BUDGET) -> Semisimplici
     dimension-1 labels.  Each subspace's lines are its tail's lines (the
     label of its RREF rows after the first) and one new line per vector of
     the tail's span, with no field arithmetic beyond one table add per
-    entry.  Each line gets the bitmask of the labels containing it, and V's
-    successors are the AND of the masks of V's RREF rows, read above V's
-    own dimension.
+    entry.  Spans are kept only for labels that can be a tail: those of at
+    most n-2 rows whose first row is 0 in column 0, since a tail's rows lie
+    right of the pivot of the row before them.  Each line gets the bitmask
+    of the labels containing it, and V's successors are the AND of the
+    masks of V's RREF rows, read above V's own dimension.
     """
     if n < 2:
         raise ValueError("building needs n >= 2")
@@ -264,7 +266,7 @@ def tits_building(n: int, q: int, budget=DEFAULT_SIMPLEX_BUDGET) -> Semisimplici
     # and W's lines are T's lines and the lines of r1 + w for w in span(T).
     # Each r1 + w has leading entry 1 at r1's pivot, left of every pivot of
     # T, so it is already the normalised vector of its line.  Spans are kept
-    # only where a larger label can have them as a tail.
+    # only for labels that can be a tail (see above).
     add, mul = field._add, field._mul
     lines_of = {(): []}
     span_of = {(): [(0,) * n]}
@@ -274,7 +276,7 @@ def tits_building(n: int, q: int, budget=DEFAULT_SIMPLEX_BUDGET) -> Semisimplici
         r1_add = [add[x] for x in r1]
         r1_plus = [tuple(map(list.__getitem__, r1_add, w)) for w in tail_span]
         lines_of[key] = lines_of[tail] + [point[v] for v in r1_plus]
-        if len(key) <= n - 2:
+        if len(key) <= n - 2 and not r1[0]:
             span = tail_span + r1_plus
             for c in range(2, q):
                 c_add = [add[mul[c][x]] for x in r1]

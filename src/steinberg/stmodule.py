@@ -19,9 +19,12 @@ subsets I (vertex = span of L_i, i in I).  Its fundamental cycle is the
 signed sum over maximal chains of subsets, one chain per permutation,
 weighted by the permutation sign; vertices inside each flag are ordered by
 subset size.  It is a sparse top chain with n! entries, each +1 or -1.
-Swapping two frame lines negates the class.  That apartment classes span
-the module is certified with no elimination by the Solomon-Tits basis
-among them (apartment_span_rank).
+Swapping two frame lines negates the class.  It is a cycle because the
+flags of two orderings that differ by one adjacent swap share the face
+that drops the swapped subspace, with opposite signs; so a class whose n!
+flags are n! distinct chambers needs no boundary pass (apartment_class).
+That apartment classes span the module is certified with no elimination
+by the Solomon-Tits basis among them (apartment_span_rank).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from operator import itemgetter
 
 from . import fields as ff
 from .complexes import chain_complex, eliminate_with_clearing, group_action, tits_building
@@ -66,7 +70,7 @@ class SteinbergModule:
     other basis cycle is 0, so a cycle's coordinates are its values at
     the free columns.  action() reads them with no cycle check, since its
     chamber permutations commute with the top boundary.  No boundary
-    matrix is kept: _is_cycle reads the building's top face lists.
+    matrix is kept.
 
     The basis is kernel_basis of the top boundary's rows less those the
     eliminations of degrees 0..top-2 clear (_cleared_top_boundary).
@@ -74,12 +78,15 @@ class SteinbergModule:
     the same row space: the null space and its canonical basis are those
     of the whole boundary, bit for bit.
 
-    _joins is apartment_class's memo of spans: (vertex index, line index)
-    to the vertex index of the span of the two, both indices into
-    building.labels.  It holds only spans of a vertex and a line outside
-    it, which depend on the building alone, so classes built with a warm
-    memo equal those built with an empty one.  Each class runs its own
-    cycle check.
+    _lines and _joins are apartment_class's memos, both into the indices
+    of building.labels: _lines maps a frame vector to the vertex of its
+    line (at most q^n - 1 entries, and sum_{j<n} q^j from
+    apartment_span_rank), and _joins maps (vertex index, line index) to
+    the vertex of the span of the two.  _joins holds only spans of a
+    vertex and a line outside it.  Both depend on the building alone, so
+    classes built with warm memos equal those built with empty ones.  Each
+    class certifies its own cycle condition by counting its distinct
+    chambers, with no boundary pass (see apartment_class).
     """
 
     def __init__(self, n, q, budget=DEFAULT_SIMPLEX_BUDGET):
@@ -91,25 +98,10 @@ class SteinbergModule:
         self.dim = len(self.supports)
         # The coordinate column of each basis cycle: its free column.
         self._coord_index = {support[-1][0]: j for j, support in enumerate(self.supports)}
-        # apartment_class's join memo: (vertex, line) -> vertex of their span.
+        # apartment_class's memos: frame vector -> vertex of its line, and
+        # (vertex, line) -> vertex of their span.
+        self._lines = {}
         self._joins = {}
-
-    def _is_cycle(self, chain) -> bool:
-        """Whether a top chain {column: value} has zero boundary, over Z.
-
-        Face i enters with sign (-1)^i; in degree 0 the boundary is the sum.
-        The building's top faces are stored by position, so the chain is
-        read once per position i, through the list of i-th faces.
-        """
-        if self.top == 0:
-            return sum(chain.values()) == 0
-        acc = {}
-        for i, col in enumerate(self.building.faces[self.top]):
-            sign = -1 if i % 2 else 1
-            for s, v in chain.items():
-                f = col[s]
-                acc[f] = acc.get(f, 0) + sign * v
-        return not any(acc.values())
 
     def action(self, generators) -> LinearAction:
         """Exact matrices of the generators acting on the cycle space.
@@ -169,16 +161,29 @@ def _perm_sign(perm) -> int:
 
 @lru_cache(maxsize=None)
 def _orderings(n):
-    """(sorted prefix subsets, sign) of each permutation of range(n), in order.
+    """(join steps, flag readers) of an apartment class of rank n.
 
-    An apartment class of rank n has one flag per ordering of its frame:
-    the spans of the first 1, ..., n-1 lines.  Only the subsets of lines
-    and the sign depend on the ordering, so they are listed once per n.
+    The proper nonempty subsets of range(n) are laid out in a list: the
+    singletons in index order, then the larger subsets in combinations
+    order, size by size.  A join step (p, i) says that the next subset is
+    the subset at position p with index i added, i being its largest
+    index.  An apartment class has one flag per ordering of its frame, the
+    spans of its first 1, ..., n-1 lines; each ordering, in permutations
+    order, comes with one reader that returns the flag's subset vertices
+    as a tuple, and the ordering's sign.  Only these depend on the
+    ordering, so they are listed once per n.
     """
-    return tuple(
-        (tuple(tuple(sorted(perm[: k + 1])) for k in range(n - 1)), _perm_sign(perm))
-        for perm in permutations(range(n))
-    )
+    subsets = [(i,) for i in range(n)]
+    subsets += [c for size in range(2, n) for c in combinations(range(n), size)]
+    position = {s: p for p, s in enumerate(subsets)}
+    steps = tuple((position[s[:-1]], s[-1]) for s in subsets[n:])
+    readers = []
+    for perm in permutations(range(n)):
+        flag = [position[tuple(sorted(perm[: k + 1]))] for k in range(n - 1)]
+        # itemgetter of one position returns the item, not a 1-tuple
+        read = itemgetter(*flag) if n > 2 else lambda vertices, p=flag[0]: (vertices[p],)
+        readers.append((read, _perm_sign(perm)))
+    return steps, tuple(readers)
 
 
 def apartment_class(module: SteinbergModule, frame_lines):
@@ -191,14 +196,30 @@ def apartment_class(module: SteinbergModule, frame_lines):
     reversed ordering's flag comes last.  Reordering the frame by an odd
     permutation negates the class.
 
-    The vertex of an index subset I of size 2 or more is the join of the
-    vertex of I minus its last index i and the line of frame vector i,
-    read from module._joins, which maps (vertex index, line index) to the
-    vertex index of their span.  The join is exact: span(I) is span(I - i)
-    + line(i), and on a miss the RREF of the vertex's key rows and the
-    line's row is that span's canonical key.  Only a miss runs rref.  The
-    frame entries, each frame line, the frame's independence and the
-    class's cycle condition are checked on every call.
+    The frame entries, each frame line and the frame's independence are
+    checked on every call; the independence check skips the rank when the
+    frame's rows are unitriangular (row j is 1 at j and 0 after it), since
+    its determinant is then 1.  A line's vertex is read from module._lines,
+    which maps a checked frame vector to the vertex index of its line; only
+    a miss runs rref.  The vertex of an index subset I of size 2 or more is
+    the join of the vertex of I minus its last index i and the line of
+    frame vector i, read from module._joins, which maps (vertex index, line
+    index) to the vertex index of their span.  The join is exact: span(I)
+    is span(I - i) + line(i), and on a miss the RREF of the vertex's key
+    rows and the line's row is that span's canonical key.
+
+    The cycle condition is certified exactly, with no boundary pass.  Let
+    flag(s) be the flag of ordering s and s' the ordering s with its k-th
+    and (k+1)-th lines swapped.  flag(s) and flag(s') differ only in their
+    k-th subspace, so their k-th faces are one simplex, entered with the
+    signs (-1)^k sign(s) and (-1)^k sign(s') = -(-1)^k sign(s): they cancel.
+    The pairing s -> s' has no fixed points, so the boundary of the signed
+    sum of the n! flags is zero.  The returned chain is that sum exactly
+    when no two flags are one chamber, that is when it has n! entries.  A
+    frame of independent lines always gives n! distinct chambers (distinct
+    subsets span distinct subspaces), so a flag missing from the building
+    or a repeated chamber means a memo or the building is corrupt: either
+    raises AssertionError.
     """
     n, q = module.n, module.q
     field = ff.finite_field(q)
@@ -206,40 +227,43 @@ def apartment_class(module: SteinbergModule, frame_lines):
     frame = [tuple(line) for line in frame_lines]
     if len(frame) != n:
         raise ValueError(f"frame needs exactly {n} lines")
+    if any(len(line) != n for line in frame) or not all(
+        isinstance(x, int) and not isinstance(x, bool) and 0 <= x < q for line in frame for x in line
+    ):
+        raise ValueError(f"frame entries must be {n} integers in range({q})")
+    lines = module._lines
+    # vertex index of each subset, laid out as in _orderings(n): the lines
+    # first, then one join per step
+    vertices = []
     for line in frame:
-        if len(line) != n or not all(
-            isinstance(x, int) and not isinstance(x, bool) and 0 <= x < q for x in line
-        ):
-            raise ValueError(f"frame entries must be {n} integers in range({q})")
-    line_vertex = []
-    for line in frame:
-        key = ff.rref(field, [line])
-        if not key:
-            raise ValueError("frame entries must be lines")
-        line_vertex.append(label_index[key])
-    if ff.matrix_rank(field, frame) != n:
+        vi = lines.get(line)
+        if vi is None:
+            key = ff.rref(field, [line])
+            if not key:
+                raise ValueError("frame entries must be lines")
+            vi = lines[line] = label_index[key]
+        vertices.append(vi)
+    unitriangular = all(line[j] == 1 and not any(line[j + 1 :]) for j, line in enumerate(frame))
+    if not unitriangular and ff.matrix_rank(field, frame) != n:
         raise ValueError("frame lines are not independent")
+    steps, readers = _orderings(n)
     joins = module._joins
-    # Vertex index for the span of each nonempty proper index subset.
-    subset_vertex = {(i,): vi for i, vi in enumerate(line_vertex)}
-    for size in range(2, n):
-        for idxs in combinations(range(n), size):
-            pair = (subset_vertex[idxs[:-1]], line_vertex[idxs[-1]])
-            vi = joins.get(pair)
+    for p, i in steps:
+        pair = (vertices[p], vertices[i])
+        vi = joins.get(pair)
+        if vi is None:
+            vi = label_index.get(ff.rref(field, [*labels[pair[0]], labels[pair[1]][0]]))
             if vi is None:
-                vi = label_index.get(ff.rref(field, [*labels[pair[0]], labels[pair[1]][0]]))
-                if vi is None:
-                    raise ValueError("apartment vertex missing from building")
-                joins[pair] = vi
-            subset_vertex[idxs] = vi
-    # Spans of nested index subsets form a flag of the building, and
-    # distinct orderings give distinct flags.
+                raise ValueError("apartment vertex missing from building")
+            joins[pair] = vi
+        vertices.append(vi)
     simplices = module.building.index[module.top]
-    support = {}
-    for subsets, sign in _orderings(n):
-        support[simplices[tuple(subset_vertex[idxs] for idxs in subsets)]] = sign
-    if not module._is_cycle(support):
-        raise AssertionError("apartment class has nonzero boundary")
+    try:
+        support = {simplices[read(vertices)]: sign for read, sign in readers}
+    except KeyError:
+        raise AssertionError("apartment flag missing from building") from None
+    if len(support) != len(readers):
+        raise AssertionError("apartment flags are not distinct chambers")
     return support
 
 
@@ -257,7 +281,7 @@ def apartment_span_rank(module: SteinbergModule) -> int:
     - each class is +1 or -1 on its own designated chamber and 0 on the
       others, so the classes are independent;
     - every apartment class is a top cycle, so the span rank is at most
-      module.dim: apartment_class checks each class it builds, and GL_n is
+      module.dim: apartment_class certifies each class it builds, and GL_n is
       transitive on frames and commutes with both the class formula and
       the boundary, so that covers every frame;
     - hence the return value is the span rank whenever it equals module.dim.

@@ -15,8 +15,11 @@ group_action maps chambers only; dense_action_matrices takes its chamber
 permutations from there and does everything else densely, on the
 boundary of chain_complex_reference.  coordinates reads a top cycle's
 coordinates in a Steinberg module's basis off the free columns, after its
-own cycle check on that boundary.  unimodular_matrices is a Hypothesis
-strategy of matrices with determinant +-1 by construction.
+own cycle check on that boundary.  is_cycle is the package's per-class
+cycle check as it was before apartment classes were certified by counting
+their distinct chambers: a boundary pass over the building's top face
+lists.  unimodular_matrices is a Hypothesis strategy of matrices with
+determinant +-1 by construction.
 echelon_reference is the package's elimination kernel as it was before it
 kept a column index (full row scans per column, dense-row switch), kept
 here only to check that the indexed kernel returns exactly its output.
@@ -512,6 +515,24 @@ def action_levels(X, q, gens):
             )
         )
     return out
+
+
+def is_cycle(module, chain) -> bool:
+    """Whether a top chain {column: value} has zero boundary, over Z.
+
+    Face i enters with sign (-1)^i; in degree 0 the boundary is the sum.
+    The building's top faces are stored by position, so the chain is read
+    once per position i, through the list of i-th faces.
+    """
+    if module.top == 0:
+        return sum(chain.values()) == 0
+    acc = {}
+    for i, col in enumerate(module.building.faces[module.top]):
+        sign = -1 if i % 2 else 1
+        for s, v in chain.items():
+            f = col[s]
+            acc[f] = acc.get(f, 0) + sign * v
+    return not any(acc.values())
 
 
 def coordinates(module, chain):

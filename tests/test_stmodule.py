@@ -181,9 +181,84 @@ def test_apartment_class_is_the_same_with_a_warm_join_memo(n, q, count):
         return all(frame[j][j] == 1 and not any(frame[j][j + 1 :]) for j in range(n))
 
     assert any(not unitriangular(frame) for frame in frames)
+    # the span pass memoises every column of every unitriangular frame
+    assert len(warm._lines) == sum(q**j for j in range(n))
     for frame in frames:
+        cold._lines.clear()
         cold._joins.clear()
         assert apartment_class(warm, frame) == apartment_class(cold, frame)
+        # the cold build memoised exactly the frame's lines, as the warm
+        # memo holds them
+        assert cold._lines == {tuple(line): warm._lines[tuple(line)] for line in frame}
+
+
+def unitriangular_frames(n, q):
+    """The frames of apartment_span_rank: the columns of each upper unitriangular u."""
+    for entries in product(range(q), repeat=n * (n - 1) // 2):
+        above = iter(entries)
+        yield [tuple([next(above) for _ in range(j)] + [1] + [0] * (n - 1 - j)) for j in range(n)]
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (3, 4), (4, 2)])
+def test_distinct_chambers_certify_the_cycle_on_every_unitriangular_frame(n, q):
+    # apartment_class accepts a class when its n! flags are n! distinct
+    # chambers; on every frame of the span pass the boundary pass agrees
+    m = steinberg_module(n, q)
+    frames = list(unitriangular_frames(n, q))
+    assert len(frames) == m.dim
+    for frame in frames:
+        cls = apartment_class(m, frame)
+        assert len(cls) == factorial(n)
+        assert o.is_cycle(m, cls)
+
+
+def test_corrupt_join_memo_is_refused():
+    # the join of lines 0 and 2 is overwritten with the span of lines 0
+    # and 1: orderings (0, 1, 2) and (0, 2, 1) land on one chamber, and
+    # (2, 0, 1) on a pair that is no flag
+    m = steinberg_module(3, 3)
+    frame = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    apartment_class(m, frame)
+    v0, v1, v2 = (m._lines[line] for line in frame)
+    m._joins[(v0, v2)] = m._joins[(v0, v1)]
+    with pytest.raises(AssertionError, match="apartment flag"):
+        apartment_class(m, frame)
+
+
+def test_repeated_chambers_are_refused():
+    # memos corrupted so that every flag is a chamber of the building but
+    # lines 1 and 2 share a vertex: the class has fewer than n! entries
+    m = steinberg_module(3, 3)
+    frame = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    apartment_class(m, frame)
+    v0, v1, _ = (m._lines[line] for line in frame)
+    m._lines[frame[2]] = v1
+    m._joins[(v1, v1)] = m._joins[(v0, v1)]
+    with pytest.raises(AssertionError, match="not distinct chambers"):
+        apartment_class(m, frame)
+
+
+def test_independence_is_ranked_unless_the_frame_is_unitriangular(monkeypatch):
+    m = steinberg_module(3, 4)
+    ranked = []
+    matrix_rank = ff.matrix_rank
+    monkeypatch.setattr(
+        ff, "matrix_rank", lambda field, rows: ranked.append(rows) or matrix_rank(field, rows)
+    )
+    frame = [(1, 0, 0), (2, 1, 0), (3, 1, 1)]
+    cls = apartment_class(m, frame)
+    assert not ranked
+    # reversing three lines is an odd permutation; the reversed frame is
+    # independent but not unitriangular, so it is ranked and accepted
+    assert apartment_class(m, frame[::-1]) == {s: -v for s, v in cls.items()}
+    assert ranked == [frame[::-1]]
+    # a dependent frame is refused with both memos warm and all of its
+    # lines memoised
+    assert apartment_span_rank(m) == m.dim
+    dependent = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
+    assert all(line in m._lines for line in dependent) and m._joins
+    with pytest.raises(ValueError, match="not independent"):
+        apartment_class(m, dependent)
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2)])
@@ -420,12 +495,12 @@ def test_action_matches_dense_oracle(n, q, group):
 
 def test_coordinates_reject_a_non_cycle():
     m = steinberg_module(3, 2)
-    assert not m._is_cycle({0: 1})
+    assert not o.is_cycle(m, {0: 1})
     with pytest.raises(ValueError, match="not in the cycle space"):
         o.coordinates(m, {0: 1})
     # a basis cycle itself is a cycle, and reads back as its own
     # coordinate vector
-    assert m._is_cycle(dict(m.supports[3]))
+    assert o.is_cycle(m, dict(m.supports[3]))
     assert o.coordinates(m, dict(m.supports[3])) == {3: 1}
 
 
@@ -436,11 +511,11 @@ def test_coordinates_reject_columns_outside_the_top_simplices():
     free, one = m.supports[3][-1]
     assert one == 1
     # the free column written as a negative index names the same simplex
-    # in Python's indexing, so the chain passes the package's cycle check
-    # (which only ever sees the columns of classes it built) and would
-    # read {}
+    # in Python's indexing, so the chain passes the face-list cycle check
+    # (which the package ran only on the columns of classes it built) and
+    # would read {}
     wrapped = {(free - ncols if s == free else s): v for s, v in cycle.items()}
-    assert m._is_cycle(wrapped)
+    assert o.is_cycle(m, wrapped)
     with pytest.raises(ValueError, match=f"range\\({ncols}\\)"):
         o.coordinates(m, wrapped)
     with pytest.raises(ValueError, match=f"range\\({ncols}\\)"):
@@ -449,7 +524,7 @@ def test_coordinates_reject_columns_outside_the_top_simplices():
 
 @pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (3, 2), (3, 3), (4, 2)])
 def test_cycle_check_agrees_with_the_top_boundary(n, q):
-    # _is_cycle reads the building's face lists (the augmentation for
+    # o.is_cycle reads the building's face lists (the augmentation for
     # n = 2); a chain passes exactly when the boundary matrix kills it, and
     # so does the oracle's own check
     m = steinberg_module(n, q)
@@ -475,7 +550,7 @@ def test_cycle_check_agrees_with_the_top_boundary(n, q):
             accepted = True
         except ValueError:
             accepted = False
-        assert m._is_cycle(chain) == accepted == (not any(image))
+        assert o.is_cycle(m, chain) == accepted == (not any(image))
 
 
 @pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, 2, 0, "1"])
