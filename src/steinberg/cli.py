@@ -4,10 +4,11 @@ Exit codes: 0 all checks pass, 1 a verification failed, 2 bad input or
 budget exhaustion.  --json switches every command to a single JSON
 document on stdout and is the only global flag: it may appear before or
 after the subcommand words.  --budget goes only on the subcommands that
-enumerate simplices, where it bounds the simplices, and on survey, where
-it bounds the (d, n) cells; --cache goes only on survey.  --d and --n
-take a value starting with "-" (such as -7..-1) after a space as well as
-after "=".
+enumerate simplices of a size the input sets, where it bounds the
+simplices, and on survey, where it bounds the (d, n) cells; verify
+example-1-2 builds one fixed 3-vertex building and takes none.  --cache
+goes only on survey.  --d and --n take a value starting with "-" (such
+as -7..-1) after a space as well as after "=".
 """
 
 from __future__ import annotations
@@ -110,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
     example = verify_sub.add_parser("example-1-2", help="level-2 rank-2 pipeline")
     _add_json(example, root=False)
-    _add_budget(example)
     example.set_defaults(run=_cmd_example)
 
     flags = sub.add_parser("flags", help="integer flag and truncation probes")
@@ -292,7 +292,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    report = verify_example_1_2(budget=args.budget)
+    report = verify_example_1_2()
     payload = report.to_dict()
     lines = [f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in report.verdicts.items()]
     if report.failures:

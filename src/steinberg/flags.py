@@ -20,9 +20,10 @@ own completion row), so its certify sees no pair rule.
 verify_witnesses re-checks each distinct (vertex set, witness) pair once.
 
 case1_retraction implements the vertex map v -> v - w (for v with last
-coordinate 1 mod m) on the link of a 1-vertex w inside the relaxed
-complex where several last coordinates 1 are allowed in one simplex; its
-images land in the exactly-one complex and are re-certified.
+coordinate 1 mod m) on the link of a 1-vertex w in the complex where
+several last coordinates 1 are allowed in one simplex.  That link is
+decided by saturation alone (the lemma in its docstring); the images land
+in the exactly-one complex, where completion_witness certifies them.
 """
 
 from __future__ import annotations
@@ -130,14 +131,12 @@ def _last_mod(vec, m) -> int:
     return vec[-1] % m
 
 
-def completion_witness(vectors, n, m, unique=True):
+def completion_witness(vectors, n, m):
     """Rows completing the given vectors to a basis meeting the mod-m rules.
 
-    Rules on the full basis: every last coordinate is 0 or 1 mod m and,
-    when unique=True, exactly one is 1 mod m.  Returns a tuple of rows or
-    None when no completion exists; the decision is exact.  With
-    unique=False (the relaxed complex) the tuple of given vectors may
-    contain several 1-vertices.
+    Rules on the full basis: every last coordinate is 0 or 1 mod m and
+    exactly one is 1 mod m.  Returns a tuple of rows or None when no
+    completion exists; the decision is exact.
     """
     k = len(vectors)
     if not 1 <= k <= n:
@@ -147,11 +146,10 @@ def completion_witness(vectors, n, m, unique=True):
     if any(c not in (0, 1) for c in lasts):
         return None
     t = sum(1 for c in lasts if c == 1)
-    if unique and t >= 2:
+    if t >= 2:
         return None
     if k == n:
-        # The rows are the whole basis: nothing to complete.  t >= 2 with
-        # unique=True was rejected above.
+        # The rows are the whole basis: nothing to complete.
         return () if t and is_saturated(rows) else None
     comp = complete_to_basis(rows, n)
     if comp is None:
@@ -186,16 +184,15 @@ def completion_witness(vectors, n, m, unique=True):
     # Subtract multiples of the 1-vertex base to zero every other last
     # coordinate mod m.
     witness += [[a - r[-1] * b for a, b in zip(r, base)] for r in comp]
-    _check_certificate(rows + witness, n, m, unique)
+    _check_certificate(rows + witness, n, m)
     return tuple(tuple(w) for w in witness)
 
 
-def _check_certificate(full, n, m, unique=True):
+def _check_certificate(full, n, m):
     """Raise AssertionError unless full is a basis of Z^n obeying the mod-m rules.
 
     The four conditions: n rows, saturated (so a basis), every last
-    coordinate 0 or 1 mod m, and exactly one (unique=True) or at least one
-    (unique=False) last coordinate 1 mod m.
+    coordinate 0 or 1 mod m, and exactly one last coordinate 1 mod m.
     """
     if len(full) != n:
         raise AssertionError("certificate has wrong size")
@@ -204,8 +201,7 @@ def _check_certificate(full, n, m, unique=True):
     lasts = [_last_mod(r, m) for r in full]
     if any(c not in (0, 1) for c in lasts):
         raise AssertionError("certificate violates the mod-m rule")
-    ones = lasts.count(1)
-    if (ones != 1) if unique else (ones < 1):
+    if lasts.count(1) != 1:
         raise AssertionError("certificate has the wrong number of 1-vertices")
 
 
@@ -480,18 +476,16 @@ def probe_report(n, m, height, budget=DEFAULT_SIMPLEX_BUDGET):
 
 @dataclass(frozen=True)
 class Case1Retraction:
-    """Vertex map on the truncated relaxed link of a 1-vertex w.
+    """Vertex map on the truncated link of a 1-vertex w (case1_retraction).
 
     mapping sends each link vertex v to v - w (when v has last coordinate
-    1 mod m) or to itself; every image has last coordinate 0 mod m.
-    out_of_height lists images beyond the truncation bound.  Every checked
-    link simplex maps to a certified simplex of the exactly-one complex
-    joined with w; failures would be recorded but never occur.
+    1 mod m) or to itself.  simplices_checked counts the link vertices and
+    pairs whose images were certified; degenerate_images counts the pairs
+    whose two images coincide.
     """
 
     w: tuple
     mapping: dict
-    out_of_height: tuple
     simplices_checked: int
     degenerate_images: int
 
@@ -499,12 +493,26 @@ class Case1Retraction:
 def case1_retraction(bx: TruncatedBComplex, w) -> Case1Retraction:
     """Retraction data for the link of w, a vertex with last coordinate 1.
 
-    The link is taken in the relaxed complex (several 1-vertices allowed
-    per simplex) restricted to the stored vertex set; the map retracts it
-    onto the exactly-one complex.  Checks: image congruence, and simplex
-    preservation for all link vertices and sampled link pairs.  The map is
+    The link is that of w in the complex that allows several 1-vertices
+    per simplex, restricted to the stored vertex set; the map retracts it
+    onto the exactly-one complex.  Each link vertex and each sampled link
+    pair is checked: its image joined with w must certify in the
+    exactly-one complex, or AssertionError is raised.  The map is
     idempotent with no check: every image has last coordinate 0 mod m, and
     a link vertex with last coordinate 0 maps to itself.
+
+    Link membership is saturation.  Lemma: let S be a set of vectors of
+    Z^n, each with last coordinate 0 or 1 mod m, that contains w.  S
+    extends to a basis of Z^n whose last coordinates are all 0 or 1 mod m
+    exactly when S is saturated.  A subset of a basis is saturated.
+    Conversely, complete a saturated S to a basis and replace each
+    completion row r by r - r_last w.  Each replacement adds a multiple of
+    another basis vector, so the rows still form a basis, and the new last
+    coordinate r_last (1 - w_last) is 0 mod m, because w_last is 1 mod m.
+    When |S| = n there are no completion rows, and saturated means
+    |det| = 1.  So v is a link vertex when {w, v} is saturated, and
+    {va, vb} a link edge when {w, va, vb} is.  Three vectors of Z^2 are
+    never independent, so link edges are tried only for n >= 3.
     """
     n, m = bx.n, bx.m
     w = tuple(w)
@@ -512,23 +520,10 @@ def case1_retraction(bx: TruncatedBComplex, w) -> Case1Retraction:
         raise ValueError("w is not a vertex of the truncation")
     if _last_mod(w, m) != 1:
         raise ValueError("w must have last coordinate 1 mod m")
-    link = []
-    for v in bx.complex.labels:
-        if v == w:
-            continue
-        if completion_witness([w, v], n, m, unique=False) is not None:
-            link.append(v)
-    mapping = {}
-    for v in link:
-        img = tuple(a - b for a, b in zip(v, w)) if _last_mod(v, m) == 1 else v
-        if _last_mod(img, m) != 0:
-            raise AssertionError("retraction image not congruent to 0")
-        mapping[v] = img
-    out = tuple(
-        dict.fromkeys(
-            img for img in mapping.values() if max(abs(a) for a in img) > bx.height
-        )
-    )
+    link = [v for v in bx.complex.labels if v != w and is_saturated([w, v])]
+    mapping = {
+        v: tuple(a - b for a, b in zip(v, w)) if _last_mod(v, m) == 1 else v for v in link
+    }
     checked = 0
     degenerate = 0
     # Image of a link simplex tau, joined with w, must certify with the
@@ -537,10 +532,10 @@ def case1_retraction(bx: TruncatedBComplex, w) -> Case1Retraction:
         if completion_witness([w, mapping[v]], n, m) is None:
             raise AssertionError("vertex image fails certification")
         checked += 1
-    for va, vb in combinations(link, 2):
+    for va, vb in combinations(link, 2) if n >= 3 else ():
         if checked >= CASE1_PAIR_BUDGET:
             break
-        if completion_witness([w, va, vb], n, m, unique=False) is None:
+        if not is_saturated([w, va, vb]):
             continue
         imgs = [mapping[va], mapping[vb]]
         dedup = list(dict.fromkeys(imgs))
@@ -549,4 +544,4 @@ def case1_retraction(bx: TruncatedBComplex, w) -> Case1Retraction:
         if completion_witness([w] + dedup, n, m) is None:
             raise AssertionError("pair image fails certification")
         checked += 1
-    return Case1Retraction(w, mapping, out, checked, degenerate)
+    return Case1Retraction(w, mapping, checked, degenerate)

@@ -17,7 +17,6 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import DEFAULT_SIMPLEX_BUDGET
 from .formulas import (
     bordification_dim,
     nonvanishing_lower_bound,
@@ -126,7 +125,7 @@ def _inv2(x):
     )
 
 
-def verify_example_1_2(budget=DEFAULT_SIMPLEX_BUDGET) -> VerdictReport:
+def verify_example_1_2() -> VerdictReport:
     """Three-part check of the level-2 congruence pipeline in rank 2.
 
     (a) the four generators lie in the level-2 congruence subgroup and
@@ -190,7 +189,7 @@ def verify_example_1_2(budget=DEFAULT_SIMPLEX_BUDGET) -> VerdictReport:
                 invariant_ok = False
     if not invariant_ok:
         failures.append("generator moved a line mod 2")
-    module = steinberg_module(2, 2, budget=budget)
+    module = steinberg_module(2, 2)
     images = [tuple(tuple(x % 2 for x in row) for row in g) for g in gens.values()]
     coinv = coinvariants_dim(module.action(images))
     sub_c = reduction_ok and invariant_ok and coinv == 2

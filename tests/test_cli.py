@@ -596,6 +596,7 @@ def test_missing_subcommand_usage_error(capsys):
         ["ring", "info", "--d", "5", "--cache", "x"],
         ["--budget", "5", "building", "homology", "--n", "2", "--q", "2"],
         ["--cache", "x", "survey", "--d", "2", "--n", "2"],
+        ["verify", "example-1-2", "--budget", "5"],
     ],
 )
 def test_flags_only_where_read(capsys, argv):
@@ -612,7 +613,6 @@ def test_flags_only_where_read(capsys, argv):
         ["building", "homology", "--n", "3", "--q", "2"],
         ["steinberg", "apartments", "--n", "3", "--q", "2"],
         ["steinberg", "coinv", "--n", "3", "--q", "2", "--group", "gl"],
-        ["verify", "example-1-2"],
         ["flags", "probe", "--n", "2", "--m", "2", "--height", "3"],
         ["survey", "--d", "2", "--n", "2..4"],
     ],

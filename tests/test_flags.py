@@ -18,7 +18,12 @@ from steinberg.flags import (
     probe_report,
 )
 from steinberg.complexes import reduced_homology_ranks
-from steinberg.linalg.lattices import integer_determinant, is_saturated, snf_transform
+from steinberg.linalg.lattices import (
+    complete_to_basis,
+    integer_determinant,
+    is_saturated,
+    snf_transform,
+)
 
 
 @pytest.mark.parametrize(
@@ -86,11 +91,12 @@ def test_completion_witness_decisions():
     assert wit is not None
     # non-primitive rows can never extend
     assert completion_witness([(2, 0)], 2, 2) is None
-    # two 1-vertices: rejected in unique mode, fine relaxed
+    # two 1-vertices: rejected, though the pair is saturated, so it is an
+    # edge of the complex that allows several (case1_retraction's lemma)
     pair = [(1, 1, 1), (0, 1, 1)]
-    assert completion_witness(pair, 3, 2, unique=True) is None
-    assert completion_witness(pair, 3, 2, unique=False) is not None
-    # full-size input needs exactly one 1 in unique mode
+    assert completion_witness(pair, 3, 2) is None
+    assert is_saturated(pair)
+    # full-size input needs exactly one 1
     assert completion_witness([(1, 0), (0, 1)], 2, 3) is not None
     assert completion_witness([(0, 1), (1, 0)], 2, 3) is not None
     assert completion_witness([(1, 2), (0, 3)], 2, 3) is None
@@ -99,11 +105,11 @@ def test_completion_witness_decisions():
 
 
 @pytest.mark.parametrize(
-    "rows,m,unique,expected",
+    "rows,m,exactly_one,expected",
     [
         ([(2, 0), (0, 1)], 3, True, None),  # det 2
         ([(1, 3), (1, 1)], 3, True, None),  # det -2
-        ([(2, 0, 0), (0, 1, 0), (0, 0, 1)], 2, False, None),  # det 2, relaxed
+        ([(2, 0, 0), (0, 1, 0), (0, 0, 1)], 2, False, None),  # det 2, saturation
         ([(1, 0), (0, 1)], 3, True, ()),  # det 1, one 1-vertex
         ([(3, 1), (1, 0)], 5, True, ()),  # det -1, one 1-vertex
         ([(0, 1, 0), (1, 0, 3), (0, 0, 1)], 3, True, ()),  # det -1
@@ -111,16 +117,22 @@ def test_completion_witness_decisions():
         ([(1, 1), (0, 1)], 2, False, ()),
         ([(1, 0, 1), (0, 1, 1), (0, 0, 1)], 2, True, None),
         ([(1, 0, 1), (0, 1, 1), (0, 0, 1)], 2, False, ()),
-        ([(1, 0), (0, 3)], 3, False, None),  # det 3, no 1-vertex either way
+        ([(1, 0), (0, 3)], 3, False, None),  # det 3, under either rule
         ([(1, 0), (0, 3)], 3, True, None),
     ],
 )
-def test_completion_witness_on_square_input(rows, m, unique, expected):
-    assert completion_witness(rows, len(rows), m, unique=unique) == expected
+def test_completion_witness_on_square_input(rows, m, exactly_one, expected):
+    # exactly_one=False rows take the rule of a 1-vertex's link, where
+    # several 1-vertices may share a basis: case1_retraction decides it by
+    # saturation, and a square input is saturated when |det| = 1
+    if exactly_one:
+        assert completion_witness(rows, len(rows), m) == expected
+    else:
+        assert is_saturated(rows) == (expected == ())
 
 
 def certify_unique(vectors, n, m):
-    wit = completion_witness(vectors, n, m, unique=True)
+    wit = completion_witness(vectors, n, m)
     if wit is None:
         return False
     full = [list(v) for v in vectors] + [list(w) for w in wit]
@@ -277,9 +289,9 @@ def spy_build(monkeypatch, n, m, height):
 
         return real_ordered(vertex_certs, n, partners, spy_certify, budget, what)
 
-    def witness(vectors, n, m, unique=True):
+    def witness(vectors, n, m):
         completed.append(tuple(vectors))
-        return real_witness(vectors, n, m, unique)
+        return real_witness(vectors, n, m)
 
     monkeypatch.setattr(flags, "_ordered_simplices", ordered)
     monkeypatch.setattr(flags, "completion_witness", witness)
@@ -451,7 +463,9 @@ def test_case1_retraction_on_small_link():
     for img in ret.mapping.values():
         if img in ret.mapping:
             assert ret.mapping[img] == img
-    assert ret.out_of_height == ((-1, -4), (1, -4))
+    # the images beyond the truncation bound, in link order
+    out = [img for img in ret.mapping.values() if max(abs(a) for a in img) > bx.height]
+    assert tuple(dict.fromkeys(out)) == ((-1, -4), (1, -4))
 
 
 def test_case1_retraction_rejects_bad_center():
@@ -468,3 +482,54 @@ def test_case1_retraction_rank_three():
     assert ret.simplices_checked > 0
     assert ret.degenerate_images == 0
     assert all(v[-1] % 2 == 0 for v in ret.mapping.values())
+
+
+# (n, m, height, w, SHA-256 of the sorted mapping items, simplices_checked,
+# degenerate_images), taken when case1_retraction still decided the link
+# with a completion in the relaxed complex.  The last two w are the first
+# 1-vertex of their truncation in label order.
+CASE1_PINS = [
+    (2, 2, 3, (0, 1), "3d0c6bc9fc0131f5b355622ac0cfc404b337d44a9947d68194eefbea93beac65", 14, 0),
+    (3, 2, 1, (0, 0, 1),
+     "1170d0c53cb9dcaf3939ca354cb45ffb06e5d027df8563c408f710cd26f102dd", 204, 0),
+    (3, 3, 2, (-2, -2, 1),
+     "e8875f1e4bc2b6449cfbc3c21c0294b36c75e10f37b8f829e3c5aed552a4463a", 236, 0),
+    (3, 2, 2, (-2, -2, -1),
+     "aae78e656193783da9636d23e395f9570916d94852cbb41485d789b24ebdff3a", 514, 0),
+]
+CASE1_IDS = ["{}-{}-{}".format(*pin) for pin in CASE1_PINS]
+
+
+@pytest.mark.parametrize("n,m,height,w,digest,checked,degenerate", CASE1_PINS, ids=CASE1_IDS)
+def test_case1_retraction_is_pinned(n, m, height, w, digest, checked, degenerate):
+    bx = b_complex_truncated(n, m, height)
+    ret = case1_retraction(bx, w)
+    assert hashlib.sha256(repr(sorted(ret.mapping.items())).encode()).hexdigest() == digest
+    assert (ret.simplices_checked, ret.degenerate_images) == (checked, degenerate)
+
+
+@pytest.mark.parametrize("n,m,height,w", [pin[:4] for pin in CASE1_PINS], ids=CASE1_IDS)
+def test_case1_link_is_decided_by_saturation(n, m, height, w):
+    # the lemma in case1_retraction's docstring, made concrete: each link
+    # vertex and each checked pair S, with w, extends to a basis whose last
+    # coordinates are 0 or 1 mod m, at least one 1, by a completion of S
+    # whose rows r become r - r_last w; a label outside the link has 2x2
+    # minors of gcd other than 1 with w
+    bx = b_complex_truncated(n, m, height)
+    ret = case1_retraction(bx, w)
+    link = list(ret.mapping)
+    for v in bx.complex.labels:
+        if v != w and v not in ret.mapping:
+            assert o.invariant_factors_minors([w, v]) != (1, 1), v
+    pairs = [
+        (va, vb)
+        for va, vb in (combinations(link, 2) if n >= 3 else ())
+        if o.invariant_factors_minors([w, va, vb]) == (1, 1, 1)
+    ]
+    assert len(link) + len(pairs) == ret.simplices_checked
+    for s in [[w, v] for v in link] + [[w, va, vb] for va, vb in pairs]:
+        rows = [list(v) for v in s]
+        full = rows + [[a - r[-1] * b for a, b in zip(r, w)] for r in complete_to_basis(rows, n)]
+        assert abs(o.det_leibniz(full)) == 1, s
+        lasts = [r[-1] % m for r in full]
+        assert set(lasts) <= {0, 1} and 1 in lasts, s

@@ -83,17 +83,40 @@ def _reads(node):
     return out
 
 
+def _is_dataclass(node):
+    """Whether a class is decorated with dataclass, bare or called."""
+    return any(
+        isinstance(target, ast.Name) and target.id == "dataclass"
+        for target in (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    )
+
+
+def _assigned(node):
+    """Names a plain or annotated assignment statement binds directly."""
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def _definitions(module, tree):
-    """(qualified name, node) of the module-level defs and classes and of
-    the methods and properties of its classes."""
+    """(qualified name, name, node) of the module-level defs, classes and
+    constants, of the methods and properties of its classes, and of the
+    fields of its dataclasses."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, functions + (ast.ClassDef,)):
-            yield f"{module}.{node.name}", node
+            yield f"{module}.{node.name}", node.name, node
+        for name in _assigned(node):
+            yield f"{module}.{name}", name, node
         if isinstance(node, ast.ClassDef):
-            for method in node.body:
-                if isinstance(method, functions):
-                    yield f"{module}.{node.name}.{method.name}", method
+            for member in node.body:
+                if isinstance(member, functions):
+                    yield f"{module}.{node.name}.{member.name}", member.name, member
+                elif isinstance(member, ast.AnnAssign) and _is_dataclass(node):
+                    for name in _assigned(member):
+                        yield f"{module}.{node.name}.{name}", name, member
 
 
 def reader_names(source, python=True):
@@ -126,25 +149,27 @@ def reader_names(source, python=True):
 
 
 def unread_definitions(sources, outside):
-    """Public definitions and methods that nothing outside their own body reads.
+    """Public definitions that nothing outside their own body reads.
 
-    sources maps a module name to its source; a definition counts as read
-    when its name is loaded, as a name or an attribute, or imported
-    anywhere in the sources outside the definition itself, or when its
-    name is in outside, the set of names the other readers read
-    (reader_names).  Names that start with _ are skipped: dunders run
-    implicitly.  A method whose name another name shares counts as read,
-    so the check never flags a method the program reads, but may miss one
-    it does not.
+    The definitions are module-level functions, classes and constants,
+    methods and properties, and dataclass fields.  sources maps a module
+    name to its source; a definition counts as read when its name is
+    loaded, as a name or an attribute, or imported anywhere in the sources
+    outside the definition itself (for a constant or a field, its
+    assignment), or when its name is in outside, the set of names the
+    other readers read (reader_names).  Names that start with _ are
+    skipped: dunders run implicitly.  A method or field whose name another
+    name shares counts as read, so the check never flags one the program
+    reads, but may miss one it does not.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     total = sum((_reads(tree) for tree in trees.values()), Counter())
     unread = []
     for module, tree in trees.items():
-        for qualified, node in _definitions(module, tree):
-            if node.name.startswith("_") or node.name in outside:
+        for qualified, name, node in _definitions(module, tree):
+            if name.startswith("_") or name in outside:
                 continue
-            if total[node.name] == _reads(node)[node.name]:
+            if total[name] == _reads(node)[name]:
                 unread.append(qualified)
     return unread
 
@@ -194,6 +219,25 @@ def test_definition_checker_counts_only_reads_outside_the_definition():
         assert unread_definitions(sources, reader_names(text)) == ["a.Tree.walk"]
     # ... but every word of any other reader's text counts
     assert unread_definitions(sources, reader_names("main # walk", python=False)) == []
+    # constants and dataclass fields: nothing reads LIMIT or LIMIT_TWICE,
+    # STEP is read by other assignments, depth is named only in a
+    # docstring, width is read as x.width in another module, and a plain
+    # class's annotation is no field
+    sources = {
+        "a": (
+            "from dataclasses import dataclass\n\n"
+            "LIMIT = 3\nSTEP: int = 1\nLIMIT_TWICE = 2 * STEP\n\n\n"
+            "@dataclass(frozen=True)\nclass Box:\n"
+            '    """width, and depth."""\n\n'
+            "    width: int\n    depth: int = STEP\n\n\n"
+            "class Plain:\n    note: str\n"
+        ),
+        "b": "from .a import Box, Plain\n\n\ndef area(x):\n    return x.width, Box, Plain\n",
+    }
+    assert unread_definitions(sources, reader_names("area()")) == [
+        "a.LIMIT", "a.LIMIT_TWICE", "a.Box.depth",
+    ]
+    assert unread_definitions(sources, reader_names("area(LIMIT, LIMIT_TWICE, depth)")) == []
 
 
 def test_cli_loads_only_the_standard_library():
