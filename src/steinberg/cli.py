@@ -19,7 +19,7 @@ import re
 import sys
 
 from .errors import BudgetExceededError, DEFAULT_SIMPLEX_BUDGET
-from .complexes import reduced_homology_ranks, tits_building
+from .complexes import check_building_budget, reduced_homology_ranks, tits_building
 from .flags import probe_report
 from .quadratic import log_embedding, make_order, order_invariants
 from .stmodule import (
@@ -242,6 +242,9 @@ def _parse_twist(text):
 
 
 def _cmd_coinv(args) -> int:
+    # The building is counted before any generator is made: sl_generators
+    # alone makes up to 2 n (n - 1) dense n x n matrices.
+    check_building_budget(args.n, args.q, args.budget)
     if args.group == "gl":
         gens = gl_generators(args.n, args.q)
     elif args.group == "sl":

@@ -248,7 +248,7 @@ def tits_building(n: int, q: int, budget=DEFAULT_SIMPLEX_BUDGET) -> Semisimplici
     if n < 2:
         raise ValueError("building needs n >= 2")
     field = ff.finite_field(q)
-    _check_building_budget(n, q, budget)
+    check_building_budget(n, q, budget)
     labels = []
     starts = []
     for d in range(1, n):
@@ -326,16 +326,18 @@ def _gaussian_binomial(n, k, q) -> int:
     return num // den
 
 
-def _check_building_budget(n, q, budget):
+def check_building_budget(n, q, budget):
     """Raise BudgetExceededError unless the building of F_q^n fits in budget.
 
-    The simplices are counted without listing them.  chains[m] counts the
+    A q with no field (fields.finite_field) raises ValueError first.  The
+    simplices are counted without listing them.  chains[m] counts the
     chains of proper nonzero subspaces of F_q^m, the empty one included: a
     nonempty chain is its largest member, of some dimension d, and a chain
     inside it.  Expanded, chains[n] - 1 is the sum over flag types of the
     q-multinomial coefficients.  chains grows with m, so counting stops at
     the first m past the budget.
     """
+    ff.finite_field(q)
     chains = [1, 1]
     for m in range(2, n + 1):
         chains.append(1 + sum(_gaussian_binomial(m, d, q) * chains[d] for d in range(1, m)))

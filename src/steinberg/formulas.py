@@ -9,10 +9,16 @@ norm -1 verdict and class number from it.
 
 from __future__ import annotations
 
+from .errors import BudgetExceededError
+
 NORM_MINUS_ONE_MISSING = "NORM_MINUS_ONE_MISSING"
 PARITY_ODD = "PARITY_ODD"
 SIGNATURE_TOO_SMALL = "SIGNATURE_TOO_SMALL"
 IMAGINARY_FIELD = "IMAGINARY_FIELD"
+
+# nonvanishing_lower_bound refuses a bound of more than this many digits.
+LOWER_BOUND_DIGITS = 10_000
+_LOWER_BOUND_CAP = 10**LOWER_BOUND_DIGITS - 1
 
 
 def _check_signature(n, r, s):
@@ -68,10 +74,27 @@ def nonvanishing_lower_bound(n, inv):
 
     inv is the order's OrderInvariants; h is its wide class number.  None
     means the bound's hypotheses fail (n even with a norm -1 unit
-    present), not a zero bound.
+    present), not a zero bound.  A bound of more than LOWER_BOUND_DIGITS
+    decimal digits raises BudgetExceededError; the power is built by
+    repeated squaring, and a square or partial product past the cap stops
+    it, so no number past the cap's square is formed.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if n % 2 == 0 and inv.norm_minus_one:
         return None
-    return (inv.h - 1) ** (n - 1)
+    base, exp = inv.h - 1, n - 1
+    # A square past the cap means base >= 2, so every factor still to come
+    # is at least 1 and the last is at least that square.
+    bound = 1
+    while exp:
+        if exp & 1:
+            bound *= base
+        exp >>= 1
+        if exp:
+            base *= base
+        if bound > _LOWER_BOUND_CAP or (exp and base > _LOWER_BOUND_CAP):
+            raise BudgetExceededError(
+                f"lower bound ({inv.h} - 1)^({n} - 1) has more than {LOWER_BOUND_DIGITS} digits"
+            )
+    return bound

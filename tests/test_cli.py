@@ -413,6 +413,50 @@ def test_bounds_bad_input_is_one_line(capsys, d, n, message):
     assert captured.err == f"input error: {message}\n"
 
 
+def test_lower_bound_past_the_cap_is_refused(capsys):
+    # (3 - 1)^(20000000 - 1) has over 6 million digits
+    assert main(["bounds", "--d", "-23", "--n", "20000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget error: lower bound (3 - 1)^(20000000 - 1) has more than 10000 digits\n"
+    )
+    code, payload = run_json(capsys, "survey", "--d", "-23", "--n", "3,20000000", "--json")
+    assert code == 2 and payload["errors"] == 1
+    ok, refused = payload["rows"]
+    assert ok["status"] == "ok" and ok["report"]["verdicts"]["lower_bound"] == 4
+    assert refused == {
+        "d": -23,
+        "n": 20000000,
+        "status": "error",
+        "error": "BudgetExceededError: " + captured.err.removeprefix("budget error: ").strip(),
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "80", "--q", "2", "--group", "sl"],
+        ["--n", "20000", "--q", "2", "--group", "gl"],
+        ["--n", "120", "--q", "9", "--group", "sl"],
+        ["--n", "20000", "--q", "2", "--group", "trivial"],
+        ["--n", "20000", "--q", "2", "--group", "json:[]", "--twist", "[]"],
+    ],
+)
+def test_coinv_counts_the_building_before_any_generator(capsys, monkeypatch, argv):
+    # sl_generators(120, 9) alone would be 2 * 120 * 119 dense 120 x 120 matrices
+    def spy(*args, **kwargs):
+        raise AssertionError("generators made before the budget check")
+
+    for name in ("gl_generators", "sl_generators", "trivial_generators", "_parse_matrices"):
+        monkeypatch.setattr(cli, name, spy)
+    assert main(["steinberg", "coinv"] + argv) == 2
+    q, n = argv[3], argv[1]
+    assert capsys.readouterr().err == (
+        f"budget error: building of F_{q}^{n} exceeds the budget of 200000 simplices\n"
+    )
+
+
 def test_flags_probe_over_budget_exits_two(capsys):
     code = main(["flags", "probe", "--n", "2", "--m", "2", "--height", "3", "--budget", "5"])
     assert code == 2
@@ -693,7 +737,11 @@ def test_ring_info_prints_a_huge_unit(capsys, monkeypatch):
         ["survey", "--d", f"1..{10**12}", "--n", "2"],
         ["survey", "--d", "5..2", "--n", "2"],
         ["bounds", "--d", "12", "--n", "2"],
+        ["bounds", "--d", "-23", "--n", "20000000"],
         ["building", "homology", "--n", "7", "--q", "2"],
+        ["steinberg", "coinv", "--n", "80", "--q", "2", "--group", "sl"],
+        ["steinberg", "coinv", "--n", "20000", "--q", "2", "--group", "gl"],
+        ["steinberg", "coinv", "--n", "3", "--q", "1", "--group", "trivial"],
     ],
     ids=lambda argv: " ".join(argv)[:60],
 )

@@ -508,15 +508,30 @@ def test_case1_retraction_is_pinned(n, m, height, w, digest, checked, degenerate
     assert (ret.simplices_checked, ret.degenerate_images) == (checked, degenerate)
 
 
+def _lemma_completion(s, w, n):
+    """s completed to a basis by the lemma of case1_retraction: each
+    completion row r becomes r - r_last w."""
+    rows = [list(v) for v in s]
+    return rows + [[a - r[-1] * b for a, b in zip(r, w)] for r in complete_to_basis(rows, n)]
+
+
 @pytest.mark.parametrize("n,m,height,w", [pin[:4] for pin in CASE1_PINS], ids=CASE1_IDS)
-def test_case1_link_is_decided_by_saturation(n, m, height, w):
+def test_case1_link_is_decided_by_saturation(n, m, height, w, monkeypatch):
     # the lemma in case1_retraction's docstring, made concrete: each link
     # vertex and each checked pair S, with w, extends to a basis whose last
     # coordinates are 0 or 1 mod m, at least one 1, by a completion of S
     # whose rows r become r - r_last w; a label outside the link has 2x2
-    # minors of gcd other than 1 with w
+    # minors of gcd other than 1 with w.  The images of S, with w, complete
+    # the same way to a basis with exactly one last coordinate 1 mod m, and
+    # the two images of a pair differ, with no completion_witness call.
     bx = b_complex_truncated(n, m, height)
+
+    def no_witness(*args):
+        raise AssertionError("case1_retraction called completion_witness")
+
+    monkeypatch.setattr(flags, "completion_witness", no_witness)
     ret = case1_retraction(bx, w)
+    monkeypatch.undo()
     link = list(ret.mapping)
     for v in bx.complex.labels:
         if v != w and v not in ret.mapping:
@@ -528,8 +543,15 @@ def test_case1_link_is_decided_by_saturation(n, m, height, w):
     ]
     assert len(link) + len(pairs) == ret.simplices_checked
     for s in [[w, v] for v in link] + [[w, va, vb] for va, vb in pairs]:
-        rows = [list(v) for v in s]
-        full = rows + [[a - r[-1] * b for a, b in zip(r, w)] for r in complete_to_basis(rows, n)]
+        full = _lemma_completion(s, w, n)
         assert abs(o.det_leibniz(full)) == 1, s
         lasts = [r[-1] % m for r in full]
         assert set(lasts) <= {0, 1} and 1 in lasts, s
+    for va, vb in pairs:
+        assert ret.mapping[va] != ret.mapping[vb], (va, vb)
+    images = [[ret.mapping[v]] for v in link]
+    images += [[ret.mapping[va], ret.mapping[vb]] for va, vb in pairs]
+    for img in images:
+        full = _lemma_completion([w] + img, w, n)
+        assert abs(o.det_leibniz(full)) == 1, img
+        assert sorted(r[-1] % m for r in full) == [0] * (n - 1) + [1], img

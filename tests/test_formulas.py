@@ -1,9 +1,13 @@
 """Dimension formulas and the vanishing / lower-bound dichotomy."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from steinberg.errors import BudgetExceededError
 from steinberg.formulas import (
     IMAGINARY_FIELD,
+    LOWER_BOUND_DIGITS,
     NORM_MINUS_ONE_MISSING,
     PARITY_ODD,
     SIGNATURE_TOO_SMALL,
@@ -78,6 +82,37 @@ def test_lower_bounds():
     assert nonvanishing_lower_bound(2, order_invariants(make_order(-23))) == 2  # h = 3
     assert nonvanishing_lower_bound(3, order_invariants(make_order(-23))) == 4
     assert nonvanishing_lower_bound(3, order_invariants(ZZ)) == 0
+
+
+def test_lower_bound_cap_on_each_side():
+    # the largest bound kept has LOWER_BOUND_DIGITS digits; one more
+    # factor, or one more unit in the base, passes the cap
+    assert LOWER_BOUND_DIGITS == 10_000
+    inv = order_invariants(make_order(-23))  # h = 3, so the bound is 2^(n-1)
+    assert 10**9999 <= 2**33219 < 10**10000 <= 2**33220
+    assert nonvanishing_lower_bound(33220, inv) == 2**33219
+    with pytest.raises(BudgetExceededError, match="more than 10000 digits"):
+        nonvanishing_lower_bound(33221, inv)
+    with pytest.raises(BudgetExceededError):
+        nonvanishing_lower_bound(20_000_001, inv)
+    # (10^100 - 1)^100 < 10^10000 = (10^100)^100, which has 10,001 digits
+    below = SimpleNamespace(h=10**100, norm_minus_one=False)
+    assert nonvanishing_lower_bound(101, below) == (10**100 - 1) ** 100
+    with pytest.raises(BudgetExceededError):
+        nonvanishing_lower_bound(101, SimpleNamespace(h=10**100 + 1, norm_minus_one=False))
+    # bases 0 and 1 never pass it, and n even with a norm -1 unit has no bound
+    for h in (1, 2):
+        inv = SimpleNamespace(h=h, norm_minus_one=False)
+        assert nonvanishing_lower_bound(20_000_001, inv) == h - 1
+    inv = SimpleNamespace(h=10**100 + 1, norm_minus_one=True)
+    assert nonvanishing_lower_bound(20_000_000, inv) is None
+
+
+def test_lower_bound_is_the_power_below_the_cap():
+    for h in range(1, 12):
+        inv = SimpleNamespace(h=h, norm_minus_one=False)
+        for n in range(2, 40):
+            assert nonvanishing_lower_bound(n, inv) == (h - 1) ** (n - 1), (h, n)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 10, 34, -1, -5, -23, None])
