@@ -1,28 +1,23 @@
-"""Exact sparse linear algebra over the rationals and integers.
+"""Exact sparse linear algebra over the integers.
 
-A matrix is an immutable tuple of sparse rows, one {col: value} dict per
-row.  A value is an int, and a Fraction only where it is not integral, so
-the integer matrices met in practice (boundaries, action matrices) are
-integer rows throughout.  Elimination runs in one integer kernel
-(_core_py.echelon) with a fixed pivot rule, so everything downstream is
-deterministic: same inputs, same outputs, bit for bit, on every run.
-Smith forms and determinants are integer questions on dense rows, so they
-live in lattices (snf_transform, integer_determinant) and are called
-there directly.
+A matrix is an immutable tuple of sparse rows, one {col: int} dict per
+row.  Elimination runs in one integer kernel (_core_py.echelon) with a
+fixed pivot rule, so everything downstream is deterministic: same inputs,
+same outputs, bit for bit, on every run.  Smith forms and determinants are
+integer questions on dense rows, so they live in lattices (snf_transform,
+integer_determinant) and are called there directly.
 
-A row that holds a Fraction is scaled to integers before elimination.
-Scaling a row by a nonzero constant changes neither the rank nor the right
-null space.  A kernel basis comes from one fraction-free back-elimination
-of the integer echelon rows, bottom up, after which each row holds only
-its pivot and free columns; the basis is the transpose of those rows, and
-a Fraction appears only where a pivot entry does not divide.
+A kernel basis comes from one back-elimination of the integer echelon
+rows, bottom up, after which each row holds only its pivot and free
+columns; the basis is the transpose of those rows.  It is certified
+integral: back-elimination raises ValueError unless every reduced row has
+pivot entry +-1, which is exactly when the reduced row echelon form, and
+with it the basis, is integral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
 
 from . import _core_py as _impl
 
@@ -43,29 +38,20 @@ def backend() -> str:
     return _impl.BACKEND_NAME
 
 
-def _value(v):
-    """An exact value as an int when it is integral, else as a Fraction."""
-    if type(v) is int:
-        return v
-    v = Fraction(v)
-    return v.numerator if v.denominator == 1 else v
-
-
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable sparse rational matrix of shape rows x cols.
+    """Immutable sparse integer matrix of shape rows x cols.
 
-    row_dicts[i] maps each column of a nonzero entry of row i to its value:
-    an int, or a Fraction only where the value is not integral.  The
-    constructor validates and normalises once: it rejects columns out of
-    range, drops zeros and turns integral values into ints.  Callers whose
-    rows are clean by construction build through _from_clean_rows instead,
-    which neither checks nor copies them; each such caller's docstring says
-    why its rows are clean.  Readers use the row dicts as they are and must
-    not mutate them, with one exception: complexes.eliminate_with_clearing
-    takes over the rows of the boundaries it eliminates, which no one reads
-    again, and reduces them in place.  Empty matrices (zero rows and/or
-    columns) are legal.
+    row_dicts[i] maps each column of a nonzero entry of row i to its value,
+    an int.  The constructor validates and normalises once: it rejects
+    columns out of range and values that are not ints (bools included),
+    and drops zeros.  Callers whose rows are clean by construction build
+    through _from_clean_rows instead, which neither checks nor copies them;
+    each such caller's docstring says why its rows are clean.  Readers use
+    the row dicts as they are and must not mutate them, with one exception:
+    complexes.eliminate_with_clearing takes over the rows of the boundaries
+    it eliminates, which no one reads again, and reduces them in place.
+    Empty matrices (zero rows and/or columns) are legal.
     """
 
     rows: int
@@ -83,7 +69,8 @@ class ExactMatrix:
             for j, v in row.items():
                 if not 0 <= j < self.cols:
                     raise ValueError(f"entry ({i},{j}) out of bounds")
-                v = _value(v)
+                if type(v) is not int:
+                    raise ValueError(f"entry ({i},{j}) is not an int")
                 if v:
                     clean[j] = v
             out.append(clean)
@@ -93,9 +80,9 @@ class ExactMatrix:
     def _from_clean_rows(cls, cols, row_dicts) -> ExactMatrix:
         """A matrix over rows that are already normalised, taken as they are.
 
-        Each row must map columns in range(cols) to nonzero ints, or to
-        Fractions that are not integral; nothing here checks that.  The
-        rows are not copied, so the caller hands them over.
+        Each row must map columns in range(cols) to nonzero ints; nothing
+        here checks that.  The rows are not copied, so the caller hands
+        them over.
         """
         out = object.__new__(cls)
         row_dicts = tuple(row_dicts)
@@ -115,17 +102,9 @@ class ExactMatrix:
         )
 
 
-def _integer_row(row):
-    """A fresh dict: the row times the least scale that makes it integral."""
-    if all(type(v) is int for v in row.values()):
-        return dict(row)
-    scale = lcm(*(v.denominator for v in row.values()))
-    return {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
-
-
 def _echelon(matrix: ExactMatrix):
     # The kernel reduces its rows in place, so it gets copies.
-    rows = [_integer_row(row) for row in matrix.row_dicts]
+    rows = [dict(row) for row in matrix.row_dicts]
     return _impl.echelon(matrix.rows, matrix.cols, rows)
 
 
@@ -147,7 +126,7 @@ def rank(matrix: ExactMatrix) -> int:
 
 
 def kernel_basis(matrix: ExactMatrix):
-    """Canonical basis of the right null space, as sparse supports.
+    """Canonical basis of the right null space, as sparse integer supports.
 
     Returns one support per free column, in increasing column order: a
     tuple of the nonzero (column, value) pairs of the basis vector, in
@@ -156,15 +135,16 @@ def kernel_basis(matrix: ExactMatrix):
     it is the basis the reduced row echelon form gives.  The free column
     is the last entry: the other entries sit at pivot columns to its
     left, since an echelon row holds only columns right of its pivot.
-    Values are ints where integral, else Fractions.  Always satisfies
-    M v = 0 exactly and len(result) == cols - rank(M).
+    Values are ints.  Always satisfies M v = 0 exactly and len(result) ==
+    cols - rank(M).  Raises ValueError when the reduced row echelon form
+    is not integral, since the basis holds its entries negated.
 
     The integer echelon rows are back-eliminated (_back_eliminate) until
-    each holds only its pivot and free columns, a multiple a of its
-    reduced row echelon form row.  The basis is then their transpose:
-    the vector of free column f is -v / a at the pivot of each row holding
-    v at f.  The rows are read top down, so each vector's entries arrive
-    in column order, and each row is released once it is read.
+    each holds only its pivot and free columns: a times its reduced row
+    echelon form row, for a = +-1.  The basis is then their transpose: the
+    vector of free column f is -v * a at the pivot of each row holding v
+    at f.  The rows are read top down, so each vector's entries arrive in
+    column order, and each row is released once it is read.
     """
     pivot_cols, pivot_rows = _echelon(matrix)
     _back_eliminate(pivot_cols, pivot_rows)
@@ -173,19 +153,15 @@ def kernel_basis(matrix: ExactMatrix):
         row = pivot_rows[r]
         pivot_rows[r] = None
         a = row.pop(p)
-        if a == 1 or a == -1:
-            # -v / a is -v * a; the entries +-1 share one tuple per row.
-            one, minus_one = (p, 1), (p, -1)
-            for f, v in row.items():
-                if v == a:
-                    vectors[f].append(minus_one)
-                elif v == -a:
-                    vectors[f].append(one)
-                else:
-                    vectors[f].append((p, -v * a))
-        else:
-            for f, v in row.items():
-                vectors[f].append((p, _value(Fraction(-v, a))))
+        # The entries +-1 share one tuple per row.
+        one, minus_one = (p, 1), (p, -1)
+        for f, v in row.items():
+            if v == a:
+                vectors[f].append(minus_one)
+            elif v == -a:
+                vectors[f].append(one)
+            else:
+                vectors[f].append((p, -v * a))
     pivot_set = set(pivot_cols)
     basis = []
     for f in range(matrix.cols):
@@ -197,17 +173,18 @@ def kernel_basis(matrix: ExactMatrix):
 
 
 def _back_eliminate(pivot_cols, pivot_rows):
-    """Reduce integer echelon rows, in place, to multiples of the reduced form.
+    """Reduce integer echelon rows, in place, to +-1 times the reduced form.
 
     pivot_cols and pivot_rows are the kernel's echelon output.  The rows
-    are reduced bottom up, fraction-free: each pivot column c of a lower,
-    already reduced row is cleared by row = s * row - m * lower, where
-    s / m = a / v in lowest terms with s > 0, for a the lower row's pivot
-    entry and v the row's entry at c.  A reduced row holds only its pivot
-    and free columns, so a step adds only free columns, and the columns to
-    clear are listed before the first is cleared.  Each row ends divided
-    by the gcd of its entries: the primitive integer multiple, up to sign,
-    of its reduced row echelon form row.
+    are reduced bottom up.  A reduced row holds only its pivot column,
+    with entry +-1, and free columns, so the pivot column c of a lower,
+    already reduced row is cleared by row -= (row[c] * lower[c]) * lower.
+    A step adds only free columns, so the columns to clear are listed
+    before the first is cleared.  Each row is then divided by the gcd of
+    its entries.  A primitive row divided by its pivot entry is integral
+    only when that entry is +-1, so any other pivot entry raises
+    ValueError naming its column: the reduced row echelon form is not
+    integral there.
     """
     where = {c: r for r, c in enumerate(pivot_cols)}
     for r in range(len(pivot_rows) - 1, -1, -1):
@@ -215,14 +192,7 @@ def _back_eliminate(pivot_cols, pivot_rows):
         p = pivot_cols[r]
         for c in [c for c in row if c != p and c in where]:
             lower = pivot_rows[where[c]]
-            a, v = lower[c], row[c]
-            g = gcd(a, v)
-            s, m = a // g, v // g
-            if s < 0:
-                s, m = -s, -m
-            if s != 1:
-                for j in row:
-                    row[j] *= s
+            m = row[c] * lower[c]
             for j, w in lower.items():
                 x = row.get(j, 0) - m * w
                 if x:
@@ -230,3 +200,5 @@ def _back_eliminate(pivot_cols, pivot_rows):
                 else:
                     del row[j]
         _impl._gcd_reduce_dict(row)
+        if abs(row[p]) != 1:
+            raise ValueError(f"reduced row echelon form is not integral at pivot column {p}")

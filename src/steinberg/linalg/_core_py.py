@@ -1,8 +1,7 @@
 """The exact integer elimination kernel behind steinberg.linalg.
 
-The kernel works over arbitrary-precision integers.  A row that holds a
-Fraction is scaled to integers by the caller (row scaling does not change
-ranks, row spaces up to scale, or null spaces).
+The kernel works over arbitrary-precision integers, as every matrix in
+steinberg.linalg is an integer matrix.
 
 Conventions:
 

@@ -123,7 +123,7 @@ def integer_determinant(rows):
     Args:
         rows: dense integer rows (list of lists); not modified.
 
-    Fraction-free (Bareiss, Math. Comp. 22, 1968): each step divides
+    Exact integer steps (Bareiss, Math. Comp. 22, 1968): each step divides
     exactly by the previous pivot, so every intermediate entry is a minor
     of the input and stays an integer.  The empty matrix has determinant
     1, and a matrix whose pivot search fails gives 0.

@@ -6,12 +6,17 @@ building: every top chain with zero boundary.  A top chain is always a
 sparse {top-simplex index: value} dict.  The canonical basis is
 linalg.kernel_basis of the top boundary, kept as sparse supports: one
 basis cycle per free column, 1 there and 0 at the other free columns.
-The free column is the last entry of its support, so a cycle's
-coordinates are its values at the free columns.  The basis is read from
-the top boundary's rows less those that the eliminations of the lower
-degrees clear (complexes.eliminate_with_clearing): the cleared rows lie
-in the span of the kept ones, so the null space, and with it the reduced
-row echelon basis, is that of the whole boundary.
+The basis is integral, and kernel_basis certifies it: it raises
+ValueError when the reduced row echelon form is not integral.  On every
+building the default simplex budget admits, each support value is 1 or
+-1 (tests/test_stmodule.py,
+test_basis_is_certified_integral_on_every_default_building).  The free
+column is the last entry of its support, so a cycle's coordinates are its
+values at the free columns.  The basis is read from the top boundary's
+rows less those that the eliminations of the lower degrees clear
+(complexes.eliminate_with_clearing): the cleared rows lie in the span of
+the kept ones, so the null space, and with it the reduced row echelon
+basis, is that of the whole boundary.
 
 Apartment classes: a frame of n independent lines L_1..L_n spans one
 apartment, the barycentric (n-2)-sphere on the proper nonempty index
@@ -114,10 +119,9 @@ class SteinbergModule:
         columns, are written straight into the matrix rows.
 
         The rows are clean as built, so the matrices skip the validating
-        constructor: each value is a support value, which kernel_basis
-        normalised (a nonzero int, or a Fraction that is not integral), and
-        each (row, column) pair is written at most once, since perm is a
-        bijection and a support lists distinct columns.
+        constructor: each value is a support value, a nonzero int from
+        kernel_basis, and each (row, column) pair is written at most once,
+        since perm is a bijection and a support lists distinct columns.
         """
         index = self._coord_index
         mats = []

@@ -40,6 +40,12 @@ def test_constructor_rejects_bad_input():
         SemisimplicialSet(["a", "b"], [[(0,)], [(0, 1)]])
 
 
+def test_trailing_empty_levels_are_dropped():
+    X = SemisimplicialSet(["a", "b"], [[(0,), (1,)], [(0, 1)], [], []])
+    assert X.dimension == 1
+    assert X.cells == interval().cells
+
+
 @pytest.mark.parametrize(
     "labels, vertices",
     [

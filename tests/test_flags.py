@@ -394,6 +394,33 @@ def test_verify_witnesses_checks_every_distinct_witness():
         bad.verify_witnesses()
 
 
+@pytest.mark.parametrize(
+    "coefficient, message",
+    [(None, "wrong size"), (2, "mod-m rule"), (1, "wrong number of 1-vertices")],
+)
+def test_verify_witnesses_refuses_each_broken_rule(coefficient, message):
+    # At m = 3 a last coordinate can be 2 mod m.  The witness row w of a
+    # 1-vertex v becomes w + c v, so the basis stays unimodular and its
+    # last coordinates read 1 and c: only the rule named breaks.  With no
+    # c, the witness is dropped and the basis is one row short.
+    bx = b_complex_truncated(2, 3, 1)
+    labels = bx.complex.labels
+    s, (i,) = next(
+        (s, simplex)
+        for s, simplex in enumerate(bx.complex.cells[0])
+        if labels[simplex[0]][-1] % 3 == 1
+    )
+    (w,) = bx.witnesses[(0, s)]
+    witnesses = dict(bx.witnesses)
+    if coefficient is None:
+        witnesses[(0, s)] = ()
+    else:
+        witnesses[(0, s)] = (tuple(a + coefficient * b for a, b in zip(w, labels[i])),)
+    bad = flags.TruncatedBComplex(bx.n, bx.m, bx.height, bx.complex, witnesses)
+    with pytest.raises(AssertionError, match=message):
+        bad.verify_witnesses()
+
+
 def test_rules_reject_only_uncompletable_sets_in_rank_four():
     # (4,2,1) lists 1,663,184 ordered simplices, too many to compare with
     # the reference, so both rules are checked against a completion on its

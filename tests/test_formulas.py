@@ -82,6 +82,8 @@ def test_lower_bounds():
     assert nonvanishing_lower_bound(2, order_invariants(make_order(-23))) == 2  # h = 3
     assert nonvanishing_lower_bound(3, order_invariants(make_order(-23))) == 4
     assert nonvanishing_lower_bound(3, order_invariants(ZZ)) == 0
+    with pytest.raises(ValueError, match="at least 2"):
+        nonvanishing_lower_bound(1, order_invariants(make_order(-23)))
 
 
 def test_lower_bound_cap_on_each_side():

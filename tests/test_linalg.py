@@ -1,5 +1,6 @@
 """Exact linear algebra: ranks, kernels, Smith forms, determinants."""
 
+from contextlib import suppress
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles as o
 from steinberg import linalg
 from steinberg.complexes import chain_complex, tits_building
-from steinberg.linalg import ExactMatrix, backend, kernel_basis, pivot_columns, rank
+from steinberg.linalg import ExactMatrix, backend, kernel_basis, lattices, pivot_columns, rank
 from steinberg.linalg.lattices import (
     complete_to_basis,
     integer_determinant,
@@ -17,7 +18,6 @@ from steinberg.linalg.lattices import (
 )
 
 ints = st.integers(min_value=-9, max_value=9)
-fracs = st.builds(Fraction, ints, st.integers(min_value=1, max_value=4))
 
 
 def dense_matrices(entry, max_dim=5):
@@ -30,7 +30,36 @@ def dense_matrices(entry, max_dim=5):
     )
 
 
-@given(dense_matrices(fracs))
+@st.composite
+def integral_rref_combinations(draw, max_dim=6):
+    """Integer combinations of the rows of an integral reduced row echelon
+    matrix: when they have its rank, their kernel basis is integral."""
+    cols = draw(st.integers(min_value=1, max_value=max_dim))
+    pivots = sorted(draw(st.sets(st.integers(min_value=0, max_value=cols - 1))))
+    rref = []
+    for p in pivots:
+        row = [0] * cols
+        row[p] = 1
+        for j in range(p + 1, cols):
+            if j not in pivots:
+                row[j] = draw(ints)
+        rref.append(row)
+    coefficients = draw(
+        st.lists(
+            st.lists(ints, min_size=len(pivots), max_size=len(pivots)),
+            min_size=1,
+            max_size=max_dim,
+        )
+    )
+    return [[sum(c * r[j] for c, r in zip(cs, rref)) for j in range(cols)] for cs in coefficients]
+
+
+# Random integer matrices mostly have a reduced row echelon form that is not
+# integral; the combinations mostly have one that is.
+integer_matrices = st.one_of(dense_matrices(ints, max_dim=6), integral_rref_combinations())
+
+
+@given(integer_matrices)
 @settings(max_examples=120, deadline=None)
 def test_rank_matches_oracle_and_transpose(dense):
     m = o.matrix_from_dense(dense)
@@ -39,10 +68,14 @@ def test_rank_matches_oracle_and_transpose(dense):
     assert r == rank(o.matrix_from_dense(zip(*dense)))
 
 
-@given(dense_matrices(fracs))
+@given(integer_matrices)
 @settings(max_examples=120, deadline=None)
 def test_kernel_basis_is_exact_and_complete(dense):
     m = o.matrix_from_dense(dense)
+    if non_integral_pivot(m) is not None:
+        with pytest.raises(ValueError):
+            kernel_basis(m)
+        return
     basis = [densify(support, m.cols) for support in kernel_basis(m)]
     assert len(basis) == m.cols - rank(m)
     for vec in basis:
@@ -58,7 +91,26 @@ def densify(support, cols):
     return vec
 
 
+def non_integral_pivot(m):
+    """The last pivot column whose reduced row echelon row is not integral.
+
+    None when the reduced row echelon form is integral.  A primitive row on
+    the line of a reduced row is integral divided by its pivot entry only
+    when that entry is 1.
+    """
+    pivot_cols, rows = o.primitive_rref_reference(m)
+    bad = [p for p, row in zip(pivot_cols, rows) if row[p] != 1]
+    return bad[-1] if bad else None
+
+
 def assert_kernel_basis_matches_reference(m):
+    # the basis is the reference's when that is integral; otherwise the
+    # bottom-up back-elimination stops at the last pivot that is not +-1
+    bad = non_integral_pivot(m)
+    if bad is not None:
+        with pytest.raises(ValueError, match=f"at pivot column {bad}$"):
+            kernel_basis(m)
+        return
     supports = kernel_basis(m)
     assert [densify(s, m.cols) for s in supports] == [
         list(v) for v in o.kernel_basis_reference(m)
@@ -72,10 +124,12 @@ def assert_kernel_basis_matches_reference(m):
         assert cols == sorted(set(cols))
         assert set(cols).intersection(free) == {f}
         assert all(v != 0 for _, v in support)
-        assert all(type(v) is int or v.denominator != 1 for _, v in support)
+        assert all(type(v) is int for _, v in support)
 
 
-@given(st.one_of(dense_matrices(ints, max_dim=6), dense_matrices(fracs, max_dim=6)))
+@given(integer_matrices)
+@example([[2, 1]])  # pivot entry 2: the basis vector would hold -1/2
+@example([[2, 4]])  # not primitive: integral once divided by its gcd
 @settings(max_examples=200, deadline=None)
 def test_kernel_basis_matches_reference(dense):
     assert_kernel_basis_matches_reference(o.matrix_from_dense(dense))
@@ -84,11 +138,11 @@ def test_kernel_basis_matches_reference(dense):
 @pytest.mark.parametrize(
     "dense, want",
     [
-        ([[2, 1]], (((0, Fraction(-1, 2)), (1, 1)),)),
+        ([[2, 4]], (((0, -2), (1, 1)),)),
         ([[0, 0]], (((0, 1),), ((1, 1),))),
         ([[1, -1, 0], [0, 3, 3]], (((0, -1), (1, -1), (2, 1)),)),
-        ([[Fraction(1, 3), Fraction(1, 2)]], (((0, Fraction(-3, 2)), (1, 1)),)),
-        ([[3, 0, 2], [0, 5, 7]], (((0, Fraction(-2, 3)), (1, Fraction(-7, 5)), (2, 1)),)),
+        ([[3, 1, 2], [1, 0, 1]], (((0, -1), (1, 1), (2, 1)),)),
+        ([[2, 0, 4, 6], [0, 3, 3, 0]], (((0, -2), (1, -1), (2, 1)), ((0, -3), (3, 1)))),
     ],
 )
 def test_kernel_basis_explicit_supports(dense, want):
@@ -104,20 +158,35 @@ def test_kernel_basis_of_empty_or_zero_matrix(rows, cols):
     assert_kernel_basis_matches_reference(m)
 
 
-def test_kernel_basis_scales_a_row_to_clear_a_pivot_other_than_one():
-    # The second echelon row has pivot entry 2, so clearing its column from
-    # the first row scales that row by 2: [2, 0, 1], and the basis vector
-    # has -1/2 at column 0.
-    m = o.matrix_from_dense([[1, 1, 1], [0, 2, 1]])
-    assert kernel_basis(m) == (((0, Fraction(-1, 2)), (1, Fraction(-1, 2)), (2, 1)),)
-    assert_kernel_basis_matches_reference(m)
+def test_kernel_basis_refuses_a_pivot_other_than_one():
+    # Rows are reduced and checked bottom up, so the last pivot column whose
+    # reduced row is not integral is named: in [[2, 0, 1], [0, 1, 1]] the
+    # lower row passes and the upper one, [1, 0, 1/2], does not.
+    for dense, col in [
+        ([[2, 1]], 0),
+        ([[1, 1, 1], [0, 2, 1]], 1),
+        ([[3, 0, 2], [0, 5, 7]], 1),
+        ([[2, 0, 1], [0, 1, 1]], 0),
+    ]:
+        m = o.matrix_from_dense(dense)
+        with pytest.raises(ValueError, match=f"at pivot column {col}$"):
+            kernel_basis(m)
+        assert non_integral_pivot(m) == col
 
 
-@given(st.one_of(dense_matrices(ints, max_dim=6), dense_matrices(fracs, max_dim=6)), st.data())
+def kernel_basis_or_error(m):
+    try:
+        return kernel_basis(m)
+    except ValueError as e:
+        return str(e)
+
+
+@given(integer_matrices, st.data())
 @settings(max_examples=150, deadline=None)
 def test_appended_row_combinations_leave_the_kernel_basis(dense, data):
     # rows in the span of the others change neither the null space nor its
-    # reduced row echelon basis, wherever they stand
+    # reduced row echelon basis, wherever they stand, nor which pivot of a
+    # reduced form that is not integral is refused
     coefficients = data.draw(
         st.lists(st.lists(ints, min_size=len(dense), max_size=len(dense)), max_size=4)
     )
@@ -126,7 +195,9 @@ def test_appended_row_combinations_leave_the_kernel_basis(dense, data):
         for cs in coefficients
     ]
     rows = data.draw(st.permutations(dense + extra))
-    assert kernel_basis(o.matrix_from_dense(rows)) == kernel_basis(o.matrix_from_dense(dense))
+    assert kernel_basis_or_error(o.matrix_from_dense(rows)) == kernel_basis_or_error(
+        o.matrix_from_dense(dense)
+    )
 
 
 def test_kernel_basis_of_building_boundary_matches_reference():
@@ -234,9 +305,15 @@ def test_echelon_matches_reference_on_building_boundary():
 def test_back_elimination_leaves_primitive_reduced_rows(drawn):
     nrows, ncols, rows = drawn
     pivot_cols, pivot_rows = linalg._impl.echelon(nrows, ncols, [dict(r) for r in rows])
-    linalg._back_eliminate(pivot_cols, pivot_rows)
-    want_cols, want_rows = o.primitive_rref_reference(ExactMatrix(nrows, ncols, tuple(rows)))
+    m = ExactMatrix(nrows, ncols, tuple(rows))
+    want_cols, want_rows = o.primitive_rref_reference(m)
     assert pivot_cols == want_cols
+    bad = non_integral_pivot(m)
+    if bad is not None:
+        with pytest.raises(ValueError, match=f"at pivot column {bad}$"):
+            linalg._back_eliminate(pivot_cols, pivot_rows)
+        return
+    linalg._back_eliminate(pivot_cols, pivot_rows)
     # each row is its reduced row echelon form row times a nonzero int,
     # divided down to gcd 1: the primitive row, up to sign
     for p, row, want in zip(pivot_cols, pivot_rows, want_rows):
@@ -244,15 +321,17 @@ def test_back_elimination_leaves_primitive_reduced_rows(drawn):
         assert {j: sign * v for j, v in row.items()} == want
 
 
-@given(st.one_of(dense_matrices(ints, max_dim=6), dense_matrices(fracs, max_dim=6)))
+@given(integer_matrices)
 @settings(max_examples=100, deadline=None)
 def test_rank_and_kernel_basis_leave_the_matrix_unchanged(dense):
-    # the kernel reduces its rows in place, so it must be handed copies
+    # the kernel reduces its rows in place, so it must be handed copies,
+    # also when kernel_basis refuses a reduced form that is not integral
     m = o.matrix_from_dense(dense)
     before = [dict(r) for r in m.row_dicts]
     held = list(m.row_dicts)
     rank(m)
-    kernel_basis(m)
+    with suppress(ValueError):
+        kernel_basis(m)
     assert list(m.row_dicts) == before
     assert all(a is b for a, b in zip(m.row_dicts, held))
 
@@ -276,7 +355,7 @@ def test_matrix_validation():
 
 
 def test_without_rows_shares_the_kept_rows():
-    m = o.matrix_from_dense([[1, 0, 2], [0, 0, 0], [3, Fraction(1, 2), 0]])
+    m = o.matrix_from_dense([[1, 0, 2], [0, 0, 0], [3, -5, 0]])
     kept = m.without_rows({1})
     assert (kept.rows, kept.cols) == (2, 3)
     assert kept.row_dicts[0] is m.row_dicts[0] and kept.row_dicts[1] is m.row_dicts[2]
@@ -293,11 +372,13 @@ def test_matrix_rows_are_normalised_once():
         ExactMatrix(2, 2, ({},))
     with pytest.raises(ValueError):
         ExactMatrix(-1, 2, ())
-    m = o.matrix_from_dense([[Fraction(4, 2), 0, Fraction(1, 3)], [True, Fraction(0), 5]])
-    assert m.row_dicts == ({0: 2, 2: Fraction(1, 3)}, {0: 1, 2: 5})
-    assert [type(v) for row in m.row_dicts for v in row.values()] == [int, Fraction, int, int]
-    integral = ExactMatrix(1, 2, ({1: Fraction(-6, 3)},)).row_dicts
-    assert integral == ({1: -2},) and type(integral[0][1]) is int
+    m = ExactMatrix(2, 3, ({0: 2, 1: 0, 2: -3}, {0: 1, 2: 5}))
+    assert m.row_dicts == ({0: 2, 2: -3}, {0: 1, 2: 5})
+    # every value is an int: no Fraction, integral or not, and no bool,
+    # float or string, is converted
+    for bad in (Fraction(4, 2), Fraction(1, 3), Fraction(0), True, False, 2.0, "1"):
+        with pytest.raises(ValueError, match=r"entry \(0,1\) is not an int"):
+            ExactMatrix(1, 2, ({1: bad},))
 
 
 @given(dense_matrices(ints, max_dim=4))
@@ -327,6 +408,17 @@ def test_saturation_and_completion():
     assert complete_to_basis([[2, 0]], 2) is None
     ident = complete_to_basis([], 2)
     assert [list(r) for r in ident] == [[1, 0], [0, 1]]
+    with pytest.raises(ValueError, match="row length"):
+        complete_to_basis([[1, 2, 3], [1, 2]], 3)
+
+
+def test_completion_refuses_more_rows_than_columns_before_any_smith_form(monkeypatch):
+    # more than n vectors are never independent in Z^n
+    def no_smith(rows):
+        raise AssertionError("snf_transform called")
+
+    monkeypatch.setattr(lattices, "snf_transform", no_smith)
+    assert complete_to_basis([[1, 0], [0, 1], [1, 1]], 2) is None
 
 
 def square_matrices(entry, max_dim=5):

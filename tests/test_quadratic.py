@@ -209,6 +209,11 @@ def test_log_embedding_unit_coordinates_sum_to_zero():
     assert abs(coords[0] + coords[1]) < 1e-12
     with pytest.raises(ValueError):
         log_embedding(order, RingElement(10, 2, 0))
+    # a unit of another order, or no ring element at all
+    with pytest.raises(ValueError, match="does not belong"):
+        log_embedding(make_order(2), u)
+    with pytest.raises(ValueError, match="does not belong"):
+        log_embedding(order, (u.a, u.b))
 
 
 def test_log_embedding_sums_to_zero_exhaustively():

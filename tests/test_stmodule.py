@@ -1,7 +1,6 @@
 """Top homology of the building: basis, actions, coinvariants, characters."""
 
 import random
-from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
 
@@ -11,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 import oracles as o
 from steinberg import fields as ff
 from steinberg import stmodule
-from steinberg.complexes import chain_complex, tits_building
+from steinberg.complexes import check_building_budget, chain_complex, tits_building
+from steinberg.errors import DEFAULT_SIMPLEX_BUDGET, BudgetExceededError
 from steinberg.linalg import ExactMatrix, kernel_basis
 from steinberg.quadratic import ZZ, make_order, order_invariants
 from steinberg.stmodule import (
@@ -43,6 +43,39 @@ def gl_order(n, q):
 def test_dimension_is_q_power(n, q):
     m = steinberg_module(n, q)
     assert m.dim == q ** (n * (n - 1) // 2)
+
+
+FIELD_SIZES = (2, 3, 4, 5, 7, 8, 9)
+
+# Every building the default simplex budget admits.
+DEFAULT_BUILDINGS = [
+    *((2, q) for q in FIELD_SIZES),
+    *((3, q) for q in FIELD_SIZES),
+    (4, 2), (4, 3), (4, 4), (4, 5),
+    (5, 2),
+]
+
+
+def test_default_buildings_are_those_within_the_default_budget():
+    fits = []
+    for n in range(2, 7):
+        for q in FIELD_SIZES:
+            try:
+                check_building_budget(n, q, DEFAULT_SIMPLEX_BUDGET)
+            except BudgetExceededError:
+                continue
+            fits.append((n, q))
+    assert fits == DEFAULT_BUILDINGS
+
+
+@pytest.mark.parametrize("n,q", DEFAULT_BUILDINGS)
+def test_basis_is_certified_integral_on_every_default_building(n, q):
+    # kernel_basis raises unless the basis is integral, so the module is
+    # built only when it is; on each building the default budget admits,
+    # every basis value is 1 or -1
+    m = steinberg_module(n, q)
+    assert m.dim == q ** (n * (n - 1) // 2)
+    assert {v for support in m.supports for _, v in support} == {1, -1}
 
 
 def add_chains(*chains):
@@ -327,6 +360,9 @@ def test_coinvariants_input_validation():
         coinvariants_dim(act, CharacterTwist((-1,)))
     with pytest.raises(ValueError):
         CharacterTwist((2, 1))
+    wide = o.matrix_from_dense([[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        coinvariants_dim(LinearAction(2, (wide,)))
 
 
 def test_coinvariants_do_not_depend_on_generating_set():
@@ -436,13 +472,13 @@ def test_boundaries_and_basis_hold_plain_ints(n, q):
 @pytest.mark.parametrize("n,q", [(3, 3), (3, 4), (4, 2)])
 def test_action_matrices_are_clean_as_built(n, q, gens_of):
     # action skips the validating constructor: a re-normalised copy of each
-    # matrix is equal to it, and every value is already in normal form
+    # matrix is equal to it, and every value is already a nonzero int
     m = steinberg_module(n, q)
     for mat in m.action(gens_of(n, q)).matrices:
         assert ExactMatrix(mat.rows, mat.cols, mat.row_dicts) == mat
         for row in mat.row_dicts:
             for v in row.values():
-                assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
+                assert type(v) is int and v != 0
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 3), (2, 9), (4, 2)])
@@ -564,6 +600,13 @@ def test_character_twist_takes_only_the_ints_one_and_minus_one(sign):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_orientation_character_alternates(n):
     assert orientation_character_det(n) == (-1) ** (n - 1)
+
+
+def test_duality_data_need_a_positive_rank():
+    with pytest.raises(ValueError, match="n must be positive"):
+        orientation_character_det(0)
+    with pytest.raises(ValueError, match="n must be positive"):
+        dualizing_module_type(0, order_invariants(make_order(2)))
 
 
 @pytest.mark.parametrize(
