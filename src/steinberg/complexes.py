@@ -358,16 +358,26 @@ def group_action(X: SemisimplicialSet, q: int, generators) -> tuple:
     - the i-th face of a chamber's image is the image of its i-th face,
       as both are read through one vertex map.
 
+    Entries are reduced mod q when q is prime.  Over F_4, F_8 and F_9 an
+    entry is an element code 0..q-1 (see fields), which no reduction of
+    an integer yields, so an entry outside range(q) is refused.
+
     Raises ValueError if a generator is not an n x n integer matrix (n the
-    ambient dimension of the labels), is singular, or sends a vertex or a
-    chamber outside X.  An invertible generator's vertex map is injective,
-    and so is its chamber map, which is thus a permutation: not re-checked.
+    ambient dimension of the labels), has such an entry, is singular, or
+    sends a vertex or a chamber outside X.  An invertible generator's
+    vertex map is injective, and so is its chamber map, which is thus a
+    permutation: not re-checked.
     """
     field = ff.finite_field(q)
     n = len(X.labels[0][0])
     for g in generators:
         if not _is_square_int_matrix(g, n):
             raise ValueError(f"generator must be a {n} x {n} integer matrix")
+        bad = [x for row in g for x in row if not 0 <= x < q] if field.degree > 1 else ()
+        if bad:
+            raise ValueError(
+                f"entry {bad[0]} is not an element of F_{q}: use the codes 0..{q - 1}"
+            )
     gens = tuple(tuple(tuple(x % q for x in row) for row in g) for g in generators)
     chambers, chamber_index = X.cells[-1], X.index[-1]
     perms = []

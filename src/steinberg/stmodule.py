@@ -310,48 +310,28 @@ def apartment_span_rank(module: SteinbergModule) -> int:
     return count
 
 
-def _signed_permutation(mat):
-    """(row, sign) of each column's one entry if mat is a signed permutation.
-
-    A square matrix qualifies when each row holds exactly one entry, +1 or
-    -1, and no two rows use the same column: then each column holds one
-    entry too, and their rows are distinct.  Returns None otherwise.
-    """
-    image = [None] * mat.cols
-    for i, row in enumerate(mat.row_dicts):
-        if len(row) != 1:
-            return None
-        ((j, v),) = row.items()
-        if v not in (1, -1) or image[j] is not None:
-            return None
-        image[j] = (i, v)
-    return image
-
-
 def coinvariants_dim(action: LinearAction, twist: CharacterTwist | None = None) -> int:
     """Dimension of the (possibly sign-twisted) coinvariant quotient.
 
     Quotient of V = Q^dim by the span of eps(g) g m - m over generators g
     and module elements m; generators suffice because the relation span is
     closed under multiplying words.  Each column j of eps(g) g - 1 gives one
-    relation, and the quotient is taken in two steps, which is exact since
-    V/(R1 + R2) = (V/R1)/image(R2):
-    - R1, the relations of the generators whose matrices are signed
-      permutations.  Column j with value v at row i says e_j = eps v e_i, so
-      a signed union-find merges the basis vectors into orbits, keeping each
-      one's sign relative to its root.  An orbit that closes with sign -1
-      gives e = -e, so its root is zero over Q; otherwise the root survives.
-      V/R1 has the live roots as a basis, and e_j maps to its sign times its
+    relation, and the quotient is taken in two steps, which is exact for
+    any split of the relations, since V/(R1 + R2) = (V/R1)/image(R2):
+    - R1, the relations of the columns of g that hold exactly one entry, v
+      = +-1 at row i.  Such a column says e_j = eps v e_i, so a signed
+      union-find merges the basis vectors into orbits, keeping each one's
+      sign relative to its root.  An orbit that closes with sign -1 gives e
+      = -e, so its root is zero over Q; otherwise the root survives.  V/R1
+      has the live roots as a basis, and e_j maps to its sign times its
       root, or to zero.
-    - R2, the relations of every other generator, projected onto the live
-      roots and ranked.  The result is the number of live roots minus that
-      rank.
+    - R2, the relations of every other column (no entry, several, or one
+      of another value), projected onto the live roots and ranked.  The
+      result is the number of live roots minus that rank.
     """
     if twist is not None and len(twist.signs) != len(action.matrices):
         raise ValueError("twist length does not match generator count")
     dim = action.dim
-    if dim == 0:
-        return 0
     if any((mat.rows, mat.cols) != (dim, dim) for mat in action.matrices):
         raise ValueError("action matrix shape mismatch")
     signs = twist.signs if twist is not None else (1,) * len(action.matrices)
@@ -380,11 +360,18 @@ def coinvariants_dim(action: LinearAction, twist: CharacterTwist | None = None) 
 
     general = []
     for mat, eps in zip(action.matrices, signs):
-        image = _signed_permutation(mat)
-        if image is None:
-            general.append((mat, eps))
-            continue
-        for j, (i, v) in enumerate(image):
+        row_dicts = mat.row_dicts
+        # row_of[j]: the row of column j's one entry; -1 if none, -2 if several
+        row_of = [-1] * dim
+        for i, row in enumerate(row_dicts):
+            for j in row:
+                row_of[j] = i if row_of[j] == -1 else -2
+        ranked = []
+        for j, i in enumerate(row_of):
+            v = row_dicts[i][j] if i >= 0 else 0
+            if v != 1 and v != -1:
+                ranked.append(j)
+                continue
             rj, sj = find(j)
             ri, si = find(i)
             s = sj * eps * v * si
@@ -395,21 +382,21 @@ def coinvariants_dim(action: LinearAction, twist: CharacterTwist | None = None) 
                 parent[rj] = ri
                 sign[rj] = s
                 dead[ri] = dead[ri] or dead[rj]
+        if ranked:
+            general.append((mat, eps, ranked))
     live = {}
     for x in range(dim):
         if parent[x] == x and not dead[x]:
             live[x] = len(live)
-    if not live:
-        return 0
     # proj[x]: (live root column, sign) of e_x in V/R1, or None where e_x = 0.
     proj = []
     for x in range(dim):
         r, s = find(x)
         proj.append((live[r], s) if r in live else None)
-    # One projected relation row per column of eps(g) g - 1, read straight
-    # from the sparse rows.
+    # One projected relation row per ranked column of eps(g) g - 1, read
+    # straight from the sparse rows.
     rows = []
-    for mat, eps in general:
+    for mat, eps, ranked in general:
         relations = [{} for _ in range(dim)]
         for i, row in enumerate(mat.row_dicts):
             if proj[i] is None:
@@ -418,14 +405,13 @@ def coinvariants_dim(action: LinearAction, twist: CharacterTwist | None = None) 
             for j, v in row.items():
                 rel = relations[j]
                 rel[k] = rel.get(k, 0) + s * eps * v
-        for j, rel in enumerate(relations):
+        for j in ranked:
+            rel = relations[j]
             if proj[j] is not None:
                 k, s = proj[j]
                 rel[k] = rel.get(k, 0) - s
-            if any(rel.values()):
+            if rel and any(rel.values()):
                 rows.append(rel)
-    if not rows:
-        return len(live)
     return len(live) - rank(ExactMatrix(len(rows), len(live), tuple(rows)))
 
 

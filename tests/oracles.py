@@ -495,7 +495,9 @@ def action_levels(X, q, gens):
     """levels[g][k][s]: the index of the image of k-simplex s under generator g.
 
     Each vertex label, a tuple of RREF rows, maps to the RREF of its rows'
-    images g v; a simplex maps vertex by vertex.  Raises KeyError if an
+    images g v; a simplex maps vertex by vertex.  Entries are reduced mod
+    q for prime q; for q in {4, 8, 9} they must be the element codes
+    0..q-1, and any other entry raises ValueError.  Raises KeyError if an
     image is not in X.
     """
     from steinberg import fields as ff
@@ -503,6 +505,8 @@ def action_levels(X, q, gens):
     field = ff.finite_field(q)
     out = []
     for g in gens:
+        if field.degree > 1 and any(not 0 <= x < q for row in g for x in row):
+            raise ValueError(f"generator entries over F_{q} must be the codes 0..{q - 1}")
         g = [[x % q for x in row] for row in g]
         vmap = [
             X.label_index[rref_reference(field, [mat_vec_reference(field, g, v) for v in lbl])]

@@ -237,6 +237,9 @@ GL_JSON = {
     3: "json:[[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]], "
     "[[2, 0, 0], [0, 1, 0], [0, 0, 1]]]",
 }
+# two SL_3(F_3) transvections, E_12(1) and E_13(1): not signed permutations
+# in the module basis, and their coinvariants are nonzero
+SL_PAIR_JSON = "json:[[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 1], [0, 1, 0], [0, 0, 1]]]"
 
 
 @pytest.mark.parametrize(
@@ -281,11 +284,24 @@ GL_JSON = {
          '{"coinvariants_dim": 0, "group": "json:[[[1, 1, 0], [0, 1, 0], [0, 0, 1]], '
          '[[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[2, 0, 0], [0, 1, 0], [0, 0, 1]]]", '
          '"n": 3, "q": 3, "steinberg_dim": 27, "twisted": true}\n'),
+        (3, SL_PAIR_JSON, None,
+         '{"coinvariants_dim": 3, "group": "json:[[[1, 1, 0], [0, 1, 0], [0, 0, 1]], '
+         '[[1, 0, 1], [0, 1, 0], [0, 0, 1]]]", "n": 3, "q": 3, "steinberg_dim": 27, '
+         '"twisted": false}\n'),
+        (3, SL_PAIR_JSON, "[1, 1]",
+         '{"coinvariants_dim": 3, "group": "json:[[[1, 1, 0], [0, 1, 0], [0, 0, 1]], '
+         '[[1, 0, 1], [0, 1, 0], [0, 0, 1]]]", "n": 3, "q": 3, "steinberg_dim": 27, '
+         '"twisted": true}\n'),
+        (3, SL_PAIR_JSON, "[1, -1]",
+         '{"coinvariants_dim": 0, "group": "json:[[[1, 1, 0], [0, 1, 0], [0, 0, 1]], '
+         '[[1, 0, 1], [0, 1, 0], [0, 0, 1]]]", "n": 3, "q": 3, "steinberg_dim": 27, '
+         '"twisted": true}\n'),
     ],
 )
 def test_coinv_json_bytes_are_pinned(capsys, n, group, twist, want):
     # the exact bytes printed when every generator's relation rows were
-    # eliminated, before signed permutations were merged by union-find
+    # eliminated, before single +-1 columns were merged by union-find; the
+    # SL pair was taken when only whole signed permutations were merged
     argv = ["steinberg", "coinv", "--n", str(n), "--q", "3", "--group", group, "--json"]
     if twist is not None:
         argv += ["--twist", twist]
@@ -504,6 +520,19 @@ def test_coinv_rejects_malformed_generators(capsys, group):
         assert all(w in err for w in ("gl", "sl", "trivial", "json:<list of matrices>"))
     elif group != "json:5":
         assert err == "input error: generator must be a 2 x 2 integer matrix\n"
+
+
+@pytest.mark.parametrize("q, minus_one", [(4, 1), (9, 2)])
+def test_coinv_reads_prime_power_entries_as_element_codes(capsys, q, minus_one):
+    # -1 is the element 1 of F_4 and 2 of F_9; read mod q it would name
+    # another element, so it is refused, and the element's own code works
+    argv = ["steinberg", "coinv", "--n", "2", "--q", str(q), "--group"]
+    assert main(argv + ["json:[[[-1,0],[0,1]]]"]) == 2
+    err = f"input error: entry -1 is not an element of F_{q}: use the codes 0..{q - 1}\n"
+    assert capsys.readouterr() == ("", err)
+    want = {4: "4 (module dimension 4)", 9: "5 (module dimension 9)"}[q]
+    got = run(capsys, *argv, f"json:[[[{minus_one},0],[0,1]]]")
+    assert got == (0, f"coinvariants dimension = {want}\n")
 
 
 @pytest.mark.parametrize("n", ["1", "0", "-1"])

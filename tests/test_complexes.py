@@ -535,6 +535,17 @@ def test_group_action_validation():
     short = SemisimplicialSet(B.labels, [B.cells[0], B.cells[1][1:]])
     with pytest.raises(ValueError, match="does not permute chambers"):
         group_action(short, 2, [CYCLE3])
+    # over F_4 and F_9 an entry is an element code, not an integer mod q:
+    # -1 is 1 in F_4 and the code 2 in F_9, which x % q would misread
+    for q, code in ((4, 1), (9, 2)):
+        Y = tits_building(2, q)
+        with pytest.raises(ValueError, match=f"entry -1 is not an element of F_{q}"):
+            group_action(Y, q, [[[-1, 0], [0, 1]]])
+        with pytest.raises(ValueError, match=f"entry {q} is not an element of F_{q}"):
+            group_action(Y, q, [[[1, q], [0, 1]]])
+        group_action(Y, q, [[[code, 0], [0, 1]]])
+    # a prime q still reduces every integer entry
+    assert group_action(X, 3, [[[-1, 0], [0, 1]]]) == group_action(X, 3, [[[2, 0], [0, 1]]])
 
 
 def test_action_commutes_with_faces_in_building():

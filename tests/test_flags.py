@@ -535,6 +535,21 @@ def test_case1_retraction_is_pinned(n, m, height, w, digest, checked, degenerate
     assert (ret.simplices_checked, ret.degenerate_images) == (checked, degenerate)
 
 
+def test_case1_pair_budget_stops_the_pair_loop(monkeypatch):
+    # (3,2,2) checks 514 vertices and pairs at the default cap; a cap of 71
+    # stops after 5 pairs, but every one of the 66 link vertices is still
+    # mapped, to the pinned images
+    n, m, height, w, digest, checked, _ = CASE1_PINS[3]
+    bx = b_complex_truncated(n, m, height)
+    full = case1_retraction(bx, w)
+    assert (len(full.mapping), full.simplices_checked) == (66, checked)
+    monkeypatch.setattr(flags, "CASE1_PAIR_BUDGET", 71)
+    capped = case1_retraction(bx, w)
+    assert capped.simplices_checked == 71
+    assert capped.mapping == full.mapping
+    assert hashlib.sha256(repr(sorted(capped.mapping.items())).encode()).hexdigest() == digest
+
+
 def _lemma_completion(s, w, n):
     """s completed to a basis by the lemma of case1_retraction: each
     completion row r becomes r - r_last w."""

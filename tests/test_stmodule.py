@@ -398,20 +398,57 @@ def test_coinvariants_match_elimination_on_generator_subsets(n, q):
     assert nonzero > 0
 
 
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3)])
+def test_coinvariants_match_elimination_on_sl_generator_subsets(n, q):
+    # transvections are not signed permutations in the module basis, yet
+    # many of their columns hold one +-1 entry: every subset of at most two,
+    # with every twist, and the whole set plain and with all -1
+    m = steinberg_module(n, q)
+    mats = m.action(sl_generators(n, q)).matrices
+    cases = [
+        (subset, CharacterTwist(signs))
+        for size in (1, 2)
+        for subset in combinations(mats, size)
+        for signs in product((1, -1), repeat=size)
+    ]
+    cases += [(mats, None), (mats, CharacterTwist((-1,) * len(mats)))]
+    nonzero = 0
+    for subset, twist in cases:
+        act = LinearAction(m.dim, subset)
+        want = o.coinvariants_dim_reference(act, twist)
+        assert coinvariants_dim(act, twist) == want
+        nonzero += want != 0
+    assert nonzero > 0
+
+
 @st.composite
 def mixed_actions(draw):
-    """A small LinearAction mixing signed permutations, identities and integer
-    matrices, with no twist or a random one."""
+    """A small LinearAction mixing signed permutations, identities, integer
+    matrices and matrices built column by column, with no twist or a random
+    one."""
     dim = draw(st.integers(0, 6))
     signs = st.sampled_from((1, -1))
     mats = []
-    for kind in draw(st.lists(st.sampled_from(("signed", "identity", "integer")), max_size=4)):
+    kinds = st.sampled_from(("signed", "identity", "integer", "columns"))
+    for kind in draw(st.lists(kinds, max_size=4)):
         if kind == "signed":
             perm = draw(st.permutations(range(dim)))
             vals = draw(st.lists(signs, min_size=dim, max_size=dim))
             dense = [[vals[j] if perm[j] == i else 0 for j in range(dim)] for i in range(dim)]
         elif kind == "identity":
             dense = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        elif kind == "columns":
+            # each column a single +-1, a single 2, -2 or 3, dense, or empty:
+            # dense integer matrices almost never hold a single +-1 column
+            dense = [[0] * dim for _ in range(dim)]
+            for j in range(dim):
+                col = draw(st.sampled_from(("unit", "other", "dense", "empty")))
+                if col == "dense":
+                    for i in range(dim):
+                        dense[i][j] = draw(st.integers(-2, 2))
+                elif col != "empty":
+                    value = signs if col == "unit" else st.sampled_from((2, -2, 3))
+                    dense[draw(st.integers(0, dim - 1))][j] = draw(value)
         else:
             row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
             dense = draw(st.lists(row, min_size=dim, max_size=dim))
@@ -430,6 +467,14 @@ def mixed_actions(draw):
 # kills everything
 @example((LinearAction(2, (o.matrix_from_dense([[-1, 0], [0, 1]]),)), None))
 @example((LinearAction(3, (o.matrix_from_dense([[0, 0, -1], [1, 0, 0], [0, 1, 0]]),)), None))
+# not signed permutations: a swap whose only other column is a single 2;
+# a column whose one entry times eps is -1 at its own row, killing e_0,
+# beside a dense column whose relation e_0 + e_1 then leaves e_2 alive,
+# plain and twisted
+@example((LinearAction(3, (o.matrix_from_dense([[0, 1, 0], [1, 0, 0], [0, 0, 2]]),)), None))
+@example((LinearAction(3, (o.matrix_from_dense([[-1, 0, 1], [0, 1, 1], [0, 0, 1]]),)), None))
+@example((LinearAction(3, (o.matrix_from_dense([[1, 0, 1], [0, -1, 1], [0, 0, -1]]),)),
+          CharacterTwist((-1,))))
 @settings(max_examples=300, deadline=None)
 def test_coinvariants_match_elimination_on_mixed_actions(drawn):
     act, twist = drawn
