@@ -19,7 +19,12 @@ import re
 import sys
 
 from .errors import BudgetExceededError, DEFAULT_SIMPLEX_BUDGET
-from .complexes import check_building_budget, reduced_homology_ranks, tits_building
+from .complexes import (
+    check_building_budget,
+    checked_generators,
+    reduced_homology_ranks,
+    tits_building,
+)
 from .flags import probe_report
 from .quadratic import log_embedding, make_order, order_invariants
 from .stmodule import (
@@ -222,7 +227,7 @@ def _load_json_arg(text, flag):
 
 
 def _parse_matrices(text):
-    """Generator list from json:<list>; group_action checks each matrix."""
+    """Generator list from json:<list>; checked_generators checks each matrix."""
     if not text.startswith("json:"):
         raise ValueError(
             f"unknown --group {text!r}: use gl, sl, trivial or json:<list of matrices>"
@@ -253,10 +258,12 @@ def _cmd_coinv(args) -> int:
         gens = trivial_generators(args.n)
     else:
         gens = _parse_matrices(args.group)
-    # Checked before the build, so a bad twist exits at once.
+    # Checked before the build, so a bad twist or generator exits at once;
+    # the twist first.
     twist = None if args.twist is None else _parse_twist(args.twist)
     if twist is not None and len(twist.signs) != len(gens):
         raise ValueError("twist length does not match generator count")
+    checked_generators(args.n, args.q, gens)
     module = steinberg_module(args.n, args.q, budget=args.budget)
     action = module.action(gens)
     dim = coinvariants_dim(action, twist)

@@ -10,6 +10,9 @@ per dropped position, read with one operator.itemgetter, indexed by
 simplex.  The boundary rows are filled from those lists one position at a
 time.  Builders enforce their simplex budgets while they enumerate.
 
+A simplex repeats no vertex, so every incidence is +-1.  Only the edges
+are checked: by closure, a simplex that repeats a has the edge (a, a).
+
 The building of GL_n(F_q) has one vertex per proper nonzero subspace of
 F_q^n and one k-simplex per flag V_0 < ... < V_k of such subspaces,
 ordered by increasing dimension.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from . import fields as ff
 from .errors import DEFAULT_SIMPLEX_BUDGET, BudgetExceededError
@@ -36,8 +39,10 @@ class SemisimplicialSet:
     ValueError on duplicate labels or simplices, a simplex that is not a
     tuple (found when the index or face lists meet a TypeError), a simplex
     of the wrong arity, a vertex other than (i,) for an int i in
-    range(len(labels)), or a missing face.  Closure then puts every vertex
-    of a higher simplex in range too.
+    range(len(labels)), a missing face, or an edge (a, a).  Closure then
+    puts every vertex of a higher simplex in range too, and refuses one
+    that repeats a vertex a, whose iterated faces hold (a, a): so no
+    simplex repeats a vertex, and every incidence is +-1.
     """
 
     def __init__(self, labels, cells):
@@ -82,6 +87,10 @@ class SemisimplicialSet:
             except TypeError:
                 self._raise_not_a_tuple()
                 raise
+            # An edge's two faces are its two vertices.
+            if k == 1 and any(map(eq, *columns)):
+                edge = next(s for s in cells_k if s[0] == s[1])
+                raise ValueError(f"edge {edge} repeats a vertex")
             self.faces.append(columns)
 
     def _raise_not_a_tuple(self):
@@ -133,38 +142,23 @@ def chain_complex(X: SemisimplicialSet) -> ChainComplex:
     positions, so the composite's entries cancel in pairs by the face
     identities d_i d_j = d_{j-1} d_i (i < j), which hold for every tuple.
 
-    Row f of boundaries[k] is the coboundary of the (k-1)-simplex f.  The
-    rows are filled one position at a time from X.faces[k]: position i
-    writes (-1)^i at column s of row X.faces[k][i][s].  Two positions of s
-    write to one row only when two faces of s coincide, which takes a
-    repeated vertex; those simplices are then summed face by face and their
-    zero entries dropped.  So every row holds nonzero ints at columns in
-    range, and the matrices skip the validating constructor.
+    Row f of boundaries[k] is the coboundary of the (k-1)-simplex f.
+    Position i writes (-1)^i at column s of row X.faces[k][i][s].  The
+    faces of a simplex are distinct (SemisimplicialSet), so each entry is
+    written once: every row holds +-1 at columns in range, and the
+    matrices skip the validating constructor.
     """
     dims = tuple(len(c) for c in X.cells)
     mats = [ExactMatrix._from_clean_rows(dims[0], (dict.fromkeys(range(dims[0]), 1),))]
     for k in range(1, len(X.cells)):
         rows = [{} for _ in range(dims[k - 1])]
-        columns = X.faces[k]
         # The index's values are 0..dims[k]-1 in order; every position keys
         # its entries by those int objects rather than making its own.
         ids = list(X.index[k].values())
-        for i, col in enumerate(columns):
+        for i, col in enumerate(X.faces[k]):
             sign = -1 if i % 2 else 1
             for s, row in zip(ids, map(rows.__getitem__, col)):
                 row[s] = sign
-        # An entry was overwritten iff some simplex has two equal faces.
-        if sum(map(len, rows)) != (k + 1) * dims[k]:
-            for s, faces in enumerate(zip(*columns)):
-                if len(set(faces)) <= k:
-                    acc = {}
-                    for i, f in enumerate(faces):
-                        acc[f] = acc.get(f, 0) + (-1 if i % 2 else 1)
-                    for f, v in acc.items():
-                        if v:
-                            rows[f][s] = v
-                        else:
-                            del rows[f][s]
         mats.append(ExactMatrix._from_clean_rows(dims[k], rows))
     return ChainComplex(dims, tuple(mats))
 
@@ -245,10 +239,8 @@ def tits_building(n: int, q: int, budget=DEFAULT_SIMPLEX_BUDGET) -> Semisimplici
     of the labels containing it, and V's successors are the AND of the
     masks of V's RREF rows, read above V's own dimension.
     """
-    if n < 2:
-        raise ValueError("building needs n >= 2")
-    field = ff.finite_field(q)
     check_building_budget(n, q, budget)
+    field = ff.finite_field(q)
     labels = []
     starts = []
     for d in range(1, n):
@@ -329,14 +321,17 @@ def _gaussian_binomial(n, k, q) -> int:
 def check_building_budget(n, q, budget):
     """Raise BudgetExceededError unless the building of F_q^n fits in budget.
 
-    A q with no field (fields.finite_field) raises ValueError first.  The
-    simplices are counted without listing them.  chains[m] counts the
-    chains of proper nonzero subspaces of F_q^m, the empty one included: a
-    nonempty chain is its largest member, of some dimension d, and a chain
-    inside it.  Expanded, chains[n] - 1 is the sum over flag types of the
+    An n < 2, then a q with no field (fields.finite_field), raises
+    ValueError first: there is no such building.  The simplices are
+    counted without listing them.  chains[m] counts the chains of proper
+    nonzero subspaces of F_q^m, the empty one included: a nonempty chain
+    is its largest member, of some dimension d, and a chain inside it.
+    Expanded, chains[n] - 1 is the sum over flag types of the
     q-multinomial coefficients.  chains grows with m, so counting stops at
     the first m past the budget.
     """
+    if n < 2:
+        raise ValueError("building needs n >= 2")
     ff.finite_field(q)
     chains = [1, 1]
     for m in range(2, n + 1):
@@ -358,32 +353,16 @@ def group_action(X: SemisimplicialSet, q: int, generators) -> tuple:
     - the i-th face of a chamber's image is the image of its i-th face,
       as both are read through one vertex map.
 
-    Entries are reduced mod q when q is prime.  Over F_4, F_8 and F_9 an
-    entry is an element code 0..q-1 (see fields), which no reduction of
-    an integer yields, so an entry outside range(q) is refused.
-
-    Raises ValueError if a generator is not an n x n integer matrix (n the
-    ambient dimension of the labels), has such an entry, is singular, or
-    sends a vertex or a chamber outside X.  An invertible generator's
-    vertex map is injective, and so is its chamber map, which is thus a
-    permutation: not re-checked.
+    Raises ValueError as checked_generators does (n the ambient dimension
+    of the labels), or if a generator sends a vertex or a chamber outside
+    X.  An invertible generator's vertex map is injective, and so is its
+    chamber map, which is thus a permutation: not re-checked.
     """
     field = ff.finite_field(q)
-    n = len(X.labels[0][0])
-    for g in generators:
-        if not _is_square_int_matrix(g, n):
-            raise ValueError(f"generator must be a {n} x {n} integer matrix")
-        bad = [x for row in g for x in row if not 0 <= x < q] if field.degree > 1 else ()
-        if bad:
-            raise ValueError(
-                f"entry {bad[0]} is not an element of F_{q}: use the codes 0..{q - 1}"
-            )
-    gens = tuple(tuple(tuple(x % q for x in row) for row in g) for g in generators)
+    gens = checked_generators(len(X.labels[0][0]), q, generators)
     chambers, chamber_index = X.cells[-1], X.index[-1]
     perms = []
     for g in gens:
-        if not ff.is_invertible(field, g):
-            raise ValueError("generator is not invertible")
         vmap = []
         for lbl in X.labels:
             img = ff.subspace_image(field, lbl, g)
@@ -401,12 +380,32 @@ def group_action(X: SemisimplicialSet, q: int, generators) -> tuple:
     return tuple(perms)
 
 
-def _is_square_int_matrix(g, n) -> bool:
-    def is_seq(v):
+def checked_generators(n: int, q: int, generators) -> tuple:
+    """The generators as tuples of rows, entries reduced mod q, each checked.
+
+    Entries are reduced mod q when q is prime.  Over F_4, F_8 and F_9 an
+    entry is an element code 0..q-1 (see fields), which no reduction of
+    an integer yields, so an entry outside range(q) is refused.  Raises
+    ValueError if a generator is not an n x n integer matrix, has such an
+    entry, or is singular; every shape and entry is checked first.
+    """
+    field = ff.finite_field(q)
+
+    def is_row(v):
         return isinstance(v, (list, tuple)) and len(v) == n
 
-    return is_seq(g) and all(
-        is_seq(row) and all(isinstance(x, int) and not isinstance(x, bool) for x in row)
-        for row in g
-    )
-
+    for g in generators:
+        if not (is_row(g) and all(map(is_row, g))) or not all(
+            isinstance(x, int) and not isinstance(x, bool) for row in g for x in row
+        ):
+            raise ValueError(f"generator must be a {n} x {n} integer matrix")
+        bad = [x for row in g for x in row if not 0 <= x < q] if field.degree > 1 else ()
+        if bad:
+            raise ValueError(
+                f"entry {bad[0]} is not an element of F_{q}: use the codes 0..{q - 1}"
+            )
+    gens = tuple(tuple(tuple(x % q for x in row) for row in g) for g in generators)
+    for g in gens:
+        if not ff.is_invertible(field, g):
+            raise ValueError("generator is not invertible")
+    return gens

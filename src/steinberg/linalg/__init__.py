@@ -91,16 +91,6 @@ class ExactMatrix:
         object.__setattr__(out, "row_dicts", row_dicts)
         return out
 
-    def without_rows(self, drop) -> ExactMatrix:
-        """This matrix without the rows whose indices are in drop.
-
-        The kept rows were normalised when this matrix was built, so they
-        are shared, not copied or checked again.
-        """
-        return ExactMatrix._from_clean_rows(
-            self.cols, [r for i, r in enumerate(self.row_dicts) if i not in drop]
-        )
-
 
 def _echelon(matrix: ExactMatrix):
     # The kernel reduces its rows in place, so it gets copies.

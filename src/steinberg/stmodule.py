@@ -141,12 +141,16 @@ def _cleared_top_boundary(building, top) -> ExactMatrix:
 
     The lower boundaries are eliminated (eliminate_with_clearing) and
     released; in degree 0 the top boundary is the augmentation, whole.
+    The kept rows are the top boundary's own, which chain_complex built
+    clean, so they are shared, not copied or checked again.
     """
     boundaries = list(chain_complex(building).boundaries)
     if not top:
         return boundaries[0]
     _, cleared = eliminate_with_clearing(boundaries, top - 1)
-    return boundaries[top].without_rows(cleared)
+    boundary = boundaries[top]
+    kept = [r for f, r in enumerate(boundary.row_dicts) if f not in cleared]
+    return ExactMatrix._from_clean_rows(boundary.cols, kept)
 
 
 def steinberg_module(n, q, budget=DEFAULT_SIMPLEX_BUDGET) -> SteinbergModule:

@@ -522,6 +522,39 @@ def test_coinv_rejects_malformed_generators(capsys, group):
         assert err == "input error: generator must be a 2 x 2 integer matrix\n"
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["--n", "4", "--q", "7", "--budget", "300000", "--group",
+             "json:[[[1,0,0,0],[0,0,0,0],[0,0,1,0],[0,0,0,1]]]"],
+            "generator is not invertible",
+        ),
+        (
+            ["--n", "4", "--q", "7", "--budget", "300000", "--group", "json:[[[1,0],[0,1]]]"],
+            "generator must be a 4 x 4 integer matrix",
+        ),
+        (
+            ["--n", "2", "--q", "4", "--group", "json:[[[-1,0],[0,1]]]"],
+            "entry -1 is not an element of F_4: use the codes 0..3",
+        ),
+        (
+            # a bad twist and a bad generator: the twist is named
+            ["--n", "2", "--q", "3", "--group", "json:[[[1,0,0]]]", "--twist", "[1, 1]"],
+            "twist length does not match generator count",
+        ),
+    ],
+    ids=["singular", "wrong-shape", "f4-minus-one", "twist-first"],
+)
+def test_coinv_checks_generators_before_the_module_is_built(capsys, monkeypatch, argv, err):
+    def spy(*args, **kwargs):
+        raise AssertionError("module built before the generators were checked")
+
+    monkeypatch.setattr(cli, "steinberg_module", spy)
+    assert main(["steinberg", "coinv"] + argv) == 2
+    assert capsys.readouterr() == ("", f"input error: {err}\n")
+
+
 @pytest.mark.parametrize("q, minus_one", [(4, 1), (9, 2)])
 def test_coinv_reads_prime_power_entries_as_element_codes(capsys, q, minus_one):
     # -1 is the element 1 of F_4 and 2 of F_9; read mod q it would name

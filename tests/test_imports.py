@@ -83,6 +83,15 @@ def _reads(node):
     return out
 
 
+def _attribute_reads(node):
+    """Attributes a syntax tree reads, as x.name, once per occurrence."""
+    return Counter(
+        sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    )
+
+
 def _is_dataclass(node):
     """Whether a class is decorated with dataclass, bare or called."""
     return any(
@@ -101,22 +110,22 @@ def _assigned(node):
 
 
 def _definitions(module, tree):
-    """(qualified name, name, node) of the module-level defs, classes and
-    constants, of the methods and properties of its classes, and of the
-    fields of its dataclasses."""
+    """(qualified name, name, node, is_member) of the module-level defs,
+    classes and constants, and, as members, of the methods and properties
+    of its classes and of the fields of its dataclasses."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, functions + (ast.ClassDef,)):
-            yield f"{module}.{node.name}", node.name, node
+            yield f"{module}.{node.name}", node.name, node, False
         for name in _assigned(node):
-            yield f"{module}.{name}", name, node
+            yield f"{module}.{name}", name, node, False
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, functions):
-                    yield f"{module}.{node.name}.{member.name}", member.name, member
+                    yield f"{module}.{node.name}.{member.name}", member.name, member, True
                 elif isinstance(member, ast.AnnAssign) and _is_dataclass(node):
                     for name in _assigned(member):
-                        yield f"{module}.{node.name}.{name}", name, member
+                        yield f"{module}.{node.name}.{name}", name, member, True
 
 
 def reader_names(source, python=True):
@@ -153,23 +162,28 @@ def unread_definitions(sources, outside):
 
     The definitions are module-level functions, classes and constants,
     methods and properties, and dataclass fields.  sources maps a module
-    name to its source; a definition counts as read when its name is
-    loaded, as a name or an attribute, or imported anywhere in the sources
-    outside the definition itself (for a constant or a field, its
-    assignment), or when its name is in outside, the set of names the
-    other readers read (reader_names).  Names that start with _ are
-    skipped: dunders run implicitly.  A method or field whose name another
-    name shares counts as read, so the check never flags one the program
-    reads, but may miss one it does not.
+    name to its source; a definition counts as read when it is read
+    anywhere in the sources outside the definition itself (for a constant
+    or a field, its assignment), or when its name is in outside, the set
+    of names the other readers read (reader_names).  In the sources a
+    module-level definition is read when its name is loaded, as a name or
+    an attribute, or imported; a method, property or field only when it is
+    loaded as an attribute (x.name), so a local of the same name does not
+    count.  Names that start with _ are skipped: dunders run implicitly.
+    An attribute read counts for every member of that name, whatever the
+    object's class, so the check may still miss a member whose name
+    another class's member shares.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     total = sum((_reads(tree) for tree in trees.values()), Counter())
+    attributes = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
     unread = []
     for module, tree in trees.items():
-        for qualified, name, node in _definitions(module, tree):
+        for qualified, name, node, is_member in _definitions(module, tree):
             if name.startswith("_") or name in outside:
                 continue
-            if total[name] == _reads(node)[name]:
+            reads = _attribute_reads if is_member else _reads
+            if (attributes if is_member else total)[name] == reads(node)[name]:
                 unread.append(qualified)
     return unread
 
@@ -238,6 +252,24 @@ def test_definition_checker_counts_only_reads_outside_the_definition():
         "a.LIMIT", "a.LIMIT_TWICE", "a.Box.depth",
     ]
     assert unread_definitions(sources, reader_names("area(LIMIT, LIMIT_TWICE, depth)")) == []
+    # inside the sources a member is read only as an attribute: the field
+    # n and the method sub are loaded elsewhere only as locals of the same
+    # name, and the function sub_all as a name
+    sources = {
+        "a": (
+            "from dataclasses import dataclass\n\n\n"
+            "@dataclass(frozen=True)\nclass Field:\n"
+            "    n: int\n    q: int\n\n"
+            "    def sub(self, x, y):\n        return x - y\n\n"
+            "    def neg(self, x):\n        return -x\n"
+        ),
+        "b": (
+            "from .a import Field\n\n\n"
+            "def sub_all(f, n, sub):\n    return [sub(x, n) for x in f.q]\n\n\n"
+            "def run(f):\n    return f.neg(1), sub_all(f, 2, Field)\n"
+        ),
+    }
+    assert unread_definitions(sources, reader_names("run()")) == ["a.Field.n", "a.Field.sub"]
 
 
 def test_cli_loads_only_the_standard_library():

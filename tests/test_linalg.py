@@ -354,15 +354,6 @@ def test_matrix_validation():
     assert ExactMatrix(2, 2, ({0: 0}, {})).row_dicts == ({}, {})
 
 
-def test_without_rows_shares_the_kept_rows():
-    m = o.matrix_from_dense([[1, 0, 2], [0, 0, 0], [3, -5, 0]])
-    kept = m.without_rows({1})
-    assert (kept.rows, kept.cols) == (2, 3)
-    assert kept.row_dicts[0] is m.row_dicts[0] and kept.row_dicts[1] is m.row_dicts[2]
-    assert m.without_rows(set()) == m
-    assert m.without_rows({0, 1, 2}) == ExactMatrix(0, 3, ())
-
-
 def test_matrix_rows_are_normalised_once():
     with pytest.raises(ValueError, match="out of bounds"):
         ExactMatrix(2, 2, ({2: 1}, {}))

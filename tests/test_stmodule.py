@@ -12,7 +12,7 @@ from steinberg import fields as ff
 from steinberg import stmodule
 from steinberg.complexes import check_building_budget, chain_complex, tits_building
 from steinberg.errors import DEFAULT_SIMPLEX_BUDGET, BudgetExceededError
-from steinberg.linalg import ExactMatrix, kernel_basis
+from steinberg.linalg import ExactMatrix, kernel_basis, rank
 from steinberg.quadratic import ZZ, make_order, order_invariants
 from steinberg.stmodule import (
     CharacterTwist,
@@ -546,6 +546,29 @@ def test_supports_are_the_kernel_basis_of_the_whole_top_boundary(n, q):
     # dense reference kernel is too slow
     m = steinberg_module(n, q)
     assert m.supports == kernel_basis(chain_complex(m.building).boundaries[m.top])
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (4, 3), (5, 2)])
+def test_cleared_top_boundary_shares_the_boundary_rows(n, q, monkeypatch):
+    # the kept rows are the top boundary's own row objects, in order and
+    # unchecked; only the ones clearing drops are missing, and in degree 0
+    # the augmentation is kept whole
+    built = []
+
+    def keep(X):
+        built.append(chain_complex(X))
+        return built[-1]
+
+    monkeypatch.setattr(stmodule, "chain_complex", keep)
+    kept = stmodule._cleared_top_boundary(tits_building(n, q), n - 2)
+    [cc] = built
+    top = cc.boundaries[n - 2]
+    position = {id(r): f for f, r in enumerate(top.row_dicts)}
+    rows = [position[id(r)] for r in kept.row_dicts]
+    assert all(r is top.row_dicts[f] for r, f in zip(kept.row_dicts, rows))
+    assert rows == sorted(set(rows)) and kept.cols == top.cols
+    assert (len(rows) < top.rows) == (n > 2)
+    assert rank(kept) == rank(top)
 
 
 GENERATOR_SETS = {
