@@ -315,7 +315,8 @@ def _cmd_probe(args) -> int:
     payload = probe_report(args.n, args.m, args.height, budget=args.budget)
     lines = [
         f"n = {payload['n']}, m = {payload['m']}, H = {payload['H']}",
-        f"reduced ranks in degrees 0..{max(args.n - 2, 0)}: {payload['ranks']}",
+        f"reduced ranks in degrees 0..{args.n - 2}: {payload['ranks']}"
+        if args.n >= 2 else f"reduced ranks: none, as n = {args.n} has no degrees 0..n-2",
         f"witness failures: {payload['witnesses_failed']}",
         f"minimal connected height observed: {payload['minimal_connected_H']}",
     ]

@@ -64,7 +64,6 @@ class FiniteField:
         else:
             raise ValueError(f"unsupported field size {q} (need a prime power <= 9)")
         self.q = q
-        self.p = p
         self.degree = len(poly) - 1
         self._build_tables(p, poly)
 

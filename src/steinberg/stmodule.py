@@ -23,11 +23,12 @@ apartment, the barycentric (n-2)-sphere on the proper nonempty index
 subsets I (vertex = span of L_i, i in I).  Its fundamental cycle is the
 signed sum over maximal chains of subsets, one chain per permutation,
 weighted by the permutation sign; vertices inside each flag are ordered by
-subset size.  It is a sparse top chain with n! entries, each +1 or -1.
-Swapping two frame lines negates the class.  It is a cycle because the
-flags of two orderings that differ by one adjacent swap share the face
-that drops the swapped subspace, with opposite signs; so a class whose n!
-flags are n! distinct chambers needs no boundary pass (apartment_class).
+subset size, and read off the building's line incidence with no rref.
+It is a sparse top chain with n! entries, each +1 or -1.  Swapping two
+frame lines negates the class.  It is a cycle because the flags of two
+orderings that differ by one adjacent swap share the face that drops the
+swapped subspace, with opposite signs; so a class whose n! flags are n!
+distinct chambers needs no boundary pass (apartment_class).
 That apartment classes span the module is certified with no elimination
 by the Solomon-Tits basis among them (apartment_span_rank).
 """
@@ -82,16 +83,6 @@ class SteinbergModule:
     Clearing keeps the rank, and the kept rows are a subset, so they span
     the same row space: the null space and its canonical basis are those
     of the whole boundary, bit for bit.
-
-    _lines and _joins are apartment_class's memos, both into the indices
-    of building.labels: _lines maps a frame vector to the vertex of its
-    line (at most q^n - 1 entries, and sum_{j<n} q^j from
-    apartment_span_rank), and _joins maps (vertex index, line index) to
-    the vertex of the span of the two.  _joins holds only spans of a
-    vertex and a line outside it.  Both depend on the building alone, so
-    classes built with warm memos equal those built with empty ones.  Each
-    class certifies its own cycle condition by counting its distinct
-    chambers, with no boundary pass (see apartment_class).
     """
 
     def __init__(self, n, q, budget=DEFAULT_SIMPLEX_BUDGET):
@@ -103,10 +94,6 @@ class SteinbergModule:
         self.dim = len(self.supports)
         # The coordinate column of each basis cycle: its free column.
         self._coord_index = {support[-1][0]: j for j, support in enumerate(self.supports)}
-        # apartment_class's memos: frame vector -> vertex of its line, and
-        # (vertex, line) -> vertex of their span.
-        self._lines = {}
-        self._joins = {}
 
     def action(self, generators) -> LinearAction:
         """Exact matrices of the generators acting on the cycle space.
@@ -207,14 +194,17 @@ def apartment_class(module: SteinbergModule, frame_lines):
     The frame entries, each frame line and the frame's independence are
     checked on every call; the independence check skips the rank when the
     frame's rows are unitriangular (row j is 1 at j and 0 after it), since
-    its determinant is then 1.  A line's vertex is read from module._lines,
-    which maps a checked frame vector to the vertex index of its line; only
-    a miss runs rref.  The vertex of an index subset I of size 2 or more is
-    the join of the vertex of I minus its last index i and the line of
-    frame vector i, read from module._joins, which maps (vertex index, line
-    index) to the vertex index of their span.  The join is exact: span(I)
-    is span(I - i) + line(i), and on a miss the RREF of the vertex's key
-    rows and the line's row is that span's canonical key.
+    its determinant is then 1.  Vertices are read off the building's line
+    incidence (complexes.Building), and nothing is written.  A line's
+    vertex is point[v] of its frame vector v.  The vertex of an index
+    subset I of size 2 or more, the join of the vertex V of I minus its
+    last index i and the line L of vector i, is the lowest set bit of
+    above[V] & above[L].  That AND holds exactly the labels of dimension
+    2 or more that contain V and L.  The frame is independent (checked
+    first), so L is not in V and each such label has dimension at least
+    dim V + 1; span(I) = V + L is the only one of that dimension, and
+    labels are grouped by increasing dimension, so it is the lowest bit.
+    On a corrupt building an empty AND gives -1, which no chamber holds.
 
     The cycle condition is certified exactly, with no boundary pass.  Let
     flag(s) be the flag of ordering s and s' the ordering s with its k-th
@@ -226,12 +216,12 @@ def apartment_class(module: SteinbergModule, frame_lines):
     when no two flags are one chamber, that is when it has n! entries.  A
     frame of independent lines always gives n! distinct chambers (distinct
     subsets span distinct subspaces), so a flag missing from the building
-    or a repeated chamber means a memo or the building is corrupt: either
-    raises AssertionError.
+    or a repeated chamber means the building is corrupt: either raises
+    AssertionError.
     """
     n, q = module.n, module.q
-    field = ff.finite_field(q)
-    labels, label_index = module.building.labels, module.building.label_index
+    building = module.building
+    point, above = building.point, building.above
     frame = [tuple(line) for line in frame_lines]
     if len(frame) != n:
         raise ValueError(f"frame needs exactly {n} lines")
@@ -239,33 +229,22 @@ def apartment_class(module: SteinbergModule, frame_lines):
         isinstance(x, int) and not isinstance(x, bool) and 0 <= x < q for line in frame for x in line
     ):
         raise ValueError(f"frame entries must be {n} integers in range({q})")
-    lines = module._lines
     # vertex index of each subset, laid out as in _orderings(n): the lines
     # first, then one join per step
     vertices = []
     for line in frame:
-        vi = lines.get(line)
+        vi = point.get(line)
         if vi is None:
-            key = ff.rref(field, [line])
-            if not key:
-                raise ValueError("frame entries must be lines")
-            vi = lines[line] = label_index[key]
+            raise ValueError("frame entries must be lines")
         vertices.append(vi)
     unitriangular = all(line[j] == 1 and not any(line[j + 1 :]) for j, line in enumerate(frame))
-    if not unitriangular and ff.matrix_rank(field, frame) != n:
+    if not unitriangular and ff.matrix_rank(ff.finite_field(q), frame) != n:
         raise ValueError("frame lines are not independent")
     steps, readers = _orderings(n)
-    joins = module._joins
     for p, i in steps:
-        pair = (vertices[p], vertices[i])
-        vi = joins.get(pair)
-        if vi is None:
-            vi = label_index.get(ff.rref(field, [*labels[pair[0]], labels[pair[1]][0]]))
-            if vi is None:
-                raise ValueError("apartment vertex missing from building")
-            joins[pair] = vi
-        vertices.append(vi)
-    simplices = module.building.index[module.top]
+        joined = above[vertices[p]] & above[vertices[i]]
+        vertices.append((joined & -joined).bit_length() - 1)
+    simplices = building.index[module.top]
     try:
         support = {simplices[read(vertices)]: sign for read, sign in readers}
     except KeyError:

@@ -40,7 +40,9 @@ order; its faces come from the package's SemisimplicialSet, whose face
 lists test_complexes checks against tuple slicing.  Those lists are stored
 by position (faces[k][i][s], the index of simplex s with position i
 dropped); simplex_faces reads one simplex's faces, in position order, for
-the tests written against a face tuple per simplex.
+the tests written against a face tuple per simplex.  contains_reference is
+the reference's containment test, against which the line incidence that
+the package's building keeps (point and above) is checked.
 is_squarefree_reference is the package's squarefree test as it was before
 it stopped trial division at the cube root: every odd f up to sqrt(|d|).
 reduced_definite_forms_reference and reduced_indefinite_forms_reference
@@ -59,7 +61,11 @@ quotient at a time, quadratic in the period's length.
 apartment_span_rank_reference is the package's apartment span rank as it
 was before the Solomon-Tits basis certified it: one class per unordered
 frame, built by the package's apartment_class, and the exact rank of all
-of them by the package's elimination.
+of them by the package's elimination.  apartment_class_reference is the
+package's apartment class as it was before its vertices were read from
+the building's line incidence: each index subset's vertex is the
+rref_reference key of the stacked frame rows, looked up among the labels,
+and each ordering gives one flag, signed by its parity.
 lines_complex_fq_reference and b_complex_truncated_reference are ordered
 builders that extend every ordering by every vertex and test it on its
 own (one rank test, or one completion_witness call, per ordering).  The
@@ -926,10 +932,8 @@ def tits_building_reference(n, q):
     succ = [[] for _ in range(nv)]
     for i, ki in enumerate(labels):
         for j, kj in enumerate(labels):
-            if len(kj) > len(ki):
-                stacked = ff.rref(field, list(kj) + list(ki))
-                if len(stacked) == len(kj):
-                    succ[i].append(j)
+            if len(kj) > len(ki) and contains_reference(field, kj, ki):
+                succ[i].append(j)
     cells = [[(i,) for i in range(nv)]]
     while True:
         prev = cells[-1]
@@ -941,6 +945,14 @@ def tits_building_reference(n, q):
             break
         cells.append(nxt)
     return SemisimplicialSet(labels, cells)
+
+
+def contains_reference(field, outer, inner) -> bool:
+    """Whether the subspace with RREF key outer contains the one keyed inner:
+    stacking the two keys keeps the rank at dim outer."""
+    from steinberg import fields as ff
+
+    return len(ff.rref(field, list(outer) + list(inner))) == len(outer)
 
 
 def is_squarefree_reference(d: int) -> bool:
@@ -1224,6 +1236,28 @@ def apartment_span_rank_reference(module):
         classes.append(apartment_class(module, gens))
     cols = len(module.building.cells[module.top])
     return rank(ExactMatrix(len(classes), cols, tuple(classes)))
+
+
+def apartment_class_reference(module, frame):
+    """The apartment class of a frame of independent lines, subset by subset.
+
+    Each flag's vertices are the rref_reference keys of the stacked frame
+    rows of its index subsets, looked up in the building's label_index;
+    one flag per ordering, in permutations order, signed by its parity.
+    """
+    from steinberg import fields as ff
+
+    field = ff.finite_field(module.q)
+    X, n = module.building, module.n
+    out = {}
+    for perm in permutations(range(n)):
+        flag = tuple(
+            X.label_index[rref_reference(field, [frame[i] for i in sorted(perm[: k + 1])])]
+            for k in range(n - 1)
+        )
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        out[X.index[module.top][flag]] = -1 if inversions % 2 else 1
+    return out
 
 
 def simplex_faces(X, k, s):

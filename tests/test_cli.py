@@ -361,6 +361,12 @@ def test_flags_probe(capsys):
     assert payload["witnesses_failed"] == 0
 
 
+def test_flags_probe_text_at_rank_one_names_no_degrees(capsys):
+    code, out = run(capsys, "flags", "probe", "--n", "1", "--m", "2", "--height", "2")
+    assert code == 0
+    assert out.splitlines()[1] == "reduced ranks: none, as n = 1 has no degrees 0..n-2"
+
+
 def test_survey_ranges_and_error_exit(capsys):
     code, payload = run_json(capsys, "--json", "survey", "--d", "2,5", "--n", "2..3")
     assert code == 0 and payload["errors"] == 0

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as o
 import steinberg.complexes as complexes
+from steinberg import fields as ff
 from steinberg.complexes import (
     ChainComplex,
     SemisimplicialSet,
@@ -223,6 +224,21 @@ def test_building_matches_pairwise_rref_reference(n, q):
     assert X.labels == ref.labels
     assert X.cells == ref.cells
     assert X.faces == ref.faces
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 4), (4, 3), (3, 9)])
+def test_building_keeps_its_line_incidence(n, q):
+    # point: every nonzero vector to the label of its line; above: bit j
+    # of label i set iff label j has dimension 2 or more and contains it
+    X = tits_building(n, q)
+    field = ff.finite_field(q)
+    vectors = [v for v in itertools.product(range(q), repeat=n) if any(v)]
+    assert X.point == {v: X.label_index[o.rref_reference(field, [v])] for v in vectors}
+    outer = [(j, key) for j, key in enumerate(X.labels) if len(key) >= 2]
+    assert X.above == [
+        sum(1 << j for j, key in outer if o.contains_reference(field, key, inner))
+        for inner in X.labels
+    ]
 
 
 def test_face_identities_in_building_and_b_complex():

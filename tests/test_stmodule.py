@@ -1,7 +1,8 @@
 """Top homology of the building: basis, actions, coinvariants, characters."""
 
+import copy
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import factorial
 
 import pytest
@@ -130,28 +131,79 @@ def test_apartment_classes_are_signed_flags_in_the_basis(n, q):
         assert add_chains(*terms) == cls
 
 
+def independent_frames(n, q, count=None):
+    """The first count frames of n independent lines, each line its RREF key
+    row, in combinations order (all of them when count is None)."""
+    field = ff.finite_field(q)
+    return [
+        [list(k[0]) for k in combo]
+        for combo in combinations(ff.all_subspaces(field, n, 1), n)
+        if ff.matrix_rank(field, [list(k[0]) for k in combo]) == n
+    ][:count]
+
+
 @pytest.mark.parametrize("n,q", [(3, 2), (4, 2), (3, 3)])
 def test_apartment_class_lists_every_ordering_in_order(n, q):
     # one signed flag per permutation, inserted in permutation order
     m = steinberg_module(n, q)
-    field = ff.finite_field(q)
-    X = m.building
-    lines = ff.all_subspaces(field, n, 1)
-    frames = [
-        [list(k[0]) for k in combo]
-        for combo in combinations(lines, n)
-        if ff.matrix_rank(field, [list(k[0]) for k in combo]) == n
-    ][:5]
-    for frame in frames:
-        want = {}
-        for perm in permutations(range(n)):
-            flag = tuple(
-                X.label_index[o.rref_reference(field, [frame[i] for i in sorted(perm[: k + 1])])]
-                for k in range(n - 1)
-            )
-            inversions = sum(a > b for a, b in combinations(perm, 2))
-            want[X.index[m.top][flag]] = -1 if inversions % 2 else 1
+    for frame in independent_frames(n, q, 5):
+        want = o.apartment_class_reference(m, frame)
         assert list(apartment_class(m, frame).items()) == list(want.items())
+
+
+@pytest.mark.parametrize("n,q,count", [(3, 3, None), (4, 3, 50)])
+def test_apartment_class_matches_the_reference(n, q, count):
+    # every frame at (3,3), the first 50 at (4,3), most not unitriangular:
+    # each vertex read off the building's incidence is the RREF key of its
+    # frame rows
+    m = steinberg_module(n, q)
+    frames = independent_frames(n, q, count)
+    assert any(frame[j][j] != 1 or any(frame[j][j + 1 :]) for frame in frames for j in range(n))
+    for frame in frames:
+        assert apartment_class(m, frame) == o.apartment_class_reference(m, frame)
+
+
+@pytest.mark.parametrize("n,q", [(3, 8), (2, 9), (3, 9)])
+def test_apartment_class_matches_the_reference_on_random_frames(n, q):
+    # random independent frames over prime-power fields, most of their
+    # vectors not normalised (first nonzero entry other than 1)
+    m = steinberg_module(n, q)
+    field = ff.finite_field(q)
+    rng = random.Random(100 * n + q)
+    frames = []
+    while len(frames) < 40:
+        frame = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(n)]
+        if ff.matrix_rank(field, frame) == n:
+            frames.append(frame)
+    lead = [next(x for x in line if x) for frame in frames for line in frame]
+    assert sum(x != 1 for x in lead) > len(lead) // 2
+    for frame in frames:
+        want = o.apartment_class_reference(m, frame)
+        assert list(apartment_class(m, frame).items()) == list(want.items())
+
+
+def test_apartment_classes_run_no_rref_and_write_nothing(monkeypatch):
+    # every class at (3,3) reads its vertices from the building alone: with
+    # fields.rref raising, and the rank of a frame that is not unitriangular
+    # taken from the oracle, each class still builds and equals the
+    # reference, and neither the module nor its building changes
+    m = steinberg_module(3, 3)
+    frames = independent_frames(3, 3)
+    want = [o.apartment_class_reference(m, frame) for frame in frames]
+
+    def state():
+        return copy.deepcopy({**vars(m), "building": vars(m.building)})
+
+    before = state()
+
+    def no_rref(field, rows):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(ff, "rref", no_rref)
+    monkeypatch.setattr(ff, "matrix_rank", lambda field, rows: len(o.rref_reference(field, rows)))
+    assert [apartment_class(m, frame) for frame in frames] == want
+    assert apartment_span_rank(m) == m.dim
+    assert state() == before
 
 
 def test_permutation_signs_are_computed_once_per_rank(monkeypatch):
@@ -173,8 +225,8 @@ def test_apartment_class_rejects_bad_frames():
     with pytest.raises(ValueError):
         apartment_class(m, [(1, 0), (0, 1), (1, 1)])
     # entries outside range(4), bools and wrong lengths, before and after
-    # apartment_span_rank fills the join memo; -1 must not be read as the
-    # negative index of the element 3, nor 4 run past the tables
+    # apartment_span_rank; -1 must not be read as the negative index of the
+    # element 3, nor 4 run past the tables
     m = steinberg_module(3, 4)
     bad_frames = [
         [(1, 0, 0), (1, 4, 0), (0, 0, 1)],
@@ -188,41 +240,10 @@ def test_apartment_class_rejects_bad_frames():
     ]
     for warm in (False, True):
         if warm:
-            assert apartment_span_rank(m) == 64 and m._joins
+            assert apartment_span_rank(m) == 64
         for frame in bad_frames:
             with pytest.raises(ValueError):
                 apartment_class(m, frame)
-
-
-@pytest.mark.parametrize("n,q,count", [(3, 3, None), (4, 3, 50)])
-def test_apartment_class_is_the_same_with_a_warm_join_memo(n, q, count):
-    # every frame at (3,3), the first 50 at (4,3), most not unitriangular:
-    # the classes built after apartment_span_rank filled the memo equal
-    # those built with an empty one
-    warm = steinberg_module(n, q)
-    assert apartment_span_rank(warm) == warm.dim
-    assert warm._joins
-    cold = steinberg_module(n, q)
-    field = ff.finite_field(q)
-    frames = [
-        [list(k[0]) for k in combo]
-        for combo in combinations(ff.all_subspaces(field, n, 1), n)
-        if ff.matrix_rank(field, [list(k[0]) for k in combo]) == n
-    ][:count]
-
-    def unitriangular(frame):
-        return all(frame[j][j] == 1 and not any(frame[j][j + 1 :]) for j in range(n))
-
-    assert any(not unitriangular(frame) for frame in frames)
-    # the span pass memoises every column of every unitriangular frame
-    assert len(warm._lines) == sum(q**j for j in range(n))
-    for frame in frames:
-        cold._lines.clear()
-        cold._joins.clear()
-        assert apartment_class(warm, frame) == apartment_class(cold, frame)
-        # the cold build memoised exactly the frame's lines, as the warm
-        # memo holds them
-        assert cold._lines == {tuple(line): warm._lines[tuple(line)] for line in frame}
 
 
 def unitriangular_frames(n, q):
@@ -246,27 +267,35 @@ def test_distinct_chambers_certify_the_cycle_on_every_unitriangular_frame(n, q):
 
 
 def test_corrupt_join_memo_is_refused():
-    # the join of lines 0 and 2 is overwritten with the span of lines 0
-    # and 1: orderings (0, 1, 2) and (0, 2, 1) land on one chamber, and
-    # (2, 0, 1) on a pair that is no flag
+    # line 2's mask is overwritten with line 1's, so the join of lines 0
+    # and 2 is the span of lines 0 and 1: orderings (0, 1, 2) and (0, 2, 1)
+    # land on one chamber, and (2, 0, 1) on a pair that is no flag
     m = steinberg_module(3, 3)
     frame = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     apartment_class(m, frame)
-    v0, v1, v2 = (m._lines[line] for line in frame)
-    m._joins[(v0, v2)] = m._joins[(v0, v1)]
+    above, point = m.building.above, m.building.point
+    above[point[frame[2]]] = above[point[frame[1]]]
     with pytest.raises(AssertionError, match="apartment flag"):
         apartment_class(m, frame)
 
 
+def test_an_empty_join_is_refused_as_a_missing_flag():
+    # line 2 lies in no label, so each of its joins is the index -1
+    m = steinberg_module(3, 3)
+    frame = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    m.building.above[m.building.point[frame[2]]] = 0
+    with pytest.raises(AssertionError, match="apartment flag missing"):
+        apartment_class(m, frame)
+
+
 def test_repeated_chambers_are_refused():
-    # memos corrupted so that every flag is a chamber of the building but
-    # lines 1 and 2 share a vertex: the class has fewer than n! entries
+    # line 2's vector points at line 1's vertex: every flag is a chamber
+    # of the building, but the class has fewer than n! entries
     m = steinberg_module(3, 3)
     frame = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     apartment_class(m, frame)
-    v0, v1, _ = (m._lines[line] for line in frame)
-    m._lines[frame[2]] = v1
-    m._joins[(v1, v1)] = m._joins[(v0, v1)]
+    point = m.building.point
+    point[frame[2]] = point[frame[1]]
     with pytest.raises(AssertionError, match="not distinct chambers"):
         apartment_class(m, frame)
 
@@ -285,11 +314,9 @@ def test_independence_is_ranked_unless_the_frame_is_unitriangular(monkeypatch):
     # independent but not unitriangular, so it is ranked and accepted
     assert apartment_class(m, frame[::-1]) == {s: -v for s, v in cls.items()}
     assert ranked == [frame[::-1]]
-    # a dependent frame is refused with both memos warm and all of its
-    # lines memoised
+    # a dependent frame is refused, also after the span pass
     assert apartment_span_rank(m) == m.dim
     dependent = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
-    assert all(line in m._lines for line in dependent) and m._joins
     with pytest.raises(ValueError, match="not independent"):
         apartment_class(m, dependent)
 
