@@ -20,7 +20,6 @@ ordered by increasing dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from operator import eq, itemgetter
 
@@ -136,83 +135,75 @@ class Building(SemisimplicialSet):
         self.above = above
 
 
-@dataclass(frozen=True)
-class ChainComplex:
-    """Chain groups and integer boundary matrices of a semisimplicial set.
+def chain_complex(X: SemisimplicialSet) -> list:
+    """The augmentation and boundary matrices of X, with alternating-sign face sums.
 
-    boundaries[k] maps degree-k chains to degree k-1 for k >= 1, and
-    boundaries[0] is the 1 x n_0 augmentation, so the homology they give
-    in degree 0 is reduced homology.
-    """
-
-    dims: tuple
-    boundaries: tuple
-
-
-def chain_complex(X: SemisimplicialSet) -> ChainComplex:
-    """Augmentation and boundary matrices of X with alternating-sign face sums.
-
+    Returns [∂_0, ..., ∂_d]: ∂_k maps degree-k chains to degree k-1 for
+    k >= 1, and ∂_0 is the 1 x n_0 augmentation (1 x 0 for the empty
+    complex), so the homology they give in degree 0 is reduced homology.
     Every entry is an int.  d∘d = 0 is not re-multiplied here: faces drop
     positions, so the composite's entries cancel in pairs by the face
     identities d_i d_j = d_{j-1} d_i (i < j), which hold for every tuple.
 
-    Row f of boundaries[k] is the coboundary of the (k-1)-simplex f.
-    Position i writes (-1)^i at column s of row X.faces[k][i][s].  The
-    faces of a simplex are distinct (SemisimplicialSet), so each entry is
-    written once: every row holds +-1 at columns in range, and the
-    matrices skip the validating constructor.
+    Row f of ∂_k is the coboundary of the (k-1)-simplex f.  Position i
+    writes (-1)^i at column s of row X.faces[k][i][s].  The faces of a
+    simplex are distinct (SemisimplicialSet), so each entry is written
+    once: every row holds +-1 at columns in range, and the matrices skip
+    the validating constructor.
     """
-    dims = tuple(len(c) for c in X.cells)
-    mats = [ExactMatrix._from_clean_rows(dims[0], (dict.fromkeys(range(dims[0]), 1),))]
+    mats = [_augmentation(X)]
     for k in range(1, len(X.cells)):
-        rows = [{} for _ in range(dims[k - 1])]
-        # The index's values are 0..dims[k]-1 in order; every position keys
+        rows = [{} for _ in X.cells[k - 1]]
+        # The index's values are 0..n_k-1 in order; every position keys
         # its entries by those int objects rather than making its own.
         ids = list(X.index[k].values())
         for i, col in enumerate(X.faces[k]):
             sign = -1 if i % 2 else 1
             for s, row in zip(ids, map(rows.__getitem__, col)):
                 row[s] = sign
-        mats.append(ExactMatrix._from_clean_rows(dims[k], rows))
-    return ChainComplex(dims, tuple(mats))
+        mats.append(ExactMatrix._from_clean_rows(len(ids), rows))
+    return mats
+
+
+def _augmentation(X: SemisimplicialSet) -> ExactMatrix:
+    """The 1 x n_0 all-ones augmentation ∂_0 of X (1 x 0 for the empty complex)."""
+    n0 = X.n_cells(0)
+    return ExactMatrix._from_clean_rows(n0, (dict.fromkeys(range(n0), 1),))
 
 
 def reduced_homology_ranks(X: SemisimplicialSet) -> dict:
     """Reduced rational Betti numbers by degree, computed exactly.
 
-    chain_complex(X) is built first: its boundaries hold the very rows
-    ranked here, and its augmentation gives rank ∂_0.  Every higher rank
-    comes from eliminate_with_clearing over all degrees.
-
-    Degree k keeps n_k - rank ∂_k rows, of which rank ∂_{k+1} become
-    pivots, so exactly β̃_k rows reduce to zero.  On a building that is
-    none below the top, and top simplices are only ever columns.
+    One eliminate_with_clearing over every degree gives the ranks of
+    ∂_1..∂_d; rank ∂_0 is that of the augmentation.  Degree k keeps n_k -
+    rank ∂_k rows, of which rank ∂_{k+1} become pivots, so exactly β̃_k
+    rows reduce to zero.  On a building that is none below the top, and
+    top simplices are only ever columns.  The empty complex has no degree.
     """
-    cc = chain_complex(X)
-    dims = cc.dims
-    boundaries = list(cc.boundaries)
-    del cc
-    bnd_rank = [rank(boundaries[0]), *eliminate_with_clearing(boundaries, len(dims) - 1)[0], 0]
-    return {k: dims[k] - bnd_rank[k] - bnd_rank[k + 1] for k in range(len(dims))}
+    ranks, _ = eliminate_with_clearing(X, X.dimension)
+    ranks = [rank(_augmentation(X)), *ranks, 0]
+    return {k: X.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(X.dimension + 1)}
 
 
-def eliminate_with_clearing(boundaries, degrees):
+def eliminate_with_clearing(X: SemisimplicialSet, degrees):
     """Ranks of ∂_1..∂_degrees by cohomology elimination with clearing.
 
-    boundaries is a list in chain_complex order.  Degree k takes over the
-    rows of boundaries[k+1] and sets that entry to None: the kernel
-    reduces the rows in place, so the caller must hold no other reference
-    to boundaries[1..degrees] and must not read them afterwards.  Degree
-    k = 0..degrees-1 ranks the rows of boundaries[k+1]: row f
-    is the coboundary of the k-simplex f, over the (k+1)-simplices as
-    columns.  A degree drops the rows of the simplices that were pivot
-    columns one degree down (clearing, run as cohomology: de Silva, Morozov
-    & Vejdemo-Johansson, "Dualities in persistent (co)homology", Inverse
-    Problems 27, 2011; Bauer, "Ripser", J. Appl. Comput. Topol. 5, 2021).
-    Degree 0 drops vertex 0, the pivot of the all-ones augmentation row.
+    The boundaries are built here (chain_complex) and owned here: each
+    degree takes over the rows it ranks, which the kernel reduces in
+    place, and the boundary is released once it is ranked.  Degree k =
+    0..degrees-1 ranks the rows of ∂_{k+1}: row f is the coboundary of
+    the k-simplex f, over the (k+1)-simplices as columns.  A degree drops
+    the rows of the simplices that were pivot columns one degree down
+    (clearing, run as cohomology: de Silva, Morozov & Vejdemo-Johansson,
+    "Dualities in persistent (co)homology", Inverse Problems 27, 2011;
+    Bauer, "Ripser", J. Appl. Comput. Topol. 5, 2021).  Degree 0 drops
+    vertex 0, the pivot of the all-ones augmentation row.
 
-    Returns (ranks, cleared): ranks[k] is rank ∂_{k+1}, and cleared is the
-    set of rows of boundaries[degrees+1] that the next degree would drop.
+    Returns (ranks, kept).  ranks[k] is rank ∂_{k+1}, and kept is
+    ∂_{degrees+1} over the rows the next degree would keep, in order:
+    None past the top, and the whole augmentation for degrees = -1.  Its
+    rows are chain_complex's, clean as built, so they are shared, not
+    copied or checked again.
 
     Clearing is exact:
     - a pivot row of degree k-1 is δc for an integer cochain c; its leading
@@ -221,17 +212,22 @@ def eliminate_with_clearing(boundaries, degrees):
     - by downward induction over the column order, dropping every such σ
       leaves the row space unchanged, and so the rank and the null space.
     The augmentation cocycle, the sum of all vertices, clears vertex 0 in
-    the same way.
+    the same way.  So kept has the rank, the null space and the reduced
+    row echelon kernel basis of the whole ∂_{degrees+1}.
     """
-    cleared = {0}
+    boundaries = chain_complex(X)
     ranks = []
-    for k in range(degrees):
-        ncols = boundaries[k + 1].cols
-        rows = [r for f, r in enumerate(boundaries[k + 1].row_dicts) if f not in cleared]
-        boundaries[k + 1] = None
-        cleared = set(pivot_columns(ncols, rows))
+    cleared = {0} if degrees >= 0 else set()
+    for k in range(1, degrees + 1):
+        rows = [r for f, r in enumerate(boundaries[k].row_dicts) if f not in cleared]
+        boundaries[k] = None
+        cleared = set(pivot_columns(X.n_cells(k), rows))
         ranks.append(len(cleared))
-    return ranks, cleared
+    if degrees + 1 == len(boundaries):
+        return ranks, None
+    boundary = boundaries[degrees + 1]
+    kept = [r for f, r in enumerate(boundary.row_dicts) if f not in cleared]
+    return ranks, ExactMatrix._from_clean_rows(boundary.cols, kept)
 
 
 def tits_building(n: int, q: int, budget=DEFAULT_SIMPLEX_BUDGET) -> Building:

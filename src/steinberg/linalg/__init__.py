@@ -49,8 +49,9 @@ class ExactMatrix:
     through _from_clean_rows instead, which neither checks nor copies them;
     each such caller's docstring says why its rows are clean.  Readers use
     the row dicts as they are and must not mutate them, with one exception:
-    complexes.eliminate_with_clearing takes over the rows of the boundaries
-    it eliminates, which no one reads again, and reduces them in place.
+    complexes.eliminate_with_clearing builds the boundaries itself, and
+    reduces the rows of those it eliminates in place before it releases
+    them.
     Empty matrices (zero rows and/or columns) are legal.
     """
 

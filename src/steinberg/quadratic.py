@@ -137,8 +137,6 @@ class QuadraticOrder:
 class RationalIntegers:
     """The ring Z (the d-absent specialization): norm is the identity."""
 
-    d = None
-    discriminant = 1
     signature = (1, 0)
 
     def __repr__(self):

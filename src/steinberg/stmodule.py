@@ -13,10 +13,10 @@ building the default simplex budget admits, each support value is 1 or
 test_basis_is_certified_integral_on_every_default_building).  The free
 column is the last entry of its support, so a cycle's coordinates are its
 values at the free columns.  The basis is read from the top boundary's
-rows less those that the eliminations of the lower degrees clear
-(complexes.eliminate_with_clearing): the cleared rows lie in the span of
-the kept ones, so the null space, and with it the reduced row echelon
-basis, is that of the whole boundary.
+kept rows, which complexes.eliminate_with_clearing returns after it has
+eliminated the lower degrees: the rows they clear lie in the span of the
+kept ones, so the null space, and with it the reduced row echelon basis,
+is that of the whole boundary.
 
 Apartment classes: a frame of n independent lines L_1..L_n spans one
 apartment, the barycentric (n-2)-sphere on the proper nonempty index
@@ -42,7 +42,7 @@ from itertools import combinations, permutations, product
 from operator import itemgetter
 
 from . import fields as ff
-from .complexes import chain_complex, eliminate_with_clearing, group_action, tits_building
+from .complexes import eliminate_with_clearing, group_action, tits_building
 from .errors import DEFAULT_SIMPLEX_BUDGET
 from .linalg import ExactMatrix, kernel_basis, rank
 from .linalg.lattices import integer_determinant
@@ -79,10 +79,11 @@ class SteinbergModule:
     matrix is kept.
 
     The basis is kernel_basis of the top boundary's rows less those the
-    eliminations of degrees 0..top-2 clear (_cleared_top_boundary).
-    Clearing keeps the rank, and the kept rows are a subset, so they span
-    the same row space: the null space and its canonical basis are those
-    of the whole boundary, bit for bit.
+    eliminations of degrees 0..top-2 clear (eliminate_with_clearing with
+    degrees top-1; for n = 2 that is the whole augmentation).  Clearing
+    keeps the rank, and the kept rows are a subset, so they span the same
+    row space: the null space and its canonical basis are those of the
+    whole boundary, bit for bit.
     """
 
     def __init__(self, n, q, budget=DEFAULT_SIMPLEX_BUDGET):
@@ -90,7 +91,7 @@ class SteinbergModule:
         self.q = q
         self.building = tits_building(n, q, budget=budget)
         self.top = n - 2
-        self.supports = kernel_basis(_cleared_top_boundary(self.building, self.top))
+        self.supports = kernel_basis(eliminate_with_clearing(self.building, self.top - 1)[1])
         self.dim = len(self.supports)
         # The coordinate column of each basis cycle: its free column.
         self._coord_index = {support[-1][0]: j for j, support in enumerate(self.supports)}
@@ -121,23 +122,6 @@ class SteinbergModule:
                         rows[i][j] = v
             mats.append(ExactMatrix._from_clean_rows(self.dim, rows))
         return LinearAction(self.dim, tuple(mats))
-
-
-def _cleared_top_boundary(building, top) -> ExactMatrix:
-    """The building's top boundary less the rows that clearing drops.
-
-    The lower boundaries are eliminated (eliminate_with_clearing) and
-    released; in degree 0 the top boundary is the augmentation, whole.
-    The kept rows are the top boundary's own, which chain_complex built
-    clean, so they are shared, not copied or checked again.
-    """
-    boundaries = list(chain_complex(building).boundaries)
-    if not top:
-        return boundaries[0]
-    _, cleared = eliminate_with_clearing(boundaries, top - 1)
-    boundary = boundaries[top]
-    kept = [r for f, r in enumerate(boundary.row_dicts) if f not in cleared]
-    return ExactMatrix._from_clean_rows(boundary.cols, kept)
 
 
 def steinberg_module(n, q, budget=DEFAULT_SIMPLEX_BUDGET) -> SteinbergModule:

@@ -216,10 +216,6 @@ def verify_example_1_2() -> VerdictReport:
     return VerdictReport({"example": "1-2"}, invariants, verdicts, tuple(failures))
 
 
-def _cell_key(d, n):
-    return f"{d}:{n}"
-
-
 _VERDICT_KEYS = {"vanishing_applies", "vanishing_reasons", "lower_bound", "dualizing_type"}
 
 
@@ -278,13 +274,13 @@ def survey(d_values, n_values, cache_path=None):
             unterminated = not line.endswith("\n")
             row = _cached_row(line.strip())
             if row is not None:
-                cache[_cell_key(row["d"], row["n"])] = row
+                cache[row["d"], row["n"]] = row
     try:
         for d in d_values:
             inv = None
             wrote = False
             for n in n_values:
-                key = _cell_key(d, n)
+                key = (d, n)
                 if key in cache:
                     rows.append(cache[key])
                     continue

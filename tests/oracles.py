@@ -93,10 +93,11 @@ package's elimination.  restrict_reference is the package's
 TruncatedBComplex.restrict as it was before probe_report counted
 components instead: the truncation at a smaller height read off one
 build, kept as the reference for component_counts and to rank homology
-at every height.  first_nonzero_composite is the package's
-ChainComplex.validate as it was before d∘d stopped being re-multiplied at
-run time: the exact product of consecutive boundaries, kept to check that
-the face identities make every composite zero.  euler_characteristic
+at every height.  first_nonzero_composite is the check that the
+package's chain complex ran before d∘d stopped being re-multiplied at run
+time: the exact product of consecutive boundaries of the list that
+chain_complex returns, kept to check that the face identities make every
+composite zero.  euler_characteristic
 is the reduced Euler characteristic, read off the cell counts; nothing in
 the package needs it, so it lives here.  matrix_from_dense and
 dense_of convert between dense lists and the package's sparse matrices
@@ -554,7 +555,7 @@ def coordinates(module, chain):
     every other basis cycle is 0 there, so a cycle's coordinates are its
     values at the free columns.
     """
-    boundary = chain_complex_reference(module.building).boundaries[module.top]
+    boundary = chain_complex_reference(module.building)[module.top]
     if not all(type(s) is int and 0 <= s < boundary.cols for s in chain):
         raise ValueError(f"chain columns must lie in range({boundary.cols})")
     if any(sum(v * chain.get(s, 0) for s, v in row.items()) for row in boundary.row_dicts):
@@ -574,7 +575,7 @@ def dense_action_matrices(module, gens):
     basis-coordinate columns) per generator.
     """
     top = module.top
-    boundary = chain_complex_reference(module.building).boundaries[top]
+    boundary = chain_complex_reference(module.building)[top]
     dense = [[Fraction(0)] * boundary.cols for _ in range(boundary.rows)]
     for i, row in enumerate(boundary.row_dicts):
         for j, v in row.items():
@@ -1266,45 +1267,44 @@ def simplex_faces(X, k, s):
 
 
 def chain_complex_reference(X):
-    """The augmentation and boundaries of X, read off the tuples themselves.
+    """The augmentation and boundaries [∂_0, ..., ∂_d] of X, read off the tuples.
 
-    Column s of boundaries[k] adds (-1)^i at the row X.index[k-1] gives the
-    tuple s with position i dropped; the validating ExactMatrix constructor
-    drops the entries that cancel.
+    ∂_0 is the 1 x n_0 augmentation (1 x 0 for the empty complex).  Column
+    s of ∂_k adds (-1)^i at the row X.index[k-1] gives the tuple s with
+    position i dropped; the validating ExactMatrix constructor drops the
+    entries that cancel.
     """
-    from steinberg.complexes import ChainComplex
     from steinberg.linalg import ExactMatrix
 
-    dims = tuple(len(c) for c in X.cells)
+    dims = [len(c) for c in X.cells] or [0]
     mats = [ExactMatrix(1, dims[0], ({v: 1 for v in range(dims[0])},))]
-    for k in range(1, len(dims)):
+    for k in range(1, len(X.cells)):
         rows = [{} for _ in range(dims[k - 1])]
         for s, simplex in enumerate(X.cells[k]):
             for i in range(k + 1):
                 row = rows[X.index[k - 1][simplex[:i] + simplex[i + 1 :]]]
                 row[s] = row.get(s, 0) + (-1) ** i
         mats.append(ExactMatrix(dims[k - 1], dims[k], tuple(rows)))
-    return ChainComplex(dims, tuple(mats))
+    return mats
 
 
 def reduced_homology_ranks_reference(X):
     """Reduced Betti numbers from the rank of every boundary, as built."""
     from steinberg.linalg import rank
 
-    cc = chain_complex_reference(X)
-    bnd_rank = [rank(m) for m in cc.boundaries] + [0]
-    return {k: cc.dims[k] - bnd_rank[k] - bnd_rank[k + 1] for k in range(len(cc.dims))}
+    bnd_rank = [rank(m) for m in chain_complex_reference(X)] + [0]
+    return {k: len(X.cells[k]) - bnd_rank[k] - bnd_rank[k + 1] for k in range(len(X.cells))}
 
 
-def first_nonzero_composite(cc):
+def first_nonzero_composite(boundaries):
     """First degree k whose composite boundaries[k-1] @ boundaries[k] is nonzero.
 
-    The exact product over the sparse integer rows; None when every
-    composite is zero.
+    boundaries is a list [∂_0, ..., ∂_d].  The exact product over the
+    sparse integer rows; None when every composite is zero.
     """
-    for k in range(1, len(cc.boundaries)):
-        right_rows = cc.boundaries[k].row_dicts
-        for row in cc.boundaries[k - 1].row_dicts:
+    for k in range(1, len(boundaries)):
+        right_rows = boundaries[k].row_dicts
+        for row in boundaries[k - 1].row_dicts:
             acc = {}
             for c, v in row.items():
                 for j, w in right_rows[c].items():

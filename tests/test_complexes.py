@@ -11,7 +11,6 @@ import oracles as o
 import steinberg.complexes as complexes
 from steinberg import fields as ff
 from steinberg.complexes import (
-    ChainComplex,
     SemisimplicialSet,
     chain_complex,
     eliminate_with_clearing,
@@ -45,6 +44,17 @@ def test_trailing_empty_levels_are_dropped():
     X = SemisimplicialSet(["a", "b"], [[(0,), (1,)], [(0, 1)], [], []])
     assert X.dimension == 1
     assert X.cells == interval().cells
+
+
+@pytest.mark.parametrize("cells", [[], [[], []]])
+def test_empty_complex_has_a_1x0_augmentation_and_no_degree(cells):
+    X = SemisimplicialSet([], cells)
+    assert X.dimension == -1
+    assert [X.n_cells(k) for k in (-1, 0, 1)] == [0, 0, 0]
+    [augmentation] = chain_complex(X)
+    assert (augmentation.rows, augmentation.cols, augmentation.row_dicts) == (1, 0, ({},))
+    assert reduced_homology_ranks(X) == {} == o.reduced_homology_ranks_reference(X)
+    assert_chain_complex_matches_reference(X)
 
 
 @pytest.mark.parametrize(
@@ -114,9 +124,11 @@ def assert_face_identities(X):
 
 
 def test_interval_chain_complex():
-    cc = chain_complex(interval())
-    assert o.first_nonzero_composite(cc) is None
-    assert cc.dims == (2, 1)
+    X = interval()
+    boundaries = chain_complex(X)
+    assert o.first_nonzero_composite(boundaries) is None
+    assert [(d.rows, d.cols) for d in boundaries] == [(1, 2), (2, 1)]
+    assert [X.n_cells(k) for k in (-1, 0, 1, 2)] == [0, 2, 1, 0]
     assert reduced_homology_ranks(interval()) == {0: 0, 1: 0}
     assert o.euler_characteristic(interval()) == 0
 
@@ -272,12 +284,11 @@ def first_entry(matrix):
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_d_squared_oracle_names_degree_of_flipped_sign(degree):
-    cc = chain_complex(triangle())
-    assert o.first_nonzero_composite(cc) is None
-    i, j, v = first_entry(cc.boundaries[degree])
-    mats = list(cc.boundaries)
+    mats = chain_complex(triangle())
+    assert o.first_nonzero_composite(mats) is None
+    i, j, v = first_entry(mats[degree])
     mats[degree] = with_entry(mats[degree], i, j, -v)
-    assert o.first_nonzero_composite(ChainComplex(cc.dims, tuple(mats))) == degree
+    assert o.first_nonzero_composite(mats) == degree
 
 
 def test_solomon_tits_rank_of_largest_building():
@@ -321,10 +332,7 @@ def test_lines_complex_homology_matches_reference(n, q):
 
 def assert_chain_complex_matches_reference(X):
     """chain_complex(X) has the reference's rows: nonzero ints, columns in range."""
-    cc = chain_complex(X)
-    ref = o.chain_complex_reference(X)
-    assert cc.dims == ref.dims
-    for got, want in zip(cc.boundaries, ref.boundaries, strict=True):
+    for got, want in zip(chain_complex(X), o.chain_complex_reference(X), strict=True):
         assert (got.rows, got.cols) == (want.rows, want.cols)
         assert got.row_dicts == want.row_dicts
         for row in got.row_dicts:
@@ -413,21 +421,29 @@ def test_clearing_keeps_only_the_rows_it_must(monkeypatch):
 
 
 @pytest.mark.parametrize("n,q", [(3, 3), (4, 3), (5, 2)])
-def test_clearing_releases_what_it_eliminates_and_keeps_the_next_rank(n, q):
-    # degrees n-3 eliminates up to the degree below the top; the rows it
-    # clears from the top boundary lie in the span of the rows it keeps
-    # ranked first: elimination takes over the rows it ranks
-    full = chain_complex(tits_building(n, q)).boundaries
+def test_clearing_releases_what_it_eliminates_and_keeps_the_next_rank(n, q, monkeypatch):
+    # degrees n-3 eliminates up to the degree below the top and releases
+    # what it ranks; the rows it clears from the top boundary lie in the
+    # span of the rows it keeps
+    X = tits_building(n, q)
+    full = chain_complex(X)
     want = [rank(full[k]) for k in range(1, n - 2)]
-    boundaries = list(full)
-    ranks, cleared = eliminate_with_clearing(boundaries, n - 3)
+    built = []
+
+    def keep(X):
+        built.append(chain_complex(X))
+        return built[-1]
+
+    monkeypatch.setattr(complexes, "chain_complex", keep)
+    ranks, kept = eliminate_with_clearing(X, n - 3)
     assert ranks == want
+    [boundaries] = built
     assert boundaries[1 : n - 2] == [None] * (n - 3)
-    assert boundaries[0] is full[0] and boundaries[n - 2] is full[n - 2]
-    top = full[n - 2]
-    assert len(cleared) == (ranks[-1] if ranks else 1)
-    kept = [r for f, r in enumerate(top.row_dicts) if f not in cleared]
-    assert rank(ExactMatrix(len(kept), top.cols, kept)) == rank(top)
+    top = boundaries[n - 2]
+    assert (kept.rows, kept.cols) == (top.rows - (ranks[-1] if ranks else 1), top.cols)
+    assert rank(kept) == rank(top) == rank(full[n - 2])
+    # past the top nothing is kept
+    assert eliminate_with_clearing(X, n - 2) == ([*want, rank(top)], None)
 
 
 @pytest.mark.parametrize(
@@ -484,9 +500,9 @@ def test_eliminated_rows_are_the_checked_boundary_rows(make, monkeypatch):
     built = []
 
     def keep(X):
-        cc = chain_complex(X)
-        built.append([[dict(r) for r in d.row_dicts] for d in cc.boundaries])
-        return cc
+        boundaries = chain_complex(X)
+        built.append([[dict(r) for r in d.row_dicts] for d in boundaries])
+        return boundaries
 
     monkeypatch.setattr(complexes, "chain_complex", keep)
     calls = spy_on_pivot_columns(monkeypatch)
@@ -585,9 +601,9 @@ def test_action_commutes_with_faces_in_building():
     [perm] = group_action(X, 2, [CYCLE3])
     [levels] = o.action_levels(X, 2, [CYCLE3])
     assert levels[X.dimension] == perm
-    cc = chain_complex(X)
+    boundaries = chain_complex(X)
     for k in range(1, X.dimension + 1):
-        d = o.dense_of(cc.boundaries[k])
+        d = o.dense_of(boundaries[k])
         left = matmul(d, permutation_matrix(levels[k]))
         right = matmul(permutation_matrix(levels[k - 1]), d)
         assert left == right

@@ -177,6 +177,12 @@ def test_subspace_image_respects_composition(q):
         )
 
 
+@pytest.mark.parametrize("q", ORDERS)
+def test_rref_of_no_rows_is_the_empty_key(q):
+    f = finite_field(q)
+    assert rref(f, []) == () == o.rref_reference(f, [])
+
+
 def test_rref_rejects_ragged_input():
     f = finite_field(2)
     with pytest.raises(ValueError):

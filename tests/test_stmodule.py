@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles as o
 from steinberg import fields as ff
-from steinberg import stmodule
+from steinberg import complexes, stmodule
 from steinberg.complexes import check_building_budget, chain_complex, tits_building
 from steinberg.errors import DEFAULT_SIMPLEX_BUDGET, BudgetExceededError
 from steinberg.linalg import ExactMatrix, kernel_basis, rank
@@ -532,7 +532,7 @@ def test_action_matrices_are_invertible_homomorphism_images():
 
 @pytest.mark.parametrize("n,q", [(3, 3), (2, 9)])
 def test_boundaries_and_basis_hold_plain_ints(n, q):
-    for mat in chain_complex(tits_building(n, q)).boundaries:
+    for mat in chain_complex(tits_building(n, q)):
         assert all(type(v) is int for row in mat.row_dicts for v in row.values())
     module = steinberg_module(n, q)
     assert all(type(v) is int for support in module.supports for _, v in support)
@@ -556,7 +556,7 @@ def test_action_matrices_are_clean_as_built(n, q, gens_of):
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 3), (2, 9), (4, 2)])
 def test_supports_match_reference_kernel(n, q):
     m = steinberg_module(n, q)
-    boundary = chain_complex(m.building).boundaries[m.top]
+    boundary = chain_complex(m.building)[m.top]
     dense = []
     for support in m.supports:
         vec = [0] * boundary.cols
@@ -572,24 +572,29 @@ def test_supports_are_the_kernel_basis_of_the_whole_top_boundary(n, q):
     # rows; at these sizes clearing drops rows beyond vertex 0's, and the
     # dense reference kernel is too slow
     m = steinberg_module(n, q)
-    assert m.supports == kernel_basis(chain_complex(m.building).boundaries[m.top])
+    assert m.supports == kernel_basis(chain_complex(m.building)[m.top])
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (4, 3), (5, 2)])
 def test_cleared_top_boundary_shares_the_boundary_rows(n, q, monkeypatch):
-    # the kept rows are the top boundary's own row objects, in order and
-    # unchecked; only the ones clearing drops are missing, and in degree 0
-    # the augmentation is kept whole
-    built = []
+    # the module's kernel basis reads the top boundary's own row objects,
+    # in order and unchecked; only the ones clearing drops are missing, and
+    # in degree 0 the augmentation is kept whole
+    built, handed = [], []
 
     def keep(X):
         built.append(chain_complex(X))
         return built[-1]
 
-    monkeypatch.setattr(stmodule, "chain_complex", keep)
-    kept = stmodule._cleared_top_boundary(tits_building(n, q), n - 2)
-    [cc] = built
-    top = cc.boundaries[n - 2]
+    def spy(matrix):
+        handed.append(matrix)
+        return kernel_basis(matrix)
+
+    monkeypatch.setattr(complexes, "chain_complex", keep)
+    monkeypatch.setattr(stmodule, "kernel_basis", spy)
+    steinberg_module(n, q)
+    [boundaries], [kept] = built, handed
+    top = boundaries[n - 2]
     position = {id(r): f for f, r in enumerate(top.row_dicts)}
     rows = [position[id(r)] for r in kept.row_dicts]
     assert all(r is top.row_dicts[f] for r, f in zip(kept.row_dicts, rows))
@@ -659,7 +664,7 @@ def test_cycle_check_agrees_with_the_top_boundary(n, q):
     # n = 2); a chain passes exactly when the boundary matrix kills it, and
     # so does the oracle's own check
     m = steinberg_module(n, q)
-    boundary = chain_complex(m.building).boundaries[m.top]
+    boundary = chain_complex(m.building)[m.top]
     ncols = m.building.n_cells(m.top)
     rng = random.Random(10 * n + q)
     chains = []
